@@ -46,7 +46,6 @@ from .experiments import (
 )
 from .limit_laws import (
     FbmPath,
-    LimitConstants,
     LimitLawSample,
     WindowConfig,
     default_xi_window,

@@ -778,16 +778,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         estimators = ("mle", "bayes") if config.scenario == "cusp-bayes" else ("mle",)
         if not config.zero_noise:
             rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            xi_hat, xi_tilde, _ = sample_xi_batch(
+            xi_hat, xi_tilde, flags = sample_xi_batch(
                 gamma_sq, hurst, config.limit_samples, rng
             )
+            edge = {"limit_edge_fraction": float(flags.mean())}
             eps_min = config.epsilons[-1]
             ks_results["mle"] = _ks_entry(
-                _normalized_errors(rows, eps_min, "mle"), xi_hat
+                _normalized_errors(rows, eps_min, "mle"), xi_hat, extra=edge
             )
             if "bayes" in estimators:
                 ks_results["bayes"] = _ks_entry(
-                    _normalized_errors(rows, eps_min, "bayes"), xi_tilde
+                    _normalized_errors(rows, eps_min, "bayes"), xi_tilde, extra=edge
                 )
                 a_s = _normalized_errors(rows, eps_min, "mle")
                 b_s = _normalized_errors(rows, eps_min, "bayes")
@@ -848,12 +849,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         if not config.zero_noise:
             rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            zeta, _ = sample_zeta_batch(
+            zeta, flags = sample_zeta_batch(
                 noise_scale, curv, hurst, config.limit_samples, rng,
                 window=default_zeta_window(noise_scale, curv, hurst),
             )
             ks_results["pseudo_mle"] = _ks_entry(
-                _normalized_errors(rows, config.epsilons[-1], "pseudo_mle"), zeta
+                _normalized_errors(rows, config.epsilons[-1], "pseudo_mle"), zeta,
+                extra={"limit_edge_fraction": float(flags.mean())},
             )
 
     elif config.scenario == "kappa":
@@ -883,11 +885,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             rho_errs = _normalized_errors(rows, eps_min, "joint_rho")
             kap_errs = _normalized_errors(rows, eps_min, "joint_kappa")
             rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            xi_hat, _, _ = sample_xi_batch(gamma_sq, hurst, config.limit_samples, rng)
+            xi_hat, _, flags = sample_xi_batch(
+                gamma_sq, hurst, config.limit_samples, rng
+            )
             delta = rng.normal(0.0, math.sqrt(fisher), config.limit_samples)
             corr = float(np.corrcoef(rho_errs, kap_errs)[0, 1])
             ks_results["joint_rho"] = _ks_entry(
-                rho_errs, xi_hat, extra={"component_correlation": corr}
+                rho_errs, xi_hat, extra={
+                    "component_correlation": corr,
+                    "limit_edge_fraction": float(flags.mean()),
+                },
             )
             ks_results["joint_kappa"] = _ks_entry(kap_errs, delta / fisher)
 

@@ -19,8 +19,13 @@ Brownian motion :math:`W^H` with Hurst index ``H = kappa + 1/2``:
   (pseudo-MLE limit under misspecification),
 * the Gaussian ``N(0, I^{-1})`` limit of the exponent estimate.
 
-Paths are sampled on a symmetric truncated grid by dense Cholesky
-factorization of the exact covariance; factors are cached per grid.
+Paths are sampled exactly on a symmetric truncated grid by circulant
+embedding of their fractional-Gaussian-noise increments (Davies & Harte,
+Biometrika 74, 1987; Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997):
+one FFT gives the embedding eigenvalues, one FFT per pair of paths maps
+standard normals to increments, and a cumulative sum pinned at the
+origin gives the path.  The cost is O(m log m) per path on any grid size
+and nothing is cached.
 The exponents ``2H`` and ``2*kappa + 1`` are the same number and are
 used interchangeably.
 """
@@ -28,7 +33,6 @@ used interchangeably.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +45,6 @@ __all__ = [
     "WindowConfig",
     "FbmPath",
     "LimitLawSample",
-    "LimitConstants",
     "gamma_squared",
     "fisher_info_kappa",
     "cusp_log_moment",
@@ -60,8 +63,12 @@ __all__ = [
     "default_zeta_window",
 ]
 
-#: Largest grid accepted by the dense Cholesky sampler.
-MAX_FBM_NODES = 4096
+#: Paths generated and reduced together by the batch samplers; peak
+#: memory is O(FBM_BLOCK * nodes) whatever the number of draws.
+FBM_BLOCK = 256
+
+#: Embedding eigenvalues below ``-EIGEN_RTOL * max`` are not round-off.
+EIGEN_RTOL = 1e-12
 
 #: Fraction of the window treated as "near the edge" for flagging.
 EDGE_FRACTION = 0.9
@@ -159,15 +166,6 @@ def fisher_info_kappa(a: float, rho: float, T: float, kappa: float) -> float:
     return a * a * (cusp_log_moment(rho, kappa) + cusp_log_moment(T - rho, kappa))
 
 
-@dataclass(frozen=True)
-class LimitConstants:
-    """Bundle of the analytic constants used by reports and the CLI."""
-
-    gamma_sq: float
-    fisher_kappa: Optional[float] = None
-    curvature: Optional[float] = None
-
-
 # ---------------------------------------------------------------------------
 # fractional Brownian motion on a truncated symmetric grid
 # ---------------------------------------------------------------------------
@@ -215,40 +213,68 @@ def fbm_covariance(u, v, hurst: float):
     return 0.5 * (np.abs(u) ** h2 + np.abs(v) ** h2 - np.abs(u - v) ** h2)
 
 
-_factor_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_factor_lock = threading.Lock()
+def _embedding_scale(hurst: float, window: WindowConfig) -> np.ndarray:
+    """``sqrt(lambda / M)`` of the minimal circulant embedding of the increments.
+
+    The ``n = 2*half_count`` increments of ``W^H`` across the grid are
+    fractional Gaussian noise with autocovariance
+    ``gamma(k) = du^2H/2 * (|k+1|^2H - 2|k|^2H + |k-1|^2H)``.  Their
+    minimal embedding is the symmetric circulant of size ``M = 2(n-1)``
+    with first row ``gamma(0..n-1), gamma(n-2..1)``; its eigenvalues
+    ``lambda`` are one FFT of that row.  They are nonnegative for fGn;
+    a value negative beyond round-off raises instead of being clipped.
+    """
+    if not (0.0 < hurst < 1.0):
+        raise DomainError(f"hurst must lie in (0, 1), got {hurst!r}")
+    h2 = 2.0 * hurst
+    k = np.arange(2 * window.half_count, dtype=float)
+    acov = 0.5 * window.du**h2 * (
+        (k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2
+    )
+    row = np.concatenate([acov, acov[-2:0:-1]])
+    lam = np.fft.fft(row).real
+    if lam.min() < -EIGEN_RTOL * lam.max():
+        raise NumericalDegeneracyError(
+            f"circulant embedding of fGn has eigenvalue {lam.min():.3e} "
+            f"(max {lam.max():.3e}) for H={hurst}, {window}"
+        )
+    return np.sqrt(np.maximum(lam, 0.0) / row.size)
 
 
-def _factor_key(hurst: float, window: WindowConfig) -> tuple:
-    return (round(hurst, 12), round(window.U, 12), round(window.du, 12))
+def _fbm_paths(scale: np.ndarray, half_count: int, normals: np.ndarray) -> np.ndarray:
+    """Map standard normals of shape ``(r, 2M)`` to ``2r`` fBm paths.
+
+    Each row is read as ``M`` complex normals ``z``; the real and the
+    imaginary part of ``FFT(scale * z)`` are two independent fGn
+    sequences.  Returns an array of shape ``(2r, 2*half_count + 1)``
+    holding the real-part paths, then the imaginary-part paths, each
+    pinned so that the value at the origin is exactly 0.
+    """
+    n = 2 * half_count
+    noise = np.fft.fft(scale * normals.view(np.complex128), axis=1)[:, :n]
+    rows = noise.shape[0]
+    paths = np.empty((2 * rows, n + 1))
+    paths[:, 0] = 0.0
+    np.cumsum(noise.real, axis=1, out=paths[:rows, 1:])
+    np.cumsum(noise.imag, axis=1, out=paths[rows:, 1:])
+    paths -= paths[:, half_count : half_count + 1]
+    return paths
 
 
-def _fbm_factor(hurst: float, window: WindowConfig):
-    key = _factor_key(hurst, window)
-    with _factor_lock:
-        hit = _factor_cache.get(key)
-        if hit is not None:
-            return hit
-        grid = window.nodes()
-        if grid.size > MAX_FBM_NODES:
-            raise DomainError(
-                f"grid of {grid.size} nodes exceeds the dense-factorization "
-                f"limit {MAX_FBM_NODES}; enlarge du or shrink U"
-            )
-        nonzero = grid != 0.0
-        nz = grid[nonzero]
-        cov = fbm_covariance(nz[:, None], nz[None, :], hurst)
-        try:
-            factor = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            try:
-                factor = np.linalg.cholesky(cov + 1e-12 * np.eye(nz.size))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalDegeneracyError(
-                    f"fBm covariance not factorizable for H={hurst}, {window}"
-                ) from exc
-        _factor_cache[key] = (grid, nonzero, factor)
-        return _factor_cache[key]
+def _fbm_blocks(
+    hurst: float, window: WindowConfig, count: int, rng: np.random.Generator
+):
+    """Yield ``(slice, paths)`` covering ``count`` paths in blocks of ``FBM_BLOCK``.
+
+    ``paths`` has one path per row on ``window.nodes()``.  A block of odd
+    size drops the imaginary-part path of its last complex row.
+    """
+    scale = _embedding_scale(hurst, window)
+    for start in range(0, count, FBM_BLOCK):
+        size = min(FBM_BLOCK, count - start)
+        normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
+        paths = _fbm_paths(scale, window.half_count, normals)
+        yield slice(start, start + size), paths[:size]
 
 
 def sample_fbm(
@@ -259,25 +285,16 @@ def sample_fbm(
 ) -> FbmPath:
     """Draw one double-sided fBm path on the grid ``-U..U`` step ``du``.
 
-    ``W^H(0)`` is exactly 0: the origin is pinned and excluded from the
-    factorized covariance.  The Cholesky factor is cached per
-    ``(hurst, U, du)`` and shared across draws.
+    Exact circulant-embedding sampler shared with the batch samplers;
+    ``W^H(0)`` is exactly 0.
     """
     if not (0.5 <= hurst < 1.0):
         raise DomainError(f"hurst must lie in [1/2, 1), got {hurst!r}")
     if rng is None:
         rng = np.random.default_rng()
-    grid, nonzero, factor = _fbm_factor(hurst, WindowConfig(U=U, du=du))
-    values = np.zeros(grid.size)
-    values[nonzero] = factor @ rng.standard_normal(factor.shape[0])
-    return FbmPath(hurst=hurst, u_grid=grid, values=values)
-
-
-def _sample_fbm_matrix(hurst, window, count, rng):
-    grid, nonzero, factor = _fbm_factor(hurst, window)
-    vals = np.zeros((grid.size, count))
-    vals[nonzero, :] = factor @ rng.standard_normal((factor.shape[0], count))
-    return grid, vals
+    window = WindowConfig(U=U, du=du)
+    _, paths = next(_fbm_blocks(hurst, window, 1, rng))
+    return FbmPath(hurst=hurst, u_grid=window.nodes(), values=paths[0])
 
 
 def rescale_fbm(path: FbmPath, c: float) -> FbmPath:
@@ -427,19 +444,23 @@ def sample_xi_batch(
     """Vectorized draw of ``count`` xi pairs.
 
     Returns ``(xi_hat, xi_tilde, edge_flags)`` arrays.  One generator
-    drives the whole batch, so a fixed seed reproduces it bit for bit.
+    drives the whole batch, so a fixed seed reproduces it bit for bit;
+    paths are generated and reduced ``FBM_BLOCK`` at a time.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     if window is None:
         window = default_xi_window(gamma_sq, hurst)
     gamma = math.sqrt(gamma_sq)
-    u, vals = _sample_fbm_matrix(hurst, window, count, rng)
-    ln_z = gamma * vals - (0.5 * gamma_sq * np.abs(u) ** (2.0 * hurst))[:, None]
-    idx = np.argmax(ln_z, axis=0)
-    xi_hat = u[idx]
-    z = np.exp(ln_z - ln_z[idx, np.arange(count)][None, :])
-    xi_tilde = np.trapezoid(u[:, None] * z, u, axis=0) / np.trapezoid(z, u, axis=0)
+    u = window.nodes()
+    drift = 0.5 * gamma_sq * np.abs(u) ** (2.0 * hurst)
+    xi_hat, xi_tilde = np.empty(count), np.empty(count)
+    for block, vals in _fbm_blocks(hurst, window, count, rng):
+        ln_z = gamma * vals - drift
+        idx = np.argmax(ln_z, axis=1)
+        xi_hat[block] = u[idx]
+        z = np.exp(ln_z - ln_z[np.arange(idx.size), idx][:, None])
+        xi_tilde[block] = np.trapezoid(u * z, u, axis=1) / np.trapezoid(z, u, axis=1)
     lim = EDGE_FRACTION * window.U
     flags = (np.abs(xi_hat) > lim) | (np.abs(xi_tilde) > lim)
     return xi_hat, xi_tilde, flags
@@ -477,9 +498,11 @@ def sample_zeta_batch(
         raise DomainError("noise_scale and curvature must be positive")
     if window is None:
         window = default_zeta_window(noise_scale, curvature, hurst)
-    u, vals = _sample_fbm_matrix(hurst, window, count, rng)
-    ln_z = noise_scale * vals - (0.25 * curvature * u * u)[:, None]
-    zeta = u[np.argmax(ln_z, axis=0)]
+    u = window.nodes()
+    drift = 0.25 * curvature * u * u
+    zeta = np.empty(count)
+    for block, vals in _fbm_blocks(hurst, window, count, rng):
+        zeta[block] = u[np.argmax(noise_scale * vals - drift, axis=1)]
     flags = np.abs(zeta) > EDGE_FRACTION * window.U
     return zeta, flags
 

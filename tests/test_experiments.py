@@ -182,9 +182,11 @@ class TestRunExperimentDeterminism:
         assert rows1 == rows2
 
     def test_thread_count_does_not_change_results(self):
-        base = run_experiment(_tiny()).rows
-        threaded = run_experiment(_tiny(threads=3)).rows
-        assert base == threaded
+        base = run_experiment(_tiny())
+        threaded = run_experiment(_tiny(threads=3))
+        assert base.rows == threaded.rows
+        assert base.ks_results == threaded.ks_results
+        assert 0.0 <= base.ks_results["mle"]["limit_edge_fraction"] <= 1.0
 
     def test_master_seed_changes_results(self):
         a = run_experiment(_tiny()).rows
@@ -216,6 +218,8 @@ class TestRunExperimentScenarios:
         report = run_experiment(_tiny(scenario="cusp-bayes"))
         names = {s["estimator"] for s in report.summaries}
         assert names == {"mle", "bayes"}
+        assert (report.ks_results["bayes"]["limit_edge_fraction"]
+                == report.ks_results["mle"]["limit_edge_fraction"])
         assert report.moment_comparison is not None
         assert set(report.moment_comparison) >= {
             "p", "mean_mle", "mean_bayes", "pooled_se", "significant",
@@ -235,6 +239,8 @@ class TestRunExperimentScenarios:
         )
         assert "zeta_scale" in report.constants
         assert {s["estimator"] for s in report.summaries} == {"pseudo_mle"}
+        edge = report.ks_results["pseudo_mle"]["limit_edge_fraction"]
+        assert 0.0 <= edge <= 1.0
 
     def test_kappa_scenario(self):
         cfg = _tiny(scenario="kappa", epsilons=(0.01,), replications=12,
@@ -252,6 +258,8 @@ class TestRunExperimentScenarios:
         names = {s["estimator"] for s in report.summaries}
         assert names == {"joint_rho", "joint_kappa"}
         assert "component_correlation" in report.ks_results["joint_rho"]
+        edge = report.ks_results["joint_rho"]["limit_edge_fraction"]
+        assert 0.0 <= edge <= 1.0
 
     def test_boundary_pileup_raises(self):
         # true location pinned to the boundary: every zero-noise estimate

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cusplab.errors import DomainError
+from cusplab import limit_laws
+from cusplab.errors import DomainError, NumericalDegeneracyError
 from cusplab.limit_laws import (
+    FBM_BLOCK,
     FbmPath,
     WindowConfig,
     cusp_log_moment,
@@ -28,6 +30,8 @@ from cusplab.limit_laws import (
     xi_from_fbm,
     zeta_from_fbm,
     zeta_scale,
+    _embedding_scale,
+    _fbm_paths,
 )
 from cusplab.path_sim import replication_rng
 
@@ -249,6 +253,61 @@ class TestSampleFbm:
         assert abs(corr) < 5.0 / math.sqrt(800)
 
 
+class TestCirculantEmbedding:
+    HURSTS = [0.5, 0.6, 0.75, 0.9, 0.95]
+
+    @pytest.mark.parametrize("hurst", HURSTS)
+    @pytest.mark.parametrize("half_count", [1, 2, 7, 12])
+    def test_implied_covariance_is_exact(self, hurst, half_count):
+        # the sampler is linear in its normals: pushing the standard basis
+        # through it gives the rows A with path = normals @ A, so A.T @ A
+        # is the covariance it produces
+        window = WindowConfig(U=0.25 * half_count, du=0.25)
+        scale = _embedding_scale(hurst, window)
+        basis = np.eye(2 * scale.size)
+        paths = _fbm_paths(scale, half_count, basis)
+        real, imag = paths[: basis.shape[0]], paths[basis.shape[0]:]
+        grid = window.nodes()
+        exact = fbm_covariance(grid[:, None], grid[None, :], hurst)
+        atol = 1e-10 * np.abs(exact).max()
+        np.testing.assert_allclose(real.T @ real, exact, rtol=1e-10, atol=atol)
+        np.testing.assert_allclose(imag.T @ imag, exact, rtol=1e-10, atol=atol)
+        # real and imaginary parts are independent paths
+        np.testing.assert_allclose(real.T @ imag, 0.0, atol=atol)
+
+    @pytest.mark.parametrize("hurst", HURSTS)
+    @pytest.mark.parametrize("half_count", [1, 2, 1000, 2047, 2048, 20000])
+    def test_eigenvalues_positive_past_old_node_cap(self, hurst, half_count):
+        # node counts 3 .. 40001, straddling 4096: no eigenvalue is
+        # clipped, since _embedding_scale raises on any beyond round-off
+        window = WindowConfig(U=0.01 * half_count, du=0.01)
+        assert window.half_count == half_count
+        scale = _embedding_scale(hurst, window)
+        assert scale.size == 2 * (2 * half_count - 1)
+        assert np.all(scale > 0.0)
+
+    def test_negative_eigenvalue_raises_instead_of_clipping(self, monkeypatch):
+        # a negative tolerance turns every eigenvalue below the max into
+        # "negative beyond round-off"
+        monkeypatch.setattr(limit_laws, "EIGEN_RTOL", -1.0)
+        with pytest.raises(NumericalDegeneracyError):
+            sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(0, 0))
+
+    def test_rejects_hurst_outside_unit_interval(self):
+        with pytest.raises(DomainError):
+            sample_xi_batch(0.5, 1.0, 4, replication_rng(0, 0),
+                            window=WindowConfig(U=1.0, du=0.25))
+
+    def test_large_window_samples_without_cap(self):
+        window = WindowConfig(U=10.0, du=0.0005)
+        assert window.node_count == 40001
+        path = sample_fbm(0.75, window.U, window.du, rng=replication_rng(2, 0))
+        assert path.values.shape == path.u_grid.shape == (40001,)
+        assert path.values[window.half_count] == 0.0
+        assert path.u_grid[window.half_count] == 0.0
+        assert np.all(np.isfinite(path.values))
+
+
 class TestRescaleFbm:
     def test_exact_scaling(self):
         path = sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(1, 0))
@@ -345,6 +404,19 @@ class TestSamplers:
         )
         assert zeta.shape == flags.shape == (64,)
         assert np.all(np.abs(zeta) <= self.WINDOW.U)
+
+    @pytest.mark.parametrize("count", [1, 3, FBM_BLOCK + 1])
+    def test_batches_of_odd_count(self, count):
+        # odd counts leave the last real/imaginary pair half used
+        w = self.WINDOW
+        for draw in (
+            lambda rng: sample_xi_batch(0.5, 0.75, count, rng, window=w),
+            lambda rng: sample_zeta_batch(0.7, 2.0, 0.75, count, rng, window=w),
+        ):
+            first, again = draw(replication_rng(6, 0)), draw(replication_rng(6, 0))
+            for a, b in zip(first, again):
+                assert a.shape == (count,)
+                np.testing.assert_array_equal(a, b)
 
     def test_sample_zeta_reproducible_via_seed(self):
         s1 = sample_zeta(0.7, 2.0, 0.75, window=self.WINDOW, seed=4)
