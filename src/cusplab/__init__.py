@@ -35,7 +35,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     experiment_config_from_dict,
-    experiment_config_from_json,
     fit_rate,
     ks_statistic,
     separation_bound_fit,

@@ -22,6 +22,7 @@ report echoes the effective configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -42,19 +43,20 @@ from .estimators import SearchConfig, bayes, mle, prior_from_config
 from .experiments import (
     SCHEMA_VERSION,
     experiment_config_from_dict,
+    misspec_problem,
     run_and_write,
 )
 from .limit_laws import (
-    default_zeta_window,
     fisher_info_kappa,
     gamma_squared,
+    sample_kappa_limit,
     sample_xi_batch,
     sample_zeta_batch,
     zeta_scale,
 )
-from .misspec_analysis import MisspecProblem, solve_theta_hat
+from .misspec_analysis import solve_theta_hat
 from .path_sim import TimeGrid, replication_rng, simulate_path, write_path_csv
-from .signal_models import CuspSignal, SmoothedCuspSignal, signal_from_config
+from .signal_models import signal_from_config
 
 __all__ = ["main"]
 
@@ -238,29 +240,14 @@ def _cmd_limit_law(args) -> int:
             "edge_fraction": float(flags.mean()),
         }
     elif law == "zeta":
+        problem, noise_scale = misspec_problem(
+            config, config.get("noise_coefficient", "gamma")
+        )
         if "curvature" in config:
             curvature = float(config["curvature"])
         else:
-            theoretical = CuspSignal(
-                a=a, kappa=kappa, T=config.get("T", 1.0),
-                theta_bounds=tuple(config.get("theta_bounds", (0.35, 0.65))),
-            )
-            real = SmoothedCuspSignal(
-                a=a, kappa=kappa, center=config.get("center", 0.5),
-                delta=config.get("delta", 0.05), T=config.get("T", 1.0),
-            )
-            solution = solve_theta_hat(
-                MisspecProblem(theoretical=theoretical, real=real)
-            )
-            curvature = solution.curvature_closed
-        noise_scale = (
-            math.sqrt(gamma_squared(a, kappa))
-            if config.get("noise_coefficient", "gamma") == "gamma" else a
-        )
-        window = default_zeta_window(noise_scale, curvature, hurst)
-        zeta, flags = sample_zeta_batch(
-            noise_scale, curvature, hurst, count, rng, window=window
-        )
+            curvature = solve_theta_hat(problem).curvature_closed
+        zeta, flags = sample_zeta_batch(noise_scale, curvature, hurst, count, rng)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("sample_id,zeta_hat,edge_flag\n")
             for i in range(count):
@@ -278,8 +265,7 @@ def _cmd_limit_law(args) -> int:
         rho = config.get("rho", 0.5)
         T = config.get("T", 1.0)
         fisher = fisher_info_kappa(a, rho, T, kappa)
-        delta = rng.normal(0.0, math.sqrt(fisher), count)
-        samples = delta / fisher
+        samples = sample_kappa_limit(fisher, count, rng)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("sample_id,kappa_limit\n")
             for i in range(count):
@@ -307,35 +293,17 @@ def _cmd_limit_law(args) -> int:
 
 def _cmd_misspec(args) -> int:
     config = _load_config(args.config)
-    a = config.get("a", 1.0)
-    kappa = config.get("kappa", 0.25)
-    T = config.get("T", 1.0)
-    theoretical = CuspSignal(
-        a=a, kappa=kappa, T=T,
-        theta_bounds=tuple(config.get("theta_bounds", (0.35, 0.65))),
-    )
-    real = SmoothedCuspSignal(
-        a=a, kappa=kappa, center=config.get("center", 0.5),
-        delta=config.get("delta", 0.05), T=T,
-    )
-    problem = MisspecProblem(
-        theoretical=theoretical, real=real,
-        quad_order=config.get("quad_order", 200),
-    )
-    solution = solve_theta_hat(problem)
+    problem, _ = misspec_problem(config, quad_order=config.get("quad_order", 200))
+    cusp, real = problem.theoretical, problem.real
     record = {
         "schema_version": SCHEMA_VERSION,
-        "a": a,
-        "kappa": kappa,
-        "T": T,
+        "a": cusp.a,
+        "kappa": cusp.kappa,
+        "T": cusp.T,
         "center": real.center,
         "delta": real.delta,
-        "theta_hat": solution.theta_hat,
-        "min_distance": solution.min_distance,
-        "curvature_closed": solution.curvature_closed,
-        "curvature_fd": solution.curvature_fd,
-        "uniqueness_certificate": solution.uniqueness_certificate,
-        "rate_exponent": 2.0 / (3.0 - 2.0 * kappa),
+        **dataclasses.asdict(solve_theta_hat(problem)),
+        "rate_exponent": 2.0 / (3.0 - 2.0 * cusp.kappa),
     }
     out = _out_dir(args, config)
     path = os.path.join(out, "misspec_solution.json")

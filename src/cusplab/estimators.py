@@ -9,8 +9,8 @@ log-likelihood of a candidate ``theta`` is the Ito sum
     \\, \\Delta X_i - \\frac{1}{2 \\varepsilon^2} \\sum_i
     S(\\theta, t_{i-1})^2 \\, \\Delta t,
 
-evaluated at left endpoints.  The module provides the field itself plus
-four estimators:
+evaluated at left endpoints (``ito_loglik``, for any batch of candidate
+drifts and paths).  The module provides the field itself plus four estimators:
 
 * ``mle``: argmax over theta by derivative-free nested grid search (the
   cusp field is continuous but not differentiable at the truth, so
@@ -48,6 +48,7 @@ __all__ = [
     "prior_from_config",
     "location_rate",
     "misspec_rate",
+    "ito_loglik",
     "log_likelihood_field",
     "grid_argmax",
     "refine_argmax",
@@ -101,22 +102,33 @@ class LikelihoodField:
             raise DomainError("theta_grid and log_values must have equal length")
 
 
-def _drift_batch(signal, thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Drift on the left nodes for a batch of parameter values: (m, n)."""
-    if is_location_signal(signal):
-        values = signal.value(thetas[:, None], t[None, :])
-    else:
-        values = np.asarray(signal.value(t), dtype=float)
-    return np.broadcast_to(values, (thetas.size, t.size))
+def ito_loglik(
+    drift_rows: np.ndarray, increments: np.ndarray, dt: float, eps: float
+) -> np.ndarray:
+    """Ito log-likelihood ``(sum S dX - dt/2 sum S**2) / eps**2`` per drift row.
+
+    ``drift_rows`` is ``(m, n)``: one candidate drift per row on the left
+    nodes.  One path of increments (shape ``(n,)``) gives ``m`` values by
+    one matrix-vector product; a ``(paths, n)`` matrix gives the
+    ``(m, paths)`` field by one matrix-matrix product.
+    """
+    inv_var = 1.0 / (eps * eps)
+    dot = drift_rows @ increments.T  # .T leaves a single path as it is
+    energy = dt * np.einsum("ij,ij->i", drift_rows, drift_rows)
+    return inv_var * (dot - 0.5 * (energy if dot.ndim == 1 else energy[:, None]))
 
 
-def _loglik_values(path: ObservationPath, signal, thetas: np.ndarray) -> np.ndarray:
+def _path_loglik(path: ObservationPath, drift_rows: np.ndarray) -> np.ndarray:
+    return ito_loglik(drift_rows, path.increments, path.grid.dt, path.epsilon)
+
+
+def _location_loglik(path: ObservationPath, signal, thetas: np.ndarray) -> np.ndarray:
     t = path.grid.left_nodes
-    drift = _drift_batch(signal, thetas, t)
-    inv_var = 1.0 / (path.epsilon * path.epsilon)
-    dot = drift @ path.increments
-    energy = path.grid.dt * np.einsum("ij,ij->i", drift, drift)
-    return inv_var * (dot - 0.5 * energy)
+    if is_location_signal(signal):
+        drift = signal.value(thetas[:, None], t[None, :])
+    else:
+        drift = np.asarray(signal.value(t), dtype=float)
+    return _path_loglik(path, np.broadcast_to(drift, (thetas.size, t.size)))
 
 
 def _check_horizon(path: ObservationPath, signal) -> None:
@@ -146,7 +158,7 @@ def log_likelihood_field(
                 f"theta grid [{grid.min()!r}, {grid.max()!r}] leaves the "
                 f"parameter bounds ({alpha!r}, {beta!r})"
             )
-    values = _loglik_values(path, signal, grid)
+    values = _location_loglik(path, signal, grid)
     shift = float(values.max())
     return LikelihoodField(theta_grid=grid, log_values=values - shift, shift=shift)
 
@@ -198,6 +210,13 @@ def _scan_best(eval_fn, grid: np.ndarray) -> tuple[float, float]:
     return float(grid[idx]), float(values[idx])
 
 
+def _window(bounds, center: float, step: float, span: int) -> np.ndarray:
+    """Scan grid of ``span`` steps either side of ``center``, clipped to ``bounds``."""
+    left = max(bounds[0], center - span * step)
+    right = min(bounds[1], center + span * step)
+    return np.linspace(left, right, max(2, int(round((right - left) / step)) + 1))
+
+
 def _top_candidates(grid, values, count, separation):
     order = np.argsort(values, kind="stable")[::-1]
     picked: list[float] = []
@@ -225,7 +244,6 @@ def refine_argmax(
     the scan window is ``span`` new steps either side of the incumbent,
     clipped to ``bounds``; ties resolve to the smallest theta.
     """
-    lo, hi = bounds
     best_theta = math.nan
     best_value = -math.inf
     levels = 0
@@ -237,11 +255,7 @@ def refine_argmax(
         while cur > target_step:
             cur /= shrink
             depth += 1
-            left = max(lo, theta - span * cur)
-            right = min(hi, theta + span * cur)
-            count = max(2, int(round((right - left) / cur)) + 1)
-            grid = np.linspace(left, right, count)
-            theta, value = _scan_best(eval_fn, grid)
+            theta, value = _scan_best(eval_fn, _window(bounds, theta, cur, span))
         if value > best_value or (value == best_value and theta < best_theta):
             best_theta, best_value = theta, value
             levels = depth
@@ -263,16 +277,19 @@ def coarse_grid(bounds: tuple[float, float], rate: float, search: SearchConfig) 
     return np.linspace(lo, hi, count)
 
 
+def _coarse_scan(eval_fn, bounds, rate, search: SearchConfig, coarse=None):
+    """``(grid, values)`` of the coarse scan: ``coarse`` if given, else evaluated."""
+    if coarse is None:
+        grid = coarse_grid(bounds, rate, search)
+        return grid, np.asarray(eval_fn(grid), dtype=float)
+    grid, values = coarse
+    return np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+
+
 def _nested_argmax(eval_fn, bounds, rate, search: SearchConfig, coarse=None):
     lo, hi = bounds
     target = search.target_step if search.target_step is not None else rate / 50.0
-    if coarse is None:
-        grid = coarse_grid(bounds, rate, search)
-        values = np.asarray(eval_fn(grid), dtype=float)
-    else:
-        grid, values = coarse
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
+    grid, values = _coarse_scan(eval_fn, bounds, rate, search, coarse)
     actual_step = grid[1] - grid[0]
     candidates = _top_candidates(grid, values, search.starts, 2.0 * actual_step)
     theta, value, levels, final_step = refine_argmax(
@@ -367,7 +384,7 @@ def _location_mle(path, signal, rate, search, estimator, target, coarse=None):
             f"{estimator} needs a location-parametric signal, got "
             f"{type(signal).__name__}"
         )
-    eval_fn = lambda thetas: _loglik_values(path, signal, thetas)
+    eval_fn = lambda thetas: _location_loglik(path, signal, thetas)
     theta, _, levels, step, boundary = _nested_argmax(
         eval_fn, signal.theta_bounds, rate, search, coarse=coarse
     )
@@ -506,13 +523,10 @@ def bayes(
         target = path.theta_true
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    if coarse is None:
-        cgrid = coarse_grid((alpha, beta), rate, search)
-        cvals = _loglik_values(path, signal, cgrid)
-    else:
-        cgrid, cvals = coarse
-        cgrid = np.asarray(cgrid, dtype=float)
-        cvals = np.asarray(cvals, dtype=float)
+    cgrid, cvals = _coarse_scan(
+        lambda thetas: _location_loglik(path, signal, thetas),
+        (alpha, beta), rate, search, coarse,
+    )
     keep = cvals >= cvals.max() - _POSTERIOR_LOG_DROP
     step = cgrid[1] - cgrid[0]
     lo = max(alpha, cgrid[keep].min() - step)
@@ -521,7 +535,7 @@ def bayes(
     fine_step = rate / 10.0
     n_fine = max(50, int(math.ceil((hi - lo) / fine_step))) + 1
     grid = np.linspace(lo, hi, n_fine)
-    log_vals = _loglik_values(path, signal, grid)
+    log_vals = _location_loglik(path, signal, grid)
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())
     denom = np.trapezoid(weights, grid)
     if not (np.isfinite(denom) and denom > 0.0):
@@ -555,16 +569,6 @@ def bayes(
 # ---------------------------------------------------------------------------
 # exponent estimators
 # ---------------------------------------------------------------------------
-
-def _kappa_loglik(path, a, rho, kappas: np.ndarray) -> np.ndarray:
-    t = path.grid.left_nodes
-    dist = np.abs(t - rho)
-    drift = a * dist[None, :] ** kappas[:, None]
-    inv_var = 1.0 / (path.epsilon * path.epsilon)
-    dot = drift @ path.increments
-    energy = path.grid.dt * np.einsum("ij,ij->i", drift, drift)
-    return inv_var * (dot - 0.5 * energy)
-
 
 def _parabolic_step(x: np.ndarray, f: np.ndarray) -> Optional[float]:
     # Vertex of the parabola through three points with uniform spacing h:
@@ -603,7 +607,8 @@ def kappa_mle(
         raise DomainError(f"rho must lie in (0, T), got {rho!r}")
     search = search or SearchConfig()
     rate = path.epsilon
-    eval_fn = lambda kappas: _kappa_loglik(path, a, rho, kappas)
+    dist = np.abs(path.grid.left_nodes - rho)
+    eval_fn = lambda kappas: _path_loglik(path, a * dist[None, :] ** kappas[:, None])
     kappa, _, levels, step, boundary = _nested_argmax(
         eval_fn, kappa_bounds, rate, search, coarse=coarse
     )
@@ -630,15 +635,6 @@ def joint_coarse_nodes(
     rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
     kappa_nodes = np.linspace(kappa_bounds[0], kappa_bounds[1], 9)
     return rho_nodes, kappa_nodes
-
-
-def _joint_loglik(path, a, rhos: np.ndarray, kappa: float) -> np.ndarray:
-    t = path.grid.left_nodes
-    drift = a * np.abs(t[None, :] - rhos[:, None]) ** kappa
-    inv_var = 1.0 / (path.epsilon * path.epsilon)
-    dot = drift @ path.increments
-    energy = path.grid.dt * np.einsum("ij,ij->i", drift, drift)
-    return inv_var * (dot - 0.5 * energy)
 
 
 def joint_mle(
@@ -672,13 +668,15 @@ def joint_mle(
     if rho_true is None:
         rho_true = path.theta_true
     eps = path.epsilon
+    t = path.grid.left_nodes
+
+    def field(rhos: np.ndarray, kappa: float) -> np.ndarray:
+        return _path_loglik(path, a * np.abs(t[None, :] - rhos[:, None]) ** kappa)
 
     # Coarse scan: a handful of exponents, a dense location axis.
     if coarse is None:
         rho_nodes, kappa_nodes = joint_coarse_nodes(theta_bounds, kappa_bounds)
-        values = np.stack(
-            [_joint_loglik(path, a, rho_nodes, float(k)) for k in kappa_nodes]
-        )
+        values = np.stack([field(rho_nodes, float(k)) for k in kappa_nodes])
     else:
         rho_nodes, kappa_nodes, values = coarse
         rho_nodes = np.asarray(rho_nodes, dtype=float)
@@ -705,28 +703,23 @@ def joint_mle(
             # along one axis shifts the conditional optimum of the other,
             # and the second pass lets the scan windows follow it.
             for _ in range(2):
-                lo = max(alo, rho - search.span * rho_step)
-                hi = min(ahi, rho + search.span * rho_step)
-                grid = np.linspace(
-                    lo, hi, max(2, int(round((hi - lo) / rho_step)) + 1)
+                rho, _ = _scan_best(
+                    lambda g: field(g, kappa),
+                    _window(theta_bounds, rho, rho_step, search.span),
                 )
-                rho, _ = _scan_best(lambda g: _joint_loglik(path, a, g, kappa), grid)
-                lo = max(klo, kappa - search.span * kappa_step)
-                hi = min(khi, kappa + search.span * kappa_step)
-                grid = np.linspace(
-                    lo, hi, max(2, int(round((hi - lo) / kappa_step)) + 1)
-                )
+                # One row per exponent: batching them into one product
+                # would change the last bits of the field.
                 kappa, value = _scan_best(
                     lambda g: np.array(
-                        [_joint_loglik(path, a, np.array([rho]), float(k))[0] for k in g]
+                        [field(np.array([rho]), float(k))[0] for k in g]
                     ),
-                    grid,
+                    _window(kappa_bounds, kappa, kappa_step, search.span),
                 )
             levels += 1
             if levels > 12:
                 break
         if not np.isfinite(value):
-            value = float(_joint_loglik(path, a, np.array([rho]), kappa)[0])
+            value = float(field(np.array([rho]), kappa)[0])
         return rho, kappa, value, levels, rho_step, kappa_step
 
     # Multi-start: descend from the best few coarse cells that do not sit

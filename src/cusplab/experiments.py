@@ -1,10 +1,13 @@
 """Monte Carlo experiment engine.
 
-Ties the other modules together: for each noise level in a decreasing
-list, simulate ``N`` observation paths, run the scenario's estimators,
-normalize errors by the theoretical rate, and aggregate into a report
-holding rate fits, Kolmogorov-Smirnov comparisons against limit-law
-samples, and moment orderings.
+Ties the other modules together.  A table maps each scenario to a setup
+that binds its parameters into a spec: constants, true values, drift,
+coarse axes, per-path estimator calls and limit-law comparison.  One
+cell runner serves every spec at each noise level: Euler increments for
+``N`` paths, one coarse likelihood field over all of them, per-path
+refinement and the guards.  Errors are normalized by the theoretical
+rate; the report holds rate fits, Kolmogorov-Smirnov comparisons
+against limit-law samples, and moment orderings.
 
 Scenarios
 ---------
@@ -34,10 +37,10 @@ bit-identical CSV and JSON outputs regardless of thread count.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -52,9 +55,11 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .estimators import (
+    JointEstimationResult,
     SearchConfig,
     bayes,
     coarse_grid,
+    ito_loglik,
     joint_coarse_nodes,
     joint_mle,
     kappa_mle,
@@ -66,9 +71,9 @@ from .estimators import (
     pseudo_mle,
 )
 from .limit_laws import (
-    default_zeta_window,
     fisher_info_kappa,
     gamma_squared,
+    sample_kappa_limit,
     sample_xi_batch,
     sample_zeta_batch,
     zeta_scale,
@@ -76,13 +81,14 @@ from .limit_laws import (
 from .misspec_analysis import MisspecProblem, solve_theta_hat
 from .path_sim import (
     DEFAULT_N_STEPS,
-    DiscretizationWarning,
     ObservationPath,
     TimeGrid,
+    euler_increments,
     replication_rng,
     simulate_path,
+    warn_if_coarse,
 )
-from .signal_models import CuspSignal, MultiCuspSignal, SmoothedCuspSignal
+from .signal_models import CuspSignal, SmoothedCuspSignal, signal_from_config
 
 __all__ = [
     "SCENARIOS",
@@ -90,7 +96,7 @@ __all__ = [
     "ExperimentReport",
     "RateFit",
     "experiment_config_from_dict",
-    "experiment_config_from_json",
+    "misspec_problem",
     "run_experiment",
     "run_and_write",
     "write_rows_csv",
@@ -101,8 +107,6 @@ __all__ = [
     "separation_bound_fit",
     "tail_bound_fit",
 ]
-
-SCENARIOS = ("cusp-mle", "cusp-bayes", "multi-cusp", "misspec", "kappa", "joint")
 
 SCHEMA_VERSION = 1
 
@@ -120,15 +124,13 @@ CSV_HEADER = "replication,epsilon,estimator,estimate,normalized_error,boundary_f
 # configuration
 # ---------------------------------------------------------------------------
 
+_CUSP_DEFAULTS = {
+    "a": 1.0, "kappa": 0.25, "T": 1.0, "theta0": 0.5, "theta_bounds": (0.35, 0.65),
+}
+
 _SIGNAL_DEFAULTS = {
-    "cusp-mle": {
-        "a": 1.0, "kappa": 0.25, "T": 1.0,
-        "theta0": 0.5, "theta_bounds": (0.35, 0.65),
-    },
-    "cusp-bayes": {
-        "a": 1.0, "kappa": 0.25, "T": 1.0,
-        "theta0": 0.5, "theta_bounds": (0.35, 0.65),
-    },
+    "cusp-mle": _CUSP_DEFAULTS,
+    "cusp-bayes": _CUSP_DEFAULTS,
     "multi-cusp": {
         "terms": ((1.0, 0.2), (1.0, 0.4)), "T": 1.0,
         "theta0": 0.5, "theta_bounds": (0.35, 0.65),
@@ -223,33 +225,15 @@ class ExperimentConfig:
             for k, v in self.signal.items()
         }
         return {
-            "scenario": self.scenario,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
             "epsilons": list(self.epsilons),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "n_steps": self.n_steps,
-            "threads": self.threads,
-            "zero_noise": self.zero_noise,
-            "limit_samples": self.limit_samples,
-            "out_dir": self.out_dir,
             "signal": signal,
-            "search": {
-                "coarse_step": self.search.coarse_step,
-                "target_step": self.search.target_step,
-                "shrink": self.search.shrink,
-                "span": self.search.span,
-                "starts": self.search.starts,
-            },
+            "search": dataclasses.asdict(self.search),
             "prior": dict(self.prior),
-            "noise_coefficient": self.noise_coefficient,
         }
 
 
-_CONFIG_KEYS = {
-    "scenario", "epsilons", "replications", "master_seed", "n_steps", "threads",
-    "zero_noise", "limit_samples", "out_dir", "signal", "search", "prior",
-    "noise_coefficient",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
@@ -278,17 +262,6 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     if isinstance(search, dict):
         kwargs["search"] = SearchConfig(**search)
     return ExperimentConfig(**kwargs)
-
-
-def experiment_config_from_json(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
-    return experiment_config_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -389,44 +362,241 @@ class ExperimentReport:
     rows: list = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "scenario": self.scenario,
-            "effective_config": self.effective_config,
-            "constants": self.constants,
-            "summaries": self.summaries,
-            "rate_fits": self.rate_fits,
-            "ks_results": self.ks_results,
-            "moment_comparison": self.moment_comparison,
-            "notes": self.notes,
-        }
+        """Every field but the per-replication rows, plus the schema version."""
+        fields = dataclasses.fields(self)
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields if f.name != "rows"}}
 
 
-def _rate_fit_dict(fit: RateFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "half_width": fit.half_width,
+# ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Spec:
+    """A scenario bound to its signal parameters: all that ``_run_cell`` varies.
+
+    ``truth`` maps each true parameter to its value, in the order the
+    estimators report their parameters.  ``drift`` is the generating
+    drift on the left nodes and ``kappa`` the exponent of the resolution
+    warning.  ``coarse(eps)`` returns a cell's coarse axes and makers of
+    its drift matrices, one coarse field each (several stack along a
+    leading axis); a matrix lives only while its field is computed.
+    ``estimators`` maps the row names of each per-path call ``(path,
+    coarse) -> result`` to the call, in run order.  ``compare(errors,
+    count, rng)`` returns ``(ks_results, moment_comparison)`` against a
+    sample of the limit law.
+    """
+
+    constants: dict
+    truth: dict
+    drift: np.ndarray
+    kappa: float
+    coarse: Callable[[float], tuple]
+    estimators: dict
+    compare: Optional[Callable] = None
+    notes: tuple = ()
+
+
+#: Admissible range of each true parameter: the signal key of its
+#: bounds and whether they are excluded.  Locations may sit on a bound.
+_TRUTH_BOUNDS = {
+    "theta0": ("theta_bounds", False), "theta_hat": ("theta_bounds", False),
+    "rho0": ("theta_bounds", False), "kappa0": ("kappa_bounds", True),
+}
+
+
+def misspec_problem(
+    params: dict, noise_coefficient: str = "gamma", quad_order: int = 200
+) -> tuple[MisspecProblem, float]:
+    """Misspecification problem and noise scale for signal parameters.
+
+    ``params`` overrides the ``misspec`` scenario defaults (other keys
+    are ignored).  The noise scale multiplying the fBm of the limit law
+    is ``Gamma`` (``"gamma"``) or the amplitude ``a`` (``"amplitude"``).
+    """
+    p = {**_SIGNAL_DEFAULTS["misspec"], **params}
+    theoretical = CuspSignal(
+        a=p["a"], kappa=p["kappa"], T=p["T"], theta_bounds=tuple(p["theta_bounds"]),
+    )
+    real = SmoothedCuspSignal(
+        a=p["a"], kappa=p["kappa"], center=p["center"], delta=p["delta"], T=p["T"],
+    )
+    noise_scale = (
+        math.sqrt(gamma_squared(p["a"], p["kappa"]))
+        if noise_coefficient == "gamma" else p["a"]
+    )
+    problem = MisspecProblem(theoretical=theoretical, real=real, quad_order=quad_order)
+    return problem, noise_scale
+
+
+# The setups bind one scenario each.  Their per-path calls name the
+# estimators as globals of this module, looked up when a call runs, so
+# rebinding e.g. ``cusplab.experiments.mle`` reaches every replication.
+
+def _location(config, t, signal, truth, drift, rate, names, **rest) -> _Spec:
+    """A location scenario running the estimators ``names`` per path."""
+    (target,) = truth.values()
+    search = config.search
+    prior = prior_from_config(
+        config.prior.get("name", "uniform"),
+        {k: v for k, v in config.prior.items() if k != "name"},
+    )
+    calls = {
+        "mle": lambda path, c: mle(path, signal, search, target=target, coarse=c),
+        "bayes": lambda path, c: bayes(
+            path, signal, prior, search, target=target, coarse=c),
+        "pseudo_mle": lambda path, c: pseudo_mle(
+            path, signal, search, target=target, coarse=c),
     }
 
+    def coarse(eps):
+        cgrid = coarse_grid(signal.theta_bounds, rate(eps), search)
+        return (cgrid,), [lambda: signal.value(cgrid[:, None], t[None, :])]
+
+    return _Spec(
+        truth=truth, drift=drift, kappa=signal.kappa_eff, coarse=coarse,
+        estimators={(name,): calls[name] for name in names}, **rest,
+    )
+
+
+def _cusp(p, config, t, with_bayes=False) -> _Spec:
+    signal = signal_from_config({"family": "cusp", **p})
+    gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
+    names = ("mle", "bayes") if with_bayes else ("mle",)
+
+    def compare(errors, count, rng):
+        xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
+        extra = {"limit_edge_fraction": float(flags.mean())}
+        ks = {"mle": _ks_entry(errors["mle"], xi_hat, extra)}
+        if not with_bayes:
+            return ks, None
+        ks["bayes"] = _ks_entry(errors["bayes"], xi_tilde, extra)
+        mean_a, mean_b, se, flag = moment_compare(errors["mle"], errors["bayes"], 2.0)
+        return ks, {"p": 2.0, "mean_mle": mean_a, "mean_bayes": mean_b,
+                    "pooled_se": se, "significant": flag}
+
+    return _location(
+        config, t, signal, {"theta0": p["theta0"]},
+        np.asarray(signal.value(p["theta0"], t), dtype=float),
+        lambda e: location_rate(e, hurst), names, compare=compare,
+        constants={"gamma_sq": gamma_sq, "hurst": hurst, "rate_target": 1.0 / hurst},
+    )
+
+
+def _multi_cusp(p, config, t) -> _Spec:
+    signal = signal_from_config({"family": "multi_cusp", **p})
+    hurst = signal.hurst
+    return _location(
+        config, t, signal, {"theta0": p["theta0"]},
+        np.asarray(signal.value(p["theta0"], t), dtype=float),
+        lambda e: location_rate(e, hurst), ("mle",),
+        constants={"hurst": hurst, "rate_target": 1.0 / hurst,
+                   "kappa_eff": signal.kappa_eff},
+        notes=("multi-cusp rate uses the smallest exponent; no limit-law sample "
+               "comparison is wired for superposed cusps",),
+    )
+
+
+def _misspec(p, config, t) -> _Spec:
+    problem, noise_scale = misspec_problem(p, config.noise_coefficient)
+    solution = solve_theta_hat(problem)
+    curv, hurst = solution.curvature_closed, problem.theoretical.hurst
+
+    def compare(errors, count, rng):
+        zeta, flags = sample_zeta_batch(noise_scale, curv, hurst, count, rng)
+        edge = {"limit_edge_fraction": float(flags.mean())}
+        return {"pseudo_mle": _ks_entry(errors["pseudo_mle"], zeta, edge)}, None
+
+    return _location(
+        config, t, problem.theoretical, {"theta_hat": solution.theta_hat},
+        np.asarray(problem.real.value(t), dtype=float),
+        lambda e: misspec_rate(e, p["kappa"]), ("pseudo_mle",), compare=compare,
+        constants={
+            **dataclasses.asdict(solution),
+            "noise_scale": noise_scale,
+            "zeta_scale": zeta_scale(noise_scale, curv, hurst),
+            "rate_target": 2.0 / (3.0 - 2.0 * p["kappa"]),
+        },
+    )
+
+
+def _kappa(p, config, t) -> _Spec:
+    a, rho, kappa0, bounds = p["a"], p["rho"], p["kappa0"], p["kappa_bounds"]
+    fisher = fisher_info_kappa(a, rho, p["T"], kappa0)
+    dist = np.abs(t - rho)
+
+    def coarse(eps):
+        kgrid = coarse_grid(bounds, eps, config.search)
+        return (kgrid,), [lambda: a * dist[None, :] ** kgrid[:, None]]
+
+    def compare(errors, count, rng):
+        limit = sample_kappa_limit(fisher, count, rng)
+        return {"kappa_mle": _ks_entry(errors["kappa_mle"], limit)}, None
+
+    return _Spec(
+        constants={"fisher_kappa": fisher, "rate_target": 1.0,
+                   "limit_variance": 1.0 / fisher},
+        truth={"kappa0": kappa0}, drift=a * dist**kappa0, kappa=kappa0,
+        coarse=coarse, compare=compare,
+        estimators={("kappa_mle",): lambda path, c: kappa_mle(
+            path, a, rho, bounds, config.search, target=kappa0, coarse=c)},
+    )
+
+
+def _joint(p, config, t) -> _Spec:
+    a, rho0, kappa0 = p["a"], p["rho0"], p["kappa0"]
+    tbounds, kbounds = p["theta_bounds"], p["kappa_bounds"]
+    gamma_sq = gamma_squared(a, kappa0)
+    fisher = fisher_info_kappa(a, rho0, p["T"], kappa0)
+    hurst = kappa0 + 0.5
+    rho_nodes, kappa_nodes = joint_coarse_nodes(tbounds, kbounds)
+
+    def coarse(eps):
+        return (rho_nodes, kappa_nodes), [
+            lambda k=float(k): a * np.abs(t[None, :] - rho_nodes[:, None]) ** k
+            for k in kappa_nodes
+        ]
+
+    def compare(errors, count, rng):
+        xi_hat, _, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
+        kappa_limit = sample_kappa_limit(fisher, count, rng)
+        rho_errs, kap_errs = errors["joint_rho"], errors["joint_kappa"]
+        extra = {
+            "component_correlation": float(np.corrcoef(rho_errs, kap_errs)[0, 1]),
+            "limit_edge_fraction": float(flags.mean()),
+        }
+        return {"joint_rho": _ks_entry(rho_errs, xi_hat, extra),
+                "joint_kappa": _ks_entry(kap_errs, kappa_limit)}, None
+
+    return _Spec(
+        constants={"gamma_sq": gamma_sq, "fisher_kappa": fisher, "hurst": hurst,
+                   "rho_rate_target": 1.0 / hurst, "kappa_rate_target": 1.0},
+        truth={"rho0": rho0, "kappa0": kappa0},
+        drift=a * np.abs(t - rho0) ** kappa0, kappa=kappa0,
+        coarse=coarse, compare=compare,
+        estimators={("joint_rho", "joint_kappa"): lambda path, c: joint_mle(
+            path, a, tbounds, kbounds, config.search,
+            rho_true=rho0, kappa_true=kappa0, coarse=c)},
+    )
+
+
+#: Scenario name -> setup ``(signal parameters, config, left nodes) -> _Spec``.
+_SCENARIOS = {
+    "cusp-mle": _cusp,
+    "cusp-bayes": lambda p, config, t: _cusp(p, config, t, with_bayes=True),
+    "multi-cusp": _multi_cusp,
+    "misspec": _misspec,
+    "kappa": _kappa,
+    "joint": _joint,
+}
+
+SCENARIOS = tuple(_SCENARIOS)
+
 
 # ---------------------------------------------------------------------------
-# simulation helpers
+# the cell runner
 # ---------------------------------------------------------------------------
-
-def _increments_matrix(drift, grid, eps, master_seed, rep_ids, zero_noise):
-    base = drift * grid.dt
-    out = np.empty((len(rep_ids), grid.n))
-    sqdt = math.sqrt(grid.dt)
-    for i, rep in enumerate(rep_ids):
-        if zero_noise:
-            out[i] = base
-        else:
-            rng = replication_rng(master_seed, rep)
-            out[i] = base + eps * sqdt * rng.standard_normal(grid.n)
-    return out
-
 
 def _run_indexed(worker: Callable[[int], list], count: int, threads: int) -> list:
     """Run ``worker`` over 0..count-1, preserving index order in the output."""
@@ -441,29 +611,88 @@ def _run_indexed(worker: Callable[[int], list], count: int, threads: int) -> lis
     return [row for chunk in results for row in chunk]
 
 
-def _field_matrix(drift_matrix, increments, dt, eps):
-    # ln V for every (parameter node, path) pair in two BLAS products.
-    inv_var = 1.0 / (eps * eps)
-    energy = 0.5 * dt * np.einsum("ij,ij->i", drift_matrix, drift_matrix)
-    return inv_var * (drift_matrix @ increments.T - energy[:, None])
+def _rows(rep, eps, names, result, targets) -> list:
+    """Records of one estimator call, one per name; ``None`` marks a failure."""
+    if result is None:
+        parts = [(math.nan, math.nan, False)] * len(names)
+    elif isinstance(result, JointEstimationResult):
+        parts = [(result.rho_hat, result.rho_normalized_error, result.boundary),
+                 (result.kappa_hat, result.kappa_normalized_error, result.boundary)]
+    else:
+        parts = [(result.estimate, result.normalized_error, result.boundary)]
+    return [
+        {
+            "replication": rep,
+            "epsilon": eps,
+            "estimator": name,
+            "estimate": estimate,
+            "normalized_error": normalized_error,
+            "boundary_flag": bool(boundary),
+            "target": target,
+            "failed": result is None,
+        }
+        for name, (estimate, normalized_error, boundary), target
+        in zip(names, parts, targets)
+    ]
 
 
-def _guard_failures(scenario, eps, failures, total):
-    if failures > _MAX_FAILURE_FRACTION * total:
-        raise ExperimentError(
-            f"{scenario} at epsilon={eps}: {failures}/{total} replications "
-            f"failed numerically (> {_MAX_FAILURE_FRACTION:.0%})"
+def _run_cell(config, spec, grid, ei, eps) -> list:
+    """All replications at one noise level, with the cell's guards.
+
+    The coarse field over all paths is one matrix product per drift
+    matrix; each replication then refines through the ordinary estimator
+    entry points, so results are identical to calling them stand-alone.
+    """
+    warn_if_coarse(spec.kappa, eps, grid)
+    axes, makers = spec.coarse(eps)
+    rep_ids = [ei * config.replications + i for i in range(config.replications)]
+    increments = np.empty((config.replications, grid.n))
+    for i, rep in enumerate(rep_ids):
+        rng = None if config.zero_noise else replication_rng(config.master_seed, rep)
+        increments[i] = euler_increments(spec.drift, eps, grid, rng)
+    fields = [ito_loglik(make(), increments, grid.dt, eps) for make in makers]
+    values = fields[0] if len(fields) == 1 else np.stack(fields)
+
+    def worker(i: int) -> list:
+        path = ObservationPath(
+            grid=grid, increments=increments[i], epsilon=eps, seed=rep_ids[i]
         )
+        coarse = (*axes, values[..., i])
+        out = []
+        for names, call in spec.estimators.items():
+            try:
+                result = call(path, coarse)
+            except (NumericalDegeneracyError, ConditionViolationError):
+                result = None
+            out += _rows(rep_ids[i], eps, names, result, spec.truth.values())
+        return out
 
-
-def _guard_boundary(scenario, eps, hits, total, bounds_name):
+    cell = _run_indexed(worker, config.replications, config.threads)
+    # The guards count each call once: the rows of one call fail together
+    # and share one boundary flag.
+    calls = [[r for r in cell if r["estimator"] == names[0]] for names in spec.estimators]
+    for rows in calls:
+        failures = sum(r["failed"] for r in rows)
+        if failures > _MAX_FAILURE_FRACTION * config.replications:
+            raise ExperimentError(
+                f"{config.scenario} at epsilon={eps}: {failures}/"
+                f"{config.replications} replications failed numerically "
+                f"(> {_MAX_FAILURE_FRACTION:.0%})"
+            )
+    pooled = [r for rows in calls for r in rows]
+    hits = sum(r["boundary_flag"] for r in pooled if not r["failed"])
     # Enforced only at production scale; tiny smoke runs would trip on a
     # single unlucky path.
-    if total >= 100 and hits >= _MAX_BOUNDARY_FRACTION * total:
+    if eps == config.epsilons[-1] and len(pooled) >= 100 and (
+        hits >= _MAX_BOUNDARY_FRACTION * len(pooled)
+    ):
+        bounds = "/".join(dict.fromkeys(_TRUTH_BOUNDS[n][0] for n in spec.truth))
         raise ExperimentError(
-            f"{scenario} at epsilon={eps}: {hits}/{total} estimates sat on the "
-            f"parameter boundary; widen {bounds_name} so the optimum is interior"
+            f"{config.scenario} at epsilon={eps}: {hits}/{len(pooled)} estimates "
+            f"sat on the parameter boundary; widen {bounds} so the optimum is "
+            f"interior"
         )
+    return cell
 
 
 def _summarize(rows, eps, estimator):
@@ -488,247 +717,6 @@ def _summarize(rows, eps, estimator):
     }
 
 
-# ---------------------------------------------------------------------------
-# scenario runners
-# ---------------------------------------------------------------------------
-
-def _location_scenario_rows(config, estimation_signal, drift, target, rate_fn, kind):
-    """Shared driver for cusp-mle / cusp-bayes / multi-cusp / misspec cells.
-
-    The coarse field over the theta grid is one matrix product per cell;
-    each replication then refines through the ordinary estimator entry
-    points, so results are identical to calling them stand-alone.
-    """
-    grid = TimeGrid(estimation_signal.T, config.n_steps)
-    t = grid.left_nodes
-    if drift is None:
-        # correctly specified scenarios: generate from the estimation
-        # signal at the target location
-        drift = np.asarray(estimation_signal.value(target, t), dtype=float)
-    prior = prior_from_config(
-        config.prior.get("name", "uniform"),
-        {k: v for k, v in config.prior.items() if k != "name"},
-    )
-    rows: list[dict] = []
-    with_bayes = kind == "cusp-bayes"
-    for ei, eps in enumerate(config.epsilons):
-        rate = rate_fn(eps)
-        _check_discretization(estimation_signal.kappa_eff, grid, eps)
-        cgrid = coarse_grid(estimation_signal.theta_bounds, rate, config.search)
-        drift_matrix = estimation_signal.value(cgrid[:, None], t[None, :])
-        rep_ids = [ei * config.replications + i for i in range(config.replications)]
-        increments = _increments_matrix(
-            drift, grid, eps, config.master_seed, rep_ids, config.zero_noise
-        )
-        coarse_values = _field_matrix(drift_matrix, increments, grid.dt, eps)
-
-        def worker(i: int) -> list:
-            path = ObservationPath(
-                grid=grid, increments=increments[i], epsilon=eps,
-                theta_true=target, seed=rep_ids[i],
-            )
-            coarse = (cgrid, coarse_values[:, i])
-            out = []
-            try:
-                if kind == "misspec":
-                    res = pseudo_mle(
-                        path, estimation_signal, config.search,
-                        target=target, coarse=coarse,
-                    )
-                else:
-                    res = mle(
-                        path, estimation_signal, config.search,
-                        target=target, coarse=coarse,
-                    )
-                out.append(_row(rep_ids[i], eps, res.estimator, res, target))
-            except (NumericalDegeneracyError, ConditionViolationError):
-                out.append(_failed_row(rep_ids[i], eps,
-                                       "pseudo_mle" if kind == "misspec" else "mle",
-                                       target))
-            if with_bayes:
-                try:
-                    res_b = bayes(
-                        path, estimation_signal, prior, config.search,
-                        target=target, coarse=coarse,
-                    )
-                    out.append(_row(rep_ids[i], eps, "bayes", res_b, target))
-                except (NumericalDegeneracyError, ConditionViolationError):
-                    out.append(_failed_row(rep_ids[i], eps, "bayes", target))
-            return out
-
-        cell = _run_indexed(worker, config.replications, config.threads)
-        rows.extend(cell)
-        for estimator in {r["estimator"] for r in cell}:
-            failed = sum(r["failed"] for r in cell if r["estimator"] == estimator)
-            _guard_failures(config.scenario, eps, failed, config.replications)
-        if eps == config.epsilons[-1]:
-            hits = sum(r["boundary_flag"] for r in cell if not r["failed"])
-            _guard_boundary(
-                config.scenario, eps, hits,
-                len(cell), "theta_bounds",
-            )
-    return rows
-
-
-def _row(rep, eps, estimator, result, target):
-    return {
-        "replication": rep,
-        "epsilon": eps,
-        "estimator": estimator,
-        "estimate": result.estimate,
-        "normalized_error": result.normalized_error,
-        "boundary_flag": bool(result.boundary),
-        "target": target,
-        "failed": False,
-    }
-
-
-def _joint_rows(rep, eps, result, rho0, kappa0):
-    common = {"replication": rep, "epsilon": eps, "failed": False,
-              "boundary_flag": bool(result.boundary)}
-    return [
-        {**common, "estimator": "joint_rho", "estimate": result.rho_hat,
-         "normalized_error": result.rho_normalized_error, "target": rho0},
-        {**common, "estimator": "joint_kappa", "estimate": result.kappa_hat,
-         "normalized_error": result.kappa_normalized_error, "target": kappa0},
-    ]
-
-
-def _failed_row(rep, eps, estimator, target):
-    return {
-        "replication": rep,
-        "epsilon": eps,
-        "estimator": estimator,
-        "estimate": math.nan,
-        "normalized_error": math.nan,
-        "boundary_flag": False,
-        "target": target,
-        "failed": True,
-    }
-
-
-def _check_discretization(kappa_eff, grid, eps):
-    if grid.dt ** (kappa_eff + 0.5) > eps:
-        warnings.warn(
-            f"time step dt={grid.dt:g} too coarse for epsilon={eps:g}: "
-            f"dt**(kappa+1/2)={grid.dt ** (kappa_eff + 0.5):.3g} exceeds the "
-            f"noise level; increase n_steps",
-            DiscretizationWarning,
-            stacklevel=3,
-        )
-
-
-def _kappa_scenario_rows(config):
-    p = config.signal
-    a, rho, kappa0, T = p["a"], p["rho"], p["kappa0"], p["T"]
-    bounds = p["kappa_bounds"]
-    if not bounds[0] < kappa0 < bounds[1]:
-        raise ConfigError(
-            f"kappa0={kappa0!r} must lie inside kappa_bounds={bounds!r}"
-        )
-    grid = TimeGrid(T, config.n_steps)
-    t = grid.left_nodes
-    dist = np.abs(t - rho)
-    drift = a * dist**kappa0
-    rows: list[dict] = []
-    for ei, eps in enumerate(config.epsilons):
-        _check_discretization(kappa0, grid, eps)
-        kgrid = coarse_grid(bounds, eps, config.search)
-        drift_matrix = a * dist[None, :] ** kgrid[:, None]
-        rep_ids = [ei * config.replications + i for i in range(config.replications)]
-        increments = _increments_matrix(
-            drift, grid, eps, config.master_seed, rep_ids, config.zero_noise
-        )
-        coarse_values = _field_matrix(drift_matrix, increments, grid.dt, eps)
-
-        def worker(i: int) -> list:
-            path = ObservationPath(
-                grid=grid, increments=increments[i], epsilon=eps, seed=rep_ids[i]
-            )
-            try:
-                res = kappa_mle(
-                    path, a, rho, bounds, config.search,
-                    target=kappa0, coarse=(kgrid, coarse_values[:, i]),
-                )
-                return [_row(rep_ids[i], eps, "kappa_mle", res, kappa0)]
-            except (NumericalDegeneracyError, ConditionViolationError):
-                return [_failed_row(rep_ids[i], eps, "kappa_mle", kappa0)]
-
-        cell = _run_indexed(worker, config.replications, config.threads)
-        rows.extend(cell)
-        _guard_failures(
-            config.scenario, eps, sum(r["failed"] for r in cell), len(cell)
-        )
-        if eps == config.epsilons[-1]:
-            hits = sum(r["boundary_flag"] for r in cell if not r["failed"])
-            _guard_boundary(config.scenario, eps, hits, len(cell), "kappa_bounds")
-    return rows
-
-
-def _joint_scenario_rows(config):
-    p = config.signal
-    a, rho0, kappa0, T = p["a"], p["rho0"], p["kappa0"], p["T"]
-    tbounds, kbounds = p["theta_bounds"], p["kappa_bounds"]
-    grid = TimeGrid(T, config.n_steps)
-    t = grid.left_nodes
-    drift = a * np.abs(t - rho0) ** kappa0
-    rho_nodes, kappa_nodes = joint_coarse_nodes(tbounds, kbounds)
-    rows: list[dict] = []
-    for ei, eps in enumerate(config.epsilons):
-        _check_discretization(kappa0, grid, eps)
-        rep_ids = [ei * config.replications + i for i in range(config.replications)]
-        increments = _increments_matrix(
-            drift, grid, eps, config.master_seed, rep_ids, config.zero_noise
-        )
-        coarse_values = np.stack([
-            _field_matrix(
-                a * np.abs(t[None, :] - rho_nodes[:, None]) ** float(k),
-                increments, grid.dt, eps,
-            )
-            for k in kappa_nodes
-        ])  # (n_kappa, n_rho, n_paths)
-
-        def worker(i: int) -> list:
-            path = ObservationPath(
-                grid=grid, increments=increments[i], epsilon=eps,
-                theta_true=rho0, seed=rep_ids[i],
-            )
-            try:
-                res = joint_mle(
-                    path, a, tbounds, kbounds, config.search,
-                    rho_true=rho0, kappa_true=kappa0,
-                    coarse=(rho_nodes, kappa_nodes, coarse_values[:, :, i]),
-                )
-                return _joint_rows(rep_ids[i], eps, res, rho0, kappa0)
-            except (NumericalDegeneracyError, ConditionViolationError):
-                return [
-                    _failed_row(rep_ids[i], eps, "joint_rho", rho0),
-                    _failed_row(rep_ids[i], eps, "joint_kappa", kappa0),
-                ]
-
-        cell = _run_indexed(worker, config.replications, config.threads)
-        rows.extend(cell)
-        _guard_failures(
-            config.scenario, eps,
-            sum(r["failed"] for r in cell if r["estimator"] == "joint_rho"),
-            config.replications,
-        )
-        if eps == config.epsilons[-1]:
-            hits = sum(
-                r["boundary_flag"] for r in cell
-                if not r["failed"] and r["estimator"] == "joint_rho"
-            )
-            _guard_boundary(
-                config.scenario, eps, hits, config.replications,
-                "theta_bounds/kappa_bounds",
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# the experiment entry point
-# ---------------------------------------------------------------------------
-
 def _normalized_errors(rows, eps, estimator):
     return np.array([
         r["normalized_error"] for r in rows
@@ -750,158 +738,44 @@ def _ks_entry(samples, limit_samples, extra=None):
     return entry
 
 
+# ---------------------------------------------------------------------------
+# the experiment entry point
+# ---------------------------------------------------------------------------
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured sweep and aggregate the report.
 
-    Raises ``ExperimentError`` when more than 1% of replications fail in
-    a cell or when at the smallest noise level at least 1% of estimates
+    Raises ``ConfigError`` when a true parameter lies outside its bounds,
+    and ``ExperimentError`` when more than 1% of replications fail in a
+    cell or when at the smallest noise level at least 1% of estimates
     sit on the parameter boundary.
     """
     p = config.signal
-    constants: dict = {}
-    notes: list[str] = []
-    moment_comparison = None
+    grid = TimeGrid(p["T"], config.n_steps)
+    spec = _SCENARIOS[config.scenario](p, config, grid.left_nodes)
+    for name, value in spec.truth.items():
+        key, strict = _TRUTH_BOUNDS[name]
+        lo, hi = p[key]
+        if not (lo < value < hi if strict else lo <= value <= hi):
+            where = "inside" if strict else "within"
+            raise ConfigError(f"{name}={value!r} must lie {where} {key}={p[key]!r}")
+    rows = [
+        row for ei, eps in enumerate(config.epsilons)
+        for row in _run_cell(config, spec, grid, ei, eps)
+    ]
+    names = [name for names in spec.estimators for name in names]
+
     ks_results: dict = {}
-
-    if config.scenario in ("cusp-mle", "cusp-bayes"):
-        signal = CuspSignal(
-            a=p["a"], kappa=p["kappa"], T=p["T"],
-            theta_bounds=tuple(p["theta_bounds"]),
-        )
-        hurst = signal.hurst
-        gamma_sq = gamma_squared(p["a"], p["kappa"])
-        constants = {"gamma_sq": gamma_sq, "hurst": hurst, "rate_target": 1.0 / hurst}
-        rows = _location_scenario_rows(
-            config, signal, None, p["theta0"],
-            lambda e: location_rate(e, hurst), config.scenario,
-        )
-        estimators = ("mle", "bayes") if config.scenario == "cusp-bayes" else ("mle",)
-        if not config.zero_noise:
-            rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            xi_hat, xi_tilde, flags = sample_xi_batch(
-                gamma_sq, hurst, config.limit_samples, rng
-            )
-            edge = {"limit_edge_fraction": float(flags.mean())}
-            eps_min = config.epsilons[-1]
-            ks_results["mle"] = _ks_entry(
-                _normalized_errors(rows, eps_min, "mle"), xi_hat, extra=edge
-            )
-            if "bayes" in estimators:
-                ks_results["bayes"] = _ks_entry(
-                    _normalized_errors(rows, eps_min, "bayes"), xi_tilde, extra=edge
-                )
-                a_s = _normalized_errors(rows, eps_min, "mle")
-                b_s = _normalized_errors(rows, eps_min, "bayes")
-                mean_a, mean_b, se, flag = moment_compare(a_s, b_s, 2.0)
-                moment_comparison = {
-                    "p": 2.0, "mean_mle": mean_a, "mean_bayes": mean_b,
-                    "pooled_se": se, "significant": flag,
-                }
-
-    elif config.scenario == "multi-cusp":
-        signal = MultiCuspSignal(
-            terms=tuple(tuple(term) for term in p["terms"]), T=p["T"],
-            theta_bounds=tuple(p["theta_bounds"]),
-        )
-        hurst = signal.hurst
-        constants = {"hurst": hurst, "rate_target": 1.0 / hurst,
-                     "kappa_eff": signal.kappa_eff}
-        notes.append(
-            "multi-cusp rate uses the smallest exponent; no limit-law sample "
-            "comparison is wired for superposed cusps"
-        )
-        rows = _location_scenario_rows(
-            config, signal, None, p["theta0"],
-            lambda e: location_rate(e, hurst), "multi-cusp",
+    moment_comparison = None
+    if spec.compare is not None and not config.zero_noise:
+        errors = {name: _normalized_errors(rows, config.epsilons[-1], name)
+                  for name in names}
+        rng = replication_rng(config.master_seed, _LIMIT_STREAM)
+        ks_results, moment_comparison = spec.compare(
+            errors, config.limit_samples, rng
         )
 
-    elif config.scenario == "misspec":
-        theoretical = CuspSignal(
-            a=p["a"], kappa=p["kappa"], T=p["T"],
-            theta_bounds=tuple(p["theta_bounds"]),
-        )
-        real = SmoothedCuspSignal(
-            a=p["a"], kappa=p["kappa"], center=p["center"],
-            delta=p["delta"], T=p["T"],
-        )
-        solution = solve_theta_hat(MisspecProblem(theoretical=theoretical, real=real))
-        curv = solution.curvature_closed
-        noise_scale = (
-            math.sqrt(gamma_squared(p["a"], p["kappa"]))
-            if config.noise_coefficient == "gamma" else p["a"]
-        )
-        hurst = theoretical.hurst
-        constants = {
-            "theta_hat": solution.theta_hat,
-            "min_distance": solution.min_distance,
-            "curvature_closed": solution.curvature_closed,
-            "curvature_fd": solution.curvature_fd,
-            "uniqueness_certificate": solution.uniqueness_certificate,
-            "noise_scale": noise_scale,
-            "zeta_scale": zeta_scale(noise_scale, curv, hurst),
-            "rate_target": 2.0 / (3.0 - 2.0 * p["kappa"]),
-        }
-        grid = TimeGrid(p["T"], config.n_steps)
-        drift = np.asarray(real.value(grid.left_nodes), dtype=float)
-        rows = _location_scenario_rows(
-            config, theoretical, drift, solution.theta_hat,
-            lambda e: misspec_rate(e, p["kappa"]), "misspec",
-        )
-        if not config.zero_noise:
-            rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            zeta, flags = sample_zeta_batch(
-                noise_scale, curv, hurst, config.limit_samples, rng,
-                window=default_zeta_window(noise_scale, curv, hurst),
-            )
-            ks_results["pseudo_mle"] = _ks_entry(
-                _normalized_errors(rows, config.epsilons[-1], "pseudo_mle"), zeta,
-                extra={"limit_edge_fraction": float(flags.mean())},
-            )
-
-    elif config.scenario == "kappa":
-        fisher = fisher_info_kappa(p["a"], p["rho"], p["T"], p["kappa0"])
-        constants = {"fisher_kappa": fisher, "rate_target": 1.0,
-                     "limit_variance": 1.0 / fisher}
-        rows = _kappa_scenario_rows(config)
-        if not config.zero_noise:
-            rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            delta = rng.normal(0.0, math.sqrt(fisher), config.limit_samples)
-            ks_results["kappa_mle"] = _ks_entry(
-                _normalized_errors(rows, config.epsilons[-1], "kappa_mle"),
-                delta / fisher,
-            )
-
-    elif config.scenario == "joint":
-        gamma_sq = gamma_squared(p["a"], p["kappa0"])
-        fisher = fisher_info_kappa(p["a"], p["rho0"], p["T"], p["kappa0"])
-        hurst = p["kappa0"] + 0.5
-        constants = {
-            "gamma_sq": gamma_sq, "fisher_kappa": fisher, "hurst": hurst,
-            "rho_rate_target": 1.0 / hurst, "kappa_rate_target": 1.0,
-        }
-        rows = _joint_scenario_rows(config)
-        if not config.zero_noise:
-            eps_min = config.epsilons[-1]
-            rho_errs = _normalized_errors(rows, eps_min, "joint_rho")
-            kap_errs = _normalized_errors(rows, eps_min, "joint_kappa")
-            rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            xi_hat, _, flags = sample_xi_batch(
-                gamma_sq, hurst, config.limit_samples, rng
-            )
-            delta = rng.normal(0.0, math.sqrt(fisher), config.limit_samples)
-            corr = float(np.corrcoef(rho_errs, kap_errs)[0, 1])
-            ks_results["joint_rho"] = _ks_entry(
-                rho_errs, xi_hat, extra={
-                    "component_correlation": corr,
-                    "limit_edge_fraction": float(flags.mean()),
-                },
-            )
-            ks_results["joint_kappa"] = _ks_entry(kap_errs, delta / fisher)
-
-    else:  # pragma: no cover - scenario set is validated in the config
-        raise ConfigError(f"unhandled scenario {config.scenario!r}")
-
-    estimators = sorted({r["estimator"] for r in rows})
+    estimators = sorted(names)
     summaries = [
         _summarize(rows, eps, est)
         for eps in config.epsilons
@@ -913,19 +787,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             means = [
                 s["mean_abs_error"] for s in summaries if s["estimator"] == est
             ]
-            rate_fits[est] = _rate_fit_dict(
+            rate_fits[est] = dataclasses.asdict(
                 fit_rate(list(config.epsilons), means)
             )
 
     return ExperimentReport(
         scenario=config.scenario,
         effective_config=config.to_dict(),
-        constants=constants,
+        constants=spec.constants,
         summaries=summaries,
         rate_fits=rate_fits,
         ks_results=ks_results,
         moment_comparison=moment_comparison,
-        notes=notes,
+        notes=list(spec.notes),
         rows=rows,
     )
 
@@ -1029,12 +903,12 @@ def tail_bound_fit(
     t = grid.left_nodes
     all_thetas = np.append(thetas, theta0)
     drift_matrix = signal.value(all_thetas[:, None], t[None, :])
-    drift0 = drift_matrix[-1]
-    rep_ids = list(range(replications))
-    increments = _increments_matrix(
-        drift0, grid, epsilon, master_seed, rep_ids, zero_noise=False
-    )
-    field = _field_matrix(drift_matrix, increments, grid.dt, epsilon)
+    increments = np.stack([
+        euler_increments(drift_matrix[-1], epsilon, grid,
+                         replication_rng(master_seed, rep))
+        for rep in range(replications)
+    ])
+    field = ito_loglik(drift_matrix, increments, grid.dt, epsilon)
     ln_z = field[:-1] - field[-1]
     half_means = np.exp(0.5 * ln_z).mean(axis=1)
     y = -np.log(half_means)

@@ -508,9 +508,9 @@ def sample_zeta_batch(
 
 
 def sample_kappa_limit(
-    fisher: float, rng: Optional[np.random.Generator] = None
-) -> float:
-    """Gaussian limit of the exponent estimate: Delta/I with Delta~N(0, I).
+    fisher: float, count: int, rng: Optional[np.random.Generator] = None
+) -> np.ndarray:
+    """``count`` draws of the exponent limit Delta/I with Delta~N(0, I).
 
     The quadratic exponent ``v*Delta - v**2*I/2`` peaks at ``v = Delta/I``
     analytically, so the argmax is drawn directly as ``N(0, 1/I)``.
@@ -519,5 +519,4 @@ def sample_kappa_limit(
         raise DomainError(f"fisher information must be positive, got {fisher!r}")
     if rng is None:
         rng = np.random.default_rng()
-    delta = rng.normal(0.0, math.sqrt(fisher))
-    return delta / fisher
+    return rng.normal(0.0, math.sqrt(fisher), count) / fisher

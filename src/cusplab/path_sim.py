@@ -29,9 +29,11 @@ __all__ = [
     "TimeGrid",
     "ObservationPath",
     "DiscretizationWarning",
+    "euler_increments",
     "replication_rng",
     "simulate_path",
     "simulate_wiener",
+    "warn_if_coarse",
     "write_path_csv",
 ]
 
@@ -123,8 +125,8 @@ def _drift_on_left_nodes(signal: Signal, theta: Optional[float], grid: TimeGrid)
     return signal.value(t)
 
 
-def _warn_if_coarse(signal: Signal, epsilon: float, grid: TimeGrid) -> None:
-    kappa = getattr(signal, "kappa_eff", None)
+def warn_if_coarse(kappa: Optional[float], epsilon: float, grid: TimeGrid) -> None:
+    """Warn when ``dt**(kappa+1/2)`` exceeds the noise level; ``None`` skips."""
     if kappa is None:
         return
     resolution = grid.dt ** (kappa + 0.5)
@@ -135,6 +137,23 @@ def _warn_if_coarse(signal: Signal, epsilon: float, grid: TimeGrid) -> None:
             DiscretizationWarning,
             stacklevel=3,
         )
+
+
+def euler_increments(
+    drift: np.ndarray,
+    epsilon: float,
+    grid: TimeGrid,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """One Euler step per cell: ``drift*dt + eps*sqrt(dt)*Z``.
+
+    ``drift`` holds the drift on the left nodes; without ``rng`` the
+    noise term is dropped and the increments are the drift path's.
+    """
+    increments = drift * grid.dt
+    if rng is not None:
+        increments = increments + epsilon * np.sqrt(grid.dt) * rng.standard_normal(grid.n)
+    return increments
 
 
 def simulate_path(
@@ -170,17 +189,15 @@ def simulate_path(
     """
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    _warn_if_coarse(signal, epsilon, grid)
+    warn_if_coarse(getattr(signal, "kappa_eff", None), epsilon, grid)
     drift = _drift_on_left_nodes(signal, theta_true, grid)
-    dt = grid.dt
-    increments = drift * dt
-    if not zero_noise:
-        if rng is None:
-            rng = np.random.default_rng()
-        increments = increments + epsilon * np.sqrt(dt) * rng.standard_normal(grid.n)
+    if zero_noise:
+        rng = None
+    elif rng is None:
+        rng = np.random.default_rng()
     return ObservationPath(
         grid=grid,
-        increments=increments,
+        increments=euler_increments(drift, epsilon, grid, rng),
         epsilon=epsilon,
         theta_true=theta_true,
         seed=seed,

@@ -328,6 +328,24 @@ class TestSweeps:
         )
         assert code == 2
 
+    def test_true_parameter_outside_bounds_exits_1(self, capsys, tmp_path):
+        config = _write_config(
+            tmp_path,
+            {
+                "scenario": "cusp-mle",
+                "epsilons": [0.05],
+                "replications": 8,
+                "n_steps": 200,
+                "signal": {"theta0": 0.9},
+            },
+        )
+        code, payload = _run(
+            capsys,
+            ["rate", "--config", config, "--out", str(tmp_path / "t")],
+        )
+        assert code == 1
+        assert payload is None
+
     def test_domain_error_exits_1(self, capsys, tmp_path):
         config = _write_config(
             tmp_path,

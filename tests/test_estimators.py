@@ -16,6 +16,7 @@ from cusplab.estimators import (
     bayes,
     coarse_grid,
     grid_argmax,
+    ito_loglik,
     joint_coarse_nodes,
     joint_mle,
     kappa_mle,
@@ -37,6 +38,54 @@ GRID = TimeGrid(1.0, 2000)
 
 def _zero_noise_path(theta=0.5, eps=0.01, grid=GRID, signal=SIG):
     return simulate_path(signal, theta, eps, grid, zero_noise=True)
+
+
+def _direct_ito_sum(drift, increments, dt, eps):
+    """The Ito log-likelihood node by node, in plain Python."""
+    total = 0.0
+    for s, dx in zip(drift, increments):
+        total += s * dx - 0.5 * s * s * dt
+    return total / (eps * eps)
+
+
+class TestItoLoglik:
+    @given(
+        rows=st.integers(1, 5),
+        n=st.integers(2, 60),
+        eps=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_one_path_matches_direct_sum(self, rows, n, eps, seed):
+        rng = np.random.default_rng(seed)
+        dt = 1.0 / n
+        drift = rng.uniform(0.0, 2.0, size=(rows, n))
+        increments = rng.normal(0.0, 0.1, size=n)
+        got = ito_loglik(drift, increments, dt, eps)
+        assert got.shape == (rows,)
+        for j in range(rows):
+            want = _direct_ito_sum(drift[j], increments, dt, eps)
+            assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
+
+    @given(
+        rows=st.integers(1, 5),
+        paths=st.integers(1, 4),
+        n=st.integers(2, 60),
+        eps=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_path_matrix_matches_direct_sum(self, rows, paths, n, eps, seed):
+        rng = np.random.default_rng(seed)
+        dt = 1.0 / n
+        drift = rng.uniform(0.0, 2.0, size=(rows, n))
+        increments = rng.normal(0.0, 0.1, size=(paths, n))
+        got = ito_loglik(drift, increments, dt, eps)
+        assert got.shape == (rows, paths)
+        for j in range(rows):
+            for k in range(paths):
+                want = _direct_ito_sum(drift[j], increments[k], dt, eps)
+                assert got[j, k] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
 
 
 class TestRates:

@@ -10,14 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cusplab.errors import ConfigError, DomainError, ExperimentError
+from cusplab import experiments
+from cusplab.cli import _load_config
+from cusplab.errors import (
+    ConfigError,
+    DomainError,
+    ExperimentError,
+    NumericalDegeneracyError,
+)
 from cusplab.estimators import SearchConfig
 from cusplab.experiments import (
     CSV_HEADER,
     SCHEMA_VERSION,
     ExperimentConfig,
     experiment_config_from_dict,
-    experiment_config_from_json,
     fit_rate,
     ks_statistic,
     separation_bound_fit,
@@ -30,6 +36,16 @@ from cusplab.experiments import (
 from cusplab.signal_models import CuspSignal
 
 EPS_SINGLE = (0.05,)
+
+#: Small settings each scenario runs at in a few seconds.
+SMALL = {
+    "cusp-mle": {},
+    "cusp-bayes": {},
+    "multi-cusp": {},
+    "misspec": {"replications": 12},
+    "kappa": {"epsilons": (0.01,), "replications": 12, "n_steps": 2000},
+    "joint": {"epsilons": (0.01,), "replications": 10, "n_steps": 1000},
+}
 
 
 def _tiny(scenario="cusp-mle", **kwargs):
@@ -157,7 +173,7 @@ class TestExperimentConfig:
         cfg = _tiny()
         target = tmp_path / "config.json"
         target.write_text(json.dumps(cfg.to_dict()))
-        assert experiment_config_from_json(str(target)) == cfg
+        assert experiment_config_from_dict(_load_config(str(target))) == cfg
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -181,12 +197,15 @@ class TestRunExperimentDeterminism:
         rows2 = run_experiment(cfg).rows
         assert rows1 == rows2
 
-    def test_thread_count_does_not_change_results(self):
-        base = run_experiment(_tiny())
-        threaded = run_experiment(_tiny(threads=3))
+    @pytest.mark.parametrize("scenario", sorted(SMALL))
+    def test_thread_count_does_not_change_results(self, scenario):
+        base = run_experiment(_tiny(scenario, **SMALL[scenario]))
+        threaded = run_experiment(_tiny(scenario, threads=3, **SMALL[scenario]))
         assert base.rows == threaded.rows
         assert base.ks_results == threaded.ks_results
-        assert 0.0 <= base.ks_results["mle"]["limit_edge_fraction"] <= 1.0
+        assert base.moment_comparison == threaded.moment_comparison
+        for entry in base.ks_results.values():
+            assert 0.0 <= entry.get("limit_edge_fraction", 0.0) <= 1.0
 
     def test_master_seed_changes_results(self):
         a = run_experiment(_tiny()).rows
@@ -271,12 +290,97 @@ class TestRunExperimentScenarios:
         with pytest.raises(ExperimentError, match="boundary"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("scenario, kwargs", [
+        # kappa bounds hugging the truth: every estimate lands on the edge
+        ("kappa", {"epsilons": (0.01,), "n_steps": 1000,
+                   "signal": {"kappa_bounds": (0.05, 0.2501)}}),
+        # rho0 on the location bound: every joint estimate lands there
+        ("joint", {"epsilons": (0.02,), "n_steps": 300, "signal": {"rho0": 0.35}}),
+    ])
+    def test_boundary_pileup_raises_for_exponent_scenarios(self, scenario, kwargs):
+        cfg = _tiny(scenario, zero_noise=True, replications=100, **kwargs)
+        with pytest.raises(ExperimentError, match="boundary"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("scenario, kwargs, raises", [
+        # 60 paths on the bound: the location guard pools the mle and
+        # bayes rows, so only cusp-bayes reaches the 100-estimate scale...
+        ("cusp-mle", {"signal": {"theta0": 0.35}}, False),
+        ("cusp-bayes", {"signal": {"theta0": 0.35}}, True),
+        # ...while a joint estimate counts once per path
+        ("joint", {"epsilons": (0.02,), "signal": {"rho0": 0.35}}, False),
+    ])
+    def test_boundary_guard_scale(self, scenario, kwargs, raises):
+        cfg = _tiny(scenario, zero_noise=True, replications=60, n_steps=300, **kwargs)
+        if raises:
+            with pytest.raises(ExperimentError, match="boundary"):
+                run_experiment(cfg)
+        else:
+            rows = run_experiment(cfg).rows
+            assert all(r["boundary_flag"] for r in rows)
+
     def test_kappa_true_outside_bounds_rejected(self):
         with pytest.raises(DomainError):
             run_experiment(_tiny(
                 scenario="kappa", epsilons=(0.01,), replications=8,
                 signal={"kappa0": 0.5},
             ))
+
+    @pytest.mark.parametrize("scenario, signal", [
+        ("cusp-mle", {"theta0": 0.9}),
+        ("cusp-bayes", {"theta0": 0.3}),
+        ("multi-cusp", {"theta0": 0.2}),
+        ("kappa", {"kappa0": 0.45}),
+        ("joint", {"rho0": 0.8}),
+        ("joint", {"kappa0": 0.48}),
+    ])
+    def test_true_parameter_outside_bounds_rejected(self, scenario, signal):
+        with pytest.raises(ConfigError, match="must lie"):
+            run_experiment(_tiny(scenario, replications=8, signal=signal))
+
+
+class TestFailureGuard:
+    """Estimators that fail numerically give failed rows, then an error.
+
+    The estimators are replaced through ``cusplab.experiments``: the cell
+    runner looks them up there at call time.
+    """
+
+    CASES = [
+        ("cusp-mle", "mle", {}),
+        ("kappa", "kappa_mle", {"epsilons": (0.01,), "n_steps": 1000}),
+        ("joint", "joint_mle", {"epsilons": (0.02,), "n_steps": 300}),
+    ]
+
+    @staticmethod
+    def _fail_on(monkeypatch, name, replications):
+        real = getattr(experiments, name)
+
+        def flaky(path, *args, **kwargs):
+            if path.seed in replications:
+                raise NumericalDegeneracyError("forced failure")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, flaky)
+
+    @pytest.mark.parametrize("scenario, name, kwargs", CASES)
+    def test_one_percent_failures_give_failed_rows(
+        self, monkeypatch, scenario, name, kwargs
+    ):
+        self._fail_on(monkeypatch, name, {7})
+        cfg = _tiny(scenario, replications=100, zero_noise=True, **kwargs)
+        report = run_experiment(cfg)
+        failed = [r for r in report.rows if r["failed"]]
+        assert failed and {r["replication"] for r in failed} == {7}
+        assert all(math.isnan(r["estimate"]) for r in failed)
+        assert all(s["failures"] == 1 for s in report.summaries)
+
+    @pytest.mark.parametrize("scenario, name, kwargs", CASES)
+    def test_more_failures_raise(self, monkeypatch, scenario, name, kwargs):
+        self._fail_on(monkeypatch, name, {3, 11})
+        cfg = _tiny(scenario, replications=100, zero_noise=True, **kwargs)
+        with pytest.raises(ExperimentError, match="2/100 replications failed"):
+            run_experiment(cfg)
 
 
 class TestArtifacts:

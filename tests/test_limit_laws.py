@@ -425,11 +425,14 @@ class TestSamplers:
 
     def test_sample_kappa_limit_variance(self):
         fisher = FISHER_REF
-        rng = replication_rng(9, 0)
-        draws = np.array([sample_kappa_limit(fisher, rng=rng) for _ in range(20_000)])
+        draws = sample_kappa_limit(fisher, 20_000, replication_rng(9, 0))
+        assert draws.shape == (20_000,)
         assert draws.var(ddof=1) == pytest.approx(1.0 / fisher, rel=0.05)
         assert abs(draws.mean()) < 4.0 / math.sqrt(20_000 * fisher)
+        # the same stream as drawing Delta ~ N(0, I) and dividing by I
+        delta = replication_rng(9, 0).normal(0.0, math.sqrt(fisher), 20_000)
+        np.testing.assert_array_equal(draws, delta / fisher)
 
     def test_sample_kappa_limit_rejects_bad_fisher(self):
         with pytest.raises(DomainError):
-            sample_kappa_limit(0.0)
+            sample_kappa_limit(0.0, 10)
