@@ -19,7 +19,6 @@ from .estimators import (
     EstimationResult,
     JointEstimationResult,
     LikelihoodField,
-    SearchConfig,
     TruncatedNormalPrior,
     UniformPrior,
     bayes,
@@ -45,7 +44,6 @@ from .experiments import (
 )
 from .limit_laws import (
     FbmPath,
-    LimitLawSample,
     WindowConfig,
     default_xi_window,
     default_zeta_window,
@@ -55,9 +53,7 @@ from .limit_laws import (
     rescale_fbm,
     sample_fbm,
     sample_kappa_limit,
-    sample_xi,
     sample_xi_batch,
-    sample_zeta,
     sample_zeta_batch,
     xi_from_fbm,
     zeta_from_fbm,

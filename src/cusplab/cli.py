@@ -39,7 +39,7 @@ from .errors import (
     ExperimentError,
     NumericalDegeneracyError,
 )
-from .estimators import SearchConfig, bayes, mle, prior_from_config
+from .estimators import bayes, mle, prior_from_config
 from .experiments import (
     SCHEMA_VERSION,
     experiment_config_from_dict,
@@ -93,6 +93,16 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
     return values
 
 
+def _count(args, config: dict, key: str, default: int, minimum: int = 1) -> int:
+    """The ``--replications`` override, else ``config[key]``; at least ``minimum``."""
+    count = args.replications
+    if count is None:
+        count = config.get(key, default)
+    if count < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {count!r}")
+    return count
+
+
 def _out_dir(args, config: dict) -> str:
     out = args.out if args.out is not None else config.get("out_dir", ".")
     os.makedirs(out, exist_ok=True)
@@ -135,7 +145,7 @@ def _cmd_simulate(args) -> int:
     theta = config.get("theta_true", 0.5)
     epsilon = config.get("epsilon", 0.01)
     n_steps = config.get("n_steps", 10_000)
-    count = args.replications or config.get("replications", 1)
+    count = _count(args, config, "replications", 1)
     seed = args.seed if args.seed is not None else config.get("master_seed", 0)
     out = _out_dir(args, config)
     grid = TimeGrid(signal.T, n_steps)
@@ -181,15 +191,14 @@ def _cmd_estimate(args) -> int:
     path = simulate_path(
         signal, theta, epsilon, grid, rng=rng, zero_noise=args.zero_noise
     )
-    search = SearchConfig(**config.get("search", {}))
     if estimator == "mle":
-        result = mle(path, signal, search)
+        result = mle(path, signal)
     elif estimator == "bayes":
         prior_cfg = dict(config.get("prior", {"name": "uniform"}))
         prior = prior_from_config(
             prior_cfg.pop("name", "uniform"), prior_cfg
         )
-        result = bayes(path, signal, prior, search)
+        result = bayes(path, signal, prior)
     else:
         raise ConfigError(
             f"unknown estimator {estimator!r}; valid: ['bayes', 'mle']"
@@ -216,7 +225,7 @@ def _cmd_limit_law(args) -> int:
     a = config.get("a", 1.0)
     kappa = config.get("kappa", 0.25)
     hurst = kappa + 0.5
-    count = args.replications or config.get("count", 2000)
+    count = _count(args, config, "count", 2000, minimum=2 if law == "kappa" else 1)
     seed = args.seed if args.seed is not None else config.get("master_seed", 0)
     out = _out_dir(args, config)
     rng = replication_rng(seed, 0)
@@ -240,9 +249,7 @@ def _cmd_limit_law(args) -> int:
             "edge_fraction": float(flags.mean()),
         }
     elif law == "zeta":
-        problem, noise_scale = misspec_problem(
-            config, config.get("noise_coefficient", "gamma")
-        )
+        problem, noise_scale = misspec_problem(config)
         if "curvature" in config:
             curvature = float(config["curvature"])
         else:

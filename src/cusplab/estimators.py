@@ -24,6 +24,12 @@ Estimates are reported together with errors normalized by the relevant
 rate: ``eps**(1/H)`` for the location under a correct model (with
 ``H = kappa + 1/2``), ``eps**(2/(3-2*kappa))`` under misspecification,
 and ``eps`` for the exponent.
+
+The nested grid search has fixed settings, all tied to that rate: a
+coarse step of twice the rate (at most a quarter of the parameter
+range), refinement levels that shrink the step ``SHRINK``-fold and scan
+``SPAN`` steps either side of the incumbent until it is at most
+rate/50, and ``STARTS`` separated coarse candidates refined each.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ __all__ = [
     "LikelihoodField",
     "EstimationResult",
     "JointEstimationResult",
-    "SearchConfig",
     "UniformPrior",
     "TruncatedNormalPrior",
     "prior_from_config",
@@ -174,34 +179,13 @@ def grid_argmax(field: LikelihoodField) -> float:
 # nested grid search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tuning of the nested grid search.
-
-    ``coarse_step``/``target_step`` default to twice the convergence
-    rate and rate/50.  Each refinement level shrinks the step by
-    ``shrink`` and scans ``span`` new steps either side of a candidate;
-    the ``starts`` best separated coarse candidates are each refined to
-    guard against the global maximum hiding in a secondary basin.
-    """
-
-    coarse_step: Optional[float] = None
-    target_step: Optional[float] = None
-    shrink: int = 10
-    span: int = 20
-    starts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.shrink < 2:
-            raise ConfigError(f"shrink factor must be >= 2, got {self.shrink!r}")
-        if self.span < 1:
-            raise ConfigError(f"span must be >= 1, got {self.span!r}")
-        if self.starts < 1:
-            raise ConfigError(f"starts must be >= 1, got {self.starts!r}")
-        for name in ("coarse_step", "target_step"):
-            step = getattr(self, name)
-            if step is not None and not step > 0.0:
-                raise ConfigError(f"{name} must be positive, got {step!r}")
+#: Each refinement level shrinks the step ``SHRINK``-fold and scans
+#: ``SPAN`` new steps either side of the incumbent; the ``STARTS`` best
+#: separated coarse candidates are each refined, to guard against the
+#: global maximum hiding in a secondary basin.
+SHRINK = 10
+SPAN = 20
+STARTS = 3
 
 
 def _scan_best(eval_fn, grid: np.ndarray) -> tuple[float, float]:
@@ -235,14 +219,13 @@ def refine_argmax(
     candidates: Sequence[float],
     step: float,
     target_step: float,
-    shrink: int = 10,
-    span: int = 20,
 ) -> tuple[float, float, int, float]:
     """Refine each candidate by nested grid scans; keep the best.
 
     Returns ``(theta, value, levels, final_step)``.  Within each level
-    the scan window is ``span`` new steps either side of the incumbent,
-    clipped to ``bounds``; ties resolve to the smallest theta.
+    the step shrinks ``SHRINK``-fold and the scan window is ``SPAN`` new
+    steps either side of the incumbent, clipped to ``bounds``; ties
+    resolve to the smallest theta.
     """
     best_theta = math.nan
     best_value = -math.inf
@@ -253,9 +236,9 @@ def refine_argmax(
         cur = step
         depth = 0
         while cur > target_step:
-            cur /= shrink
+            cur /= SHRINK
             depth += 1
-            theta, value = _scan_best(eval_fn, _window(bounds, theta, cur, span))
+            theta, value = _scan_best(eval_fn, _window(bounds, theta, cur, SPAN))
         if value > best_value or (value == best_value and theta < best_theta):
             best_theta, best_value = theta, value
             levels = depth
@@ -263,37 +246,38 @@ def refine_argmax(
     return best_theta, best_value, levels, final_step
 
 
-def coarse_grid(bounds: tuple[float, float], rate: float, search: SearchConfig) -> np.ndarray:
+def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
     """Coarse scan grid over ``bounds`` at twice the convergence rate.
+
+    The step is at most a quarter of the range, so the grid keeps at
+    least five nodes.
 
     Experiment sweeps precompute field values on exactly this grid (one
     matrix product per cell) and hand them to the estimators, so the
     construction must stay in one place.
     """
     lo, hi = bounds
-    step = search.coarse_step if search.coarse_step is not None else 2.0 * rate
-    step = min(step, (hi - lo) / 4.0)
+    step = min(2.0 * rate, (hi - lo) / 4.0)
     count = int(math.ceil((hi - lo) / step)) + 1
     return np.linspace(lo, hi, count)
 
 
-def _coarse_scan(eval_fn, bounds, rate, search: SearchConfig, coarse=None):
+def _coarse_scan(eval_fn, bounds, rate, coarse=None):
     """``(grid, values)`` of the coarse scan: ``coarse`` if given, else evaluated."""
     if coarse is None:
-        grid = coarse_grid(bounds, rate, search)
+        grid = coarse_grid(bounds, rate)
         return grid, np.asarray(eval_fn(grid), dtype=float)
     grid, values = coarse
     return np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
 
 
-def _nested_argmax(eval_fn, bounds, rate, search: SearchConfig, coarse=None):
+def _nested_argmax(eval_fn, bounds, rate, coarse=None):
     lo, hi = bounds
-    target = search.target_step if search.target_step is not None else rate / 50.0
-    grid, values = _coarse_scan(eval_fn, bounds, rate, search, coarse)
+    grid, values = _coarse_scan(eval_fn, bounds, rate, coarse)
     actual_step = grid[1] - grid[0]
-    candidates = _top_candidates(grid, values, search.starts, 2.0 * actual_step)
+    candidates = _top_candidates(grid, values, STARTS, 2.0 * actual_step)
     theta, value, levels, final_step = refine_argmax(
-        eval_fn, bounds, candidates, actual_step, target, search.shrink, search.span
+        eval_fn, bounds, candidates, actual_step, rate / 50.0
     )
     boundary = theta <= lo + final_step or theta >= hi - final_step
     return float(np.clip(theta, lo, hi)), value, levels + 1, final_step, boundary
@@ -377,16 +361,20 @@ def _normalized(estimate: float, target: Optional[float], rate: float):
 # location estimators
 # ---------------------------------------------------------------------------
 
-def _location_mle(path, signal, rate, search, estimator, target, coarse=None):
-    _check_horizon(path, signal)
-    if not is_location_signal(signal):
+def _require_cusp(signal, estimator: str) -> None:
+    """Reject a signal without a cusp exponent before any of its attributes is read."""
+    if not (is_location_signal(signal) and hasattr(signal, "hurst")):
         raise DomainError(
-            f"{estimator} needs a location-parametric signal, got "
+            f"{estimator} needs a location-parametric cusp signal, got "
             f"{type(signal).__name__}"
         )
+
+
+def _location_mle(path, signal, rate, estimator, target, coarse=None):
+    _check_horizon(path, signal)
     eval_fn = lambda thetas: _location_loglik(path, signal, thetas)
     theta, _, levels, step, boundary = _nested_argmax(
-        eval_fn, signal.theta_bounds, rate, search, coarse=coarse
+        eval_fn, signal.theta_bounds, rate, coarse=coarse
     )
     return EstimationResult(
         estimator=estimator,
@@ -402,7 +390,6 @@ def _location_mle(path, signal, rate, search, estimator, target, coarse=None):
 def mle(
     path: ObservationPath,
     signal,
-    search: Optional[SearchConfig] = None,
     target: Optional[float] = None,
     coarse=None,
 ) -> EstimationResult:
@@ -413,17 +400,16 @@ def mle(
     optionally supplies precomputed ``(grid, values)`` for the coarse
     scan; the grid must come from ``coarse_grid``.
     """
-    search = search or SearchConfig()
+    _require_cusp(signal, "mle")
     rate = location_rate(path.epsilon, signal.hurst)
     if target is None:
         target = path.theta_true
-    return _location_mle(path, signal, rate, search, "mle", target, coarse=coarse)
+    return _location_mle(path, signal, rate, "mle", target, coarse=coarse)
 
 
 def pseudo_mle(
     path: ObservationPath,
     theoretical_signal,
-    search: Optional[SearchConfig] = None,
     target: Optional[float] = None,
     coarse=None,
 ) -> EstimationResult:
@@ -434,10 +420,10 @@ def pseudo_mle(
     location (the minimizer of the L2 gap between the real and assumed
     drifts); errors are normalized by ``eps**(2/(3-2*kappa))``.
     """
-    search = search or SearchConfig()
+    _require_cusp(theoretical_signal, "pseudo_mle")
     rate = misspec_rate(path.epsilon, theoretical_signal.kappa_eff)
     return _location_mle(
-        path, theoretical_signal, rate, search, "pseudo_mle", target, coarse=coarse
+        path, theoretical_signal, rate, "pseudo_mle", target, coarse=coarse
     )
 
 
@@ -500,7 +486,6 @@ def bayes(
     path: ObservationPath,
     signal,
     prior=None,
-    search: Optional[SearchConfig] = None,
     target: Optional[float] = None,
     coarse=None,
 ) -> EstimationResult:
@@ -512,12 +497,8 @@ def bayes(
     with max-shifted exponentials for stability.  ``coarse`` optionally
     supplies precomputed ``(grid, values)`` from ``coarse_grid``.
     """
+    _require_cusp(signal, "bayes")
     _check_horizon(path, signal)
-    if not is_location_signal(signal):
-        raise DomainError(
-            f"bayes needs a location-parametric signal, got {type(signal).__name__}"
-        )
-    search = search or SearchConfig()
     prior = prior or UniformPrior()
     if target is None:
         target = path.theta_true
@@ -525,7 +506,7 @@ def bayes(
     alpha, beta = signal.theta_bounds
     cgrid, cvals = _coarse_scan(
         lambda thetas: _location_loglik(path, signal, thetas),
-        (alpha, beta), rate, search, coarse,
+        (alpha, beta), rate, coarse,
     )
     keep = cvals >= cvals.max() - _POSTERIOR_LOG_DROP
     step = cgrid[1] - cgrid[0]
@@ -588,7 +569,6 @@ def kappa_mle(
     a: float,
     rho: float,
     kappa_bounds: tuple[float, float] = (0.05, 0.45),
-    search: Optional[SearchConfig] = None,
     target: Optional[float] = None,
     coarse=None,
 ) -> EstimationResult:
@@ -605,12 +585,11 @@ def kappa_mle(
         raise DomainError(f"amplitude a must be positive, got {a!r}")
     if not 0.0 < rho < path.grid.T:
         raise DomainError(f"rho must lie in (0, T), got {rho!r}")
-    search = search or SearchConfig()
     rate = path.epsilon
     dist = np.abs(path.grid.left_nodes - rho)
     eval_fn = lambda kappas: _path_loglik(path, a * dist[None, :] ** kappas[:, None])
     kappa, _, levels, step, boundary = _nested_argmax(
-        eval_fn, kappa_bounds, rate, search, coarse=coarse
+        eval_fn, kappa_bounds, rate, coarse=coarse
     )
     inner = np.clip([kappa - step, kappa, kappa + step], lo, hi)
     if inner[0] < inner[1] < inner[2]:
@@ -642,7 +621,6 @@ def joint_mle(
     a: float,
     theta_bounds: tuple[float, float],
     kappa_bounds: tuple[float, float] = (0.05, 0.45),
-    search: Optional[SearchConfig] = None,
     rho_true: Optional[float] = None,
     kappa_true: Optional[float] = None,
     coarse=None,
@@ -664,7 +642,6 @@ def joint_mle(
         raise DomainError(f"invalid theta bounds {theta_bounds!r}")
     if not (0.0 < klo < khi):
         raise DomainError(f"invalid kappa bounds {kappa_bounds!r}")
-    search = search or SearchConfig()
     if rho_true is None:
         rho_true = path.theta_true
     eps = path.epsilon
@@ -696,16 +673,16 @@ def joint_mle(
             if rho_step <= rho_target and kappa_step <= kappa_target:
                 break
             if rho_step > rho_target:
-                rho_step /= search.shrink
+                rho_step /= SHRINK
             if kappa_step > kappa_target:
-                kappa_step /= search.shrink
+                kappa_step /= SHRINK
             # Two alternation passes per resolution level: a large move
             # along one axis shifts the conditional optimum of the other,
             # and the second pass lets the scan windows follow it.
             for _ in range(2):
                 rho, _ = _scan_best(
                     lambda g: field(g, kappa),
-                    _window(theta_bounds, rho, rho_step, search.span),
+                    _window(theta_bounds, rho, rho_step, SPAN),
                 )
                 # One row per exponent: batching them into one product
                 # would change the last bits of the field.
@@ -713,7 +690,7 @@ def joint_mle(
                     lambda g: np.array(
                         [field(np.array([rho]), float(k))[0] for k in g]
                     ),
-                    _window(kappa_bounds, kappa, kappa_step, search.span),
+                    _window(kappa_bounds, kappa, kappa_step, SPAN),
                 )
             levels += 1
             if levels > 12:
@@ -736,7 +713,7 @@ def joint_mle(
         ):
             continue
         seeds.append(cand)
-        if len(seeds) >= search.starts:
+        if len(seeds) >= STARTS:
             break
     best = None
     for rho0, kappa0 in seeds:

@@ -56,7 +56,6 @@ from .errors import (
 )
 from .estimators import (
     JointEstimationResult,
-    SearchConfig,
     bayes,
     coarse_grid,
     ito_loglik,
@@ -175,9 +174,7 @@ class ExperimentConfig:
     limit_samples: int = 2000
     out_dir: str = "."
     signal: dict = field(default_factory=dict)
-    search: SearchConfig = field(default_factory=SearchConfig)
     prior: dict = field(default_factory=lambda: {"name": "uniform"})
-    noise_coefficient: str = "gamma"
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -203,11 +200,6 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads!r}")
         if self.limit_samples < 10:
             raise ConfigError(f"limit_samples must be >= 10, got {self.limit_samples!r}")
-        if self.noise_coefficient not in ("gamma", "amplitude"):
-            raise ConfigError(
-                f"noise_coefficient must be 'gamma' or 'amplitude', got "
-                f"{self.noise_coefficient!r}"
-            )
         defaults = _SIGNAL_DEFAULTS[self.scenario]
         unknown = set(self.signal) - set(defaults)
         if unknown:
@@ -228,7 +220,6 @@ class ExperimentConfig:
             **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
             "epsilons": list(self.epsilons),
             "signal": signal,
-            "search": dataclasses.asdict(self.search),
             "prior": dict(self.prior),
         }
 
@@ -258,9 +249,6 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     if "terms" in signal:
         signal["terms"] = tuple(tuple(term) for term in signal["terms"])
     kwargs["signal"] = signal
-    search = kwargs.get("search", {})
-    if isinstance(search, dict):
-        kwargs["search"] = SearchConfig(**search)
     return ExperimentConfig(**kwargs)
 
 
@@ -407,13 +395,15 @@ _TRUTH_BOUNDS = {
 
 
 def misspec_problem(
-    params: dict, noise_coefficient: str = "gamma", quad_order: int = 200
+    params: dict, quad_order: int = 200
 ) -> tuple[MisspecProblem, float]:
     """Misspecification problem and noise scale for signal parameters.
 
     ``params`` overrides the ``misspec`` scenario defaults (other keys
     are ignored).  The noise scale multiplying the fBm of the limit law
-    is ``Gamma`` (``"gamma"``) or the amplitude ``a`` (``"amplitude"``).
+    is ``Gamma = sqrt(gamma_squared(a, kappa))``: the noise term
+    ``int [M(theta_hat + phi*u, t) - M(theta_hat, t)] dW`` has standard
+    deviation ``Gamma * phi**H * |u|**H``.
     """
     p = {**_SIGNAL_DEFAULTS["misspec"], **params}
     theoretical = CuspSignal(
@@ -422,10 +412,7 @@ def misspec_problem(
     real = SmoothedCuspSignal(
         a=p["a"], kappa=p["kappa"], center=p["center"], delta=p["delta"], T=p["T"],
     )
-    noise_scale = (
-        math.sqrt(gamma_squared(p["a"], p["kappa"]))
-        if noise_coefficient == "gamma" else p["a"]
-    )
+    noise_scale = math.sqrt(gamma_squared(p["a"], p["kappa"]))
     problem = MisspecProblem(theoretical=theoretical, real=real, quad_order=quad_order)
     return problem, noise_scale
 
@@ -437,21 +424,18 @@ def misspec_problem(
 def _location(config, t, signal, truth, drift, rate, names, **rest) -> _Spec:
     """A location scenario running the estimators ``names`` per path."""
     (target,) = truth.values()
-    search = config.search
     prior = prior_from_config(
         config.prior.get("name", "uniform"),
         {k: v for k, v in config.prior.items() if k != "name"},
     )
     calls = {
-        "mle": lambda path, c: mle(path, signal, search, target=target, coarse=c),
-        "bayes": lambda path, c: bayes(
-            path, signal, prior, search, target=target, coarse=c),
-        "pseudo_mle": lambda path, c: pseudo_mle(
-            path, signal, search, target=target, coarse=c),
+        "mle": lambda path, c: mle(path, signal, target=target, coarse=c),
+        "bayes": lambda path, c: bayes(path, signal, prior, target=target, coarse=c),
+        "pseudo_mle": lambda path, c: pseudo_mle(path, signal, target=target, coarse=c),
     }
 
     def coarse(eps):
-        cgrid = coarse_grid(signal.theta_bounds, rate(eps), search)
+        cgrid = coarse_grid(signal.theta_bounds, rate(eps))
         return (cgrid,), [lambda: signal.value(cgrid[:, None], t[None, :])]
 
     return _Spec(
@@ -499,7 +483,7 @@ def _multi_cusp(p, config, t) -> _Spec:
 
 
 def _misspec(p, config, t) -> _Spec:
-    problem, noise_scale = misspec_problem(p, config.noise_coefficient)
+    problem, noise_scale = misspec_problem(p)
     solution = solve_theta_hat(problem)
     curv, hurst = solution.curvature_closed, problem.theoretical.hurst
 
@@ -527,7 +511,7 @@ def _kappa(p, config, t) -> _Spec:
     dist = np.abs(t - rho)
 
     def coarse(eps):
-        kgrid = coarse_grid(bounds, eps, config.search)
+        kgrid = coarse_grid(bounds, eps)
         return (kgrid,), [lambda: a * dist[None, :] ** kgrid[:, None]]
 
     def compare(errors, count, rng):
@@ -540,7 +524,7 @@ def _kappa(p, config, t) -> _Spec:
         truth={"kappa0": kappa0}, drift=a * dist**kappa0, kappa=kappa0,
         coarse=coarse, compare=compare,
         estimators={("kappa_mle",): lambda path, c: kappa_mle(
-            path, a, rho, bounds, config.search, target=kappa0, coarse=c)},
+            path, a, rho, bounds, target=kappa0, coarse=c)},
     )
 
 
@@ -576,8 +560,7 @@ def _joint(p, config, t) -> _Spec:
         drift=a * np.abs(t - rho0) ** kappa0, kappa=kappa0,
         coarse=coarse, compare=compare,
         estimators={("joint_rho", "joint_kappa"): lambda path, c: joint_mle(
-            path, a, tbounds, kbounds, config.search,
-            rho_true=rho0, kappa_true=kappa0, coarse=c)},
+            path, a, tbounds, kbounds, rho_true=rho0, kappa_true=kappa0, coarse=c)},
     )
 
 

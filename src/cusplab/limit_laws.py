@@ -16,7 +16,9 @@ Brownian motion :math:`W^H` with Hurst index ``H = kappa + 1/2``:
   ``Z(u) = exp(Gamma*W^H(u) - Gamma^2/2 * |u|^(2H))`` (location MLE and
   Bayes limits),
 * ``zeta_hat``: argmax of ``exp(noise_scale*W^H(u) - curvature/4 * u^2)``
-  (pseudo-MLE limit under misspecification),
+  (pseudo-MLE limit under misspecification; the noise scale is
+  ``Gamma``, the standard deviation coefficient of the misspecified
+  noise term),
 * the Gaussian ``N(0, I^{-1})`` limit of the exponent estimate.
 
 Paths are sampled exactly on a symmetric truncated grid by circulant
@@ -28,6 +30,12 @@ origin gives the path.  The cost is O(m log m) per path on any grid size
 and nothing is cached.
 The exponents ``2H`` and ``2*kappa + 1`` are the same number and are
 used interchangeably.
+
+Each limit law has one reduction of a block of paths, ``xi_from_fbm``
+and ``zeta_from_fbm``; ``sample_fbm`` and the batch samplers draw paths
+``FBM_BLOCK`` at a time from the same generator, so a batch sampler
+gives exactly the reduction of ``sample_fbm`` paths drawn with the same
+generator state.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from .errors import DomainError, NumericalDegeneracyError
 __all__ = [
     "WindowConfig",
     "FbmPath",
-    "LimitLawSample",
     "gamma_squared",
     "fisher_info_kappa",
     "cusp_log_moment",
@@ -53,9 +60,7 @@ __all__ = [
     "rescale_fbm",
     "xi_from_fbm",
     "zeta_from_fbm",
-    "sample_xi",
     "sample_xi_batch",
-    "sample_zeta",
     "sample_zeta_batch",
     "sample_kappa_limit",
     "zeta_scale",
@@ -196,10 +201,10 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class FbmPath:
-    """One realization of double-sided fBm on a symmetric grid."""
+    """Double-sided fBm on ``window.nodes()``, one realization per row of ``values``."""
 
     hurst: float
-    u_grid: np.ndarray
+    window: WindowConfig
     values: np.ndarray
 
 
@@ -224,8 +229,6 @@ def _embedding_scale(hurst: float, window: WindowConfig) -> np.ndarray:
     ``lambda`` are one FFT of that row.  They are nonnegative for fGn;
     a value negative beyond round-off raises instead of being clipped.
     """
-    if not (0.0 < hurst < 1.0):
-        raise DomainError(f"hurst must lie in (0, 1), got {hurst!r}")
     h2 = 2.0 * hurst
     k = np.arange(2 * window.half_count, dtype=float)
     acov = 0.5 * window.du**h2 * (
@@ -264,51 +267,57 @@ def _fbm_paths(scale: np.ndarray, half_count: int, normals: np.ndarray) -> np.nd
 def _fbm_blocks(
     hurst: float, window: WindowConfig, count: int, rng: np.random.Generator
 ):
-    """Yield ``(slice, paths)`` covering ``count`` paths in blocks of ``FBM_BLOCK``.
+    """Iterator of ``(slice, FbmPath)`` over ``count`` paths, ``FBM_BLOCK`` at a time.
 
-    ``paths`` has one path per row on ``window.nodes()``.  A block of odd
-    size drops the imaginary-part path of its last complex row.
-    """
-    scale = _embedding_scale(hurst, window)
-    for start in range(0, count, FBM_BLOCK):
-        size = min(FBM_BLOCK, count - start)
-        normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
-        paths = _fbm_paths(scale, window.half_count, normals)
-        yield slice(start, start + size), paths[:size]
-
-
-def sample_fbm(
-    hurst: float,
-    U: float,
-    du: float,
-    rng: Optional[np.random.Generator] = None,
-) -> FbmPath:
-    """Draw one double-sided fBm path on the grid ``-U..U`` step ``du``.
-
-    Exact circulant-embedding sampler shared with the batch samplers;
-    ``W^H(0)`` is exactly 0.
+    The arguments are checked when the call is made, before anything is
+    drawn.  A block of odd size drops the imaginary-part path of its
+    last complex row.
     """
     if not (0.5 <= hurst < 1.0):
         raise DomainError(f"hurst must lie in [1/2, 1), got {hurst!r}")
-    if rng is None:
-        rng = np.random.default_rng()
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
+    scale = _embedding_scale(hurst, window)
+
+    def blocks():
+        for start in range(0, count, FBM_BLOCK):
+            size = min(FBM_BLOCK, count - start)
+            normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
+            paths = _fbm_paths(scale, window.half_count, normals)
+            yield slice(start, start + size), FbmPath(hurst, window, paths[:size])
+
+    return blocks()
+
+
+def sample_fbm(
+    hurst: float, U: float, du: float, count: int, rng: np.random.Generator
+) -> FbmPath:
+    """Draw ``count`` double-sided fBm paths on the grid ``-U..U`` step ``du``.
+
+    The exact circulant-embedding sampler of the batch samplers;
+    ``W^H(0)`` is exactly 0 on every path.
+    """
     window = WindowConfig(U=U, du=du)
-    _, paths = next(_fbm_blocks(hurst, window, 1, rng))
-    return FbmPath(hurst=hurst, u_grid=window.nodes(), values=paths[0])
+    blocks = _fbm_blocks(hurst, window, count, rng)
+    values = np.empty((count, window.node_count))
+    for block, paths in blocks:
+        values[block] = paths.values
+    return FbmPath(hurst, window, values)
 
 
 def rescale_fbm(path: FbmPath, c: float) -> FbmPath:
     """Exact self-similarity surrogate ``W^H(c*u) = c**H * w^H(u)``.
 
-    Given a path on grid ``u``, returns the induced path on grid ``c*u``;
-    both represent the same underlying realization, which makes per-path
-    scaling identities checkable without resampling.
+    Given paths on a window ``[-U, U]`` with step ``du``, returns the
+    induced paths on ``[-c*U, c*U]`` with step ``c*du``; both represent
+    the same underlying realization, which makes per-path scaling
+    identities checkable without resampling.
     """
     if not c > 0.0:
         raise DomainError(f"scale factor must be positive, got {c!r}")
     return FbmPath(
         hurst=path.hurst,
-        u_grid=c * path.u_grid,
+        window=WindowConfig(U=c * path.window.U, du=c * path.window.du),
         values=c**path.hurst * path.values,
     )
 
@@ -317,76 +326,45 @@ def rescale_fbm(path: FbmPath, c: float) -> FbmPath:
 # limit-law samples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitLawSample:
-    """One draw of the limit variables on a truncated window.
-
-    ``xi_hat`` holds the argmax variable (``zeta_hat`` in the
-    misspecified case); ``xi_tilde`` the posterior-mean variable where
-    defined.  ``edge_flag`` marks samples within 10% of the window edge,
-    whose law is visibly affected by truncation.
-    """
-
-    xi_hat: float
-    xi_tilde: Optional[float]
-    window: WindowConfig
-    edge_flag: bool
-    seed: Optional[int] = None
-
-
-def _edge(window: WindowConfig, *values: Optional[float]) -> bool:
-    lim = EDGE_FRACTION * window.U
-    return any(v is not None and abs(v) > lim for v in values)
-
-
-def xi_from_fbm(path: FbmPath, gamma_sq: float, seed: Optional[int] = None) -> LimitLawSample:
-    """Evaluate (xi_hat, xi_tilde) on an existing fBm path.
+def xi_from_fbm(path: FbmPath, gamma_sq: float):
+    """``(xi_hat, xi_tilde, edge_flags)`` arrays, one entry per path.
 
     ``ln Z(u) = Gamma*W^H(u) - Gamma^2/2*|u|^(2H)``; the argmax breaks
     ties toward smaller u, the mean uses trapezoid weights on max-shifted
-    exponentials.
+    exponentials.  A flag marks a path whose ``xi_hat`` or ``xi_tilde``
+    lies beyond ``EDGE_FRACTION`` of the window, where truncation
+    visibly affects the law.
     """
     if not gamma_sq > 0.0:
         raise DomainError(f"gamma_sq must be positive, got {gamma_sq!r}")
     gamma = math.sqrt(gamma_sq)
-    u = path.u_grid
+    u = path.window.nodes()
     ln_z = gamma * path.values - 0.5 * gamma_sq * np.abs(u) ** (2.0 * path.hurst)
-    idx = int(np.argmax(ln_z))
-    xi_hat = float(u[idx])
-    z = np.exp(ln_z - ln_z[idx])
-    denom = np.trapezoid(z, u)
-    if not (np.isfinite(denom) and denom > 0.0):
+    idx = np.argmax(ln_z, axis=1)
+    xi_hat = u[idx]
+    z = np.exp(ln_z - ln_z[np.arange(idx.size), idx][:, None])
+    denom = np.trapezoid(z, u, axis=1)
+    if not np.all(np.isfinite(denom) & (denom > 0.0)):
         raise NumericalDegeneracyError("degenerate limit-law normalization")
-    xi_tilde = float(np.trapezoid(u * z, u) / denom)
-    window = WindowConfig(U=float(abs(u[-1])), du=float(u[1] - u[0]))
-    return LimitLawSample(
-        xi_hat=xi_hat,
-        xi_tilde=xi_tilde,
-        window=window,
-        edge_flag=_edge(window, xi_hat, xi_tilde),
-        seed=seed,
-    )
+    xi_tilde = np.trapezoid(u * z, u, axis=1) / denom
+    lim = EDGE_FRACTION * path.window.U
+    return xi_hat, xi_tilde, (np.abs(xi_hat) > lim) | (np.abs(xi_tilde) > lim)
 
 
-def zeta_from_fbm(
-    path: FbmPath, noise_scale: float, curvature: float, seed: Optional[int] = None
-) -> LimitLawSample:
-    """Argmax of ``exp(noise_scale*W^H(u) - curvature/4*u^2)`` on a path."""
+def zeta_from_fbm(path: FbmPath, noise_scale: float, curvature: float):
+    """``(zeta_hat, edge_flags)`` arrays, one entry per path.
+
+    ``zeta_hat`` is the argmax of ``exp(noise_scale*W^H(u) - curvature/4*u^2)``;
+    a flag marks a path whose ``zeta_hat`` lies beyond ``EDGE_FRACTION``
+    of the window.
+    """
     if not noise_scale > 0.0:
         raise DomainError(f"noise_scale must be positive, got {noise_scale!r}")
     if not curvature > 0.0:
         raise DomainError(f"curvature must be positive, got {curvature!r}")
-    u = path.u_grid
-    ln_z = noise_scale * path.values - 0.25 * curvature * u * u
-    zeta = float(u[int(np.argmax(ln_z))])
-    window = WindowConfig(U=float(abs(u[-1])), du=float(u[1] - u[0]))
-    return LimitLawSample(
-        xi_hat=zeta,
-        xi_tilde=None,
-        window=window,
-        edge_flag=_edge(window, zeta),
-        seed=seed,
-    )
+    u = path.window.nodes()
+    zeta = u[np.argmax(noise_scale * path.values - 0.25 * curvature * u * u, axis=1)]
+    return zeta, np.abs(zeta) > EDGE_FRACTION * path.window.U
 
 
 def default_xi_window(gamma_sq: float, hurst: float) -> WindowConfig:
@@ -418,22 +396,6 @@ def default_zeta_window(noise_scale: float, curvature: float, hurst: float) -> W
     return WindowConfig(U=U, du=U / 2000.0)
 
 
-def sample_xi(
-    gamma_sq: float,
-    hurst: float,
-    window: Optional[WindowConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-) -> LimitLawSample:
-    """Draw one (xi_hat, xi_tilde) pair."""
-    if window is None:
-        window = default_xi_window(gamma_sq, hurst)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    path = sample_fbm(hurst, window.U, window.du, rng)
-    return xi_from_fbm(path, gamma_sq, seed=seed)
-
-
 def sample_xi_batch(
     gamma_sq: float,
     hurst: float,
@@ -441,46 +403,19 @@ def sample_xi_batch(
     rng: np.random.Generator,
     window: Optional[WindowConfig] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draw of ``count`` xi pairs.
+    """Draw ``count`` xi pairs: ``(xi_hat, xi_tilde, edge_flags)`` arrays.
 
-    Returns ``(xi_hat, xi_tilde, edge_flags)`` arrays.  One generator
-    drives the whole batch, so a fixed seed reproduces it bit for bit;
-    paths are generated and reduced ``FBM_BLOCK`` at a time.
+    One generator drives the whole batch, so a fixed seed reproduces it
+    bit for bit; paths are generated and reduced ``FBM_BLOCK`` at a time.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
     if window is None:
         window = default_xi_window(gamma_sq, hurst)
-    gamma = math.sqrt(gamma_sq)
-    u = window.nodes()
-    drift = 0.5 * gamma_sq * np.abs(u) ** (2.0 * hurst)
+    blocks = _fbm_blocks(hurst, window, count, rng)
     xi_hat, xi_tilde = np.empty(count), np.empty(count)
-    for block, vals in _fbm_blocks(hurst, window, count, rng):
-        ln_z = gamma * vals - drift
-        idx = np.argmax(ln_z, axis=1)
-        xi_hat[block] = u[idx]
-        z = np.exp(ln_z - ln_z[np.arange(idx.size), idx][:, None])
-        xi_tilde[block] = np.trapezoid(u * z, u, axis=1) / np.trapezoid(z, u, axis=1)
-    lim = EDGE_FRACTION * window.U
-    flags = (np.abs(xi_hat) > lim) | (np.abs(xi_tilde) > lim)
+    flags = np.empty(count, dtype=bool)
+    for block, paths in blocks:
+        xi_hat[block], xi_tilde[block], flags[block] = xi_from_fbm(paths, gamma_sq)
     return xi_hat, xi_tilde, flags
-
-
-def sample_zeta(
-    noise_scale: float,
-    curvature: float,
-    hurst: float,
-    window: Optional[WindowConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-) -> LimitLawSample:
-    """Draw one zeta_hat (misspecified pseudo-MLE limit)."""
-    if window is None:
-        window = default_zeta_window(noise_scale, curvature, hurst)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    path = sample_fbm(hurst, window.U, window.du, rng)
-    return zeta_from_fbm(path, noise_scale, curvature, seed=seed)
 
 
 def sample_zeta_batch(
@@ -491,25 +426,17 @@ def sample_zeta_batch(
     rng: np.random.Generator,
     window: Optional[WindowConfig] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of ``count`` zeta_hat values with edge flags."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
-    if not (noise_scale > 0.0 and curvature > 0.0):
-        raise DomainError("noise_scale and curvature must be positive")
+    """Draw ``count`` zeta_hat values: ``(zeta_hat, edge_flags)`` arrays."""
     if window is None:
         window = default_zeta_window(noise_scale, curvature, hurst)
-    u = window.nodes()
-    drift = 0.25 * curvature * u * u
-    zeta = np.empty(count)
-    for block, vals in _fbm_blocks(hurst, window, count, rng):
-        zeta[block] = u[np.argmax(noise_scale * vals - drift, axis=1)]
-    flags = np.abs(zeta) > EDGE_FRACTION * window.U
+    blocks = _fbm_blocks(hurst, window, count, rng)
+    zeta, flags = np.empty(count), np.empty(count, dtype=bool)
+    for block, paths in blocks:
+        zeta[block], flags[block] = zeta_from_fbm(paths, noise_scale, curvature)
     return zeta, flags
 
 
-def sample_kappa_limit(
-    fisher: float, count: int, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
+def sample_kappa_limit(fisher: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` draws of the exponent limit Delta/I with Delta~N(0, I).
 
     The quadratic exponent ``v*Delta - v**2*I/2`` peaks at ``v = Delta/I``
@@ -517,6 +444,6 @@ def sample_kappa_limit(
     """
     if not fisher > 0.0:
         raise DomainError(f"fisher information must be positive, got {fisher!r}")
-    if rng is None:
-        rng = np.random.default_rng()
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
     return rng.normal(0.0, math.sqrt(fisher), count) / fisher

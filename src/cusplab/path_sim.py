@@ -26,6 +26,7 @@ from .errors import DomainError
 from .signal_models import Signal, is_location_signal
 
 __all__ = [
+    "DEFAULT_N_STEPS",
     "TimeGrid",
     "ObservationPath",
     "DiscretizationWarning",

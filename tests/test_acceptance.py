@@ -177,10 +177,7 @@ def test_03_location_limit_laws(cusp_limit_run, capfd):
 def test_04_fbm_sampler_covariance(capfd):
     """Sampled fBm covariance vs. the fractional form, plus H=1/2."""
     hurst, U, du, count = 0.75, 2.0, 0.0625, 2000
-    rng = np.random.default_rng(4)
-    values = np.stack(
-        [sample_fbm(hurst, U, du, rng).values for _ in range(count)]
-    )
+    values = sample_fbm(hurst, U, du, count, np.random.default_rng(4)).values
     grid = WindowConfig(U=U, du=du).nodes()
     empirical = values.T @ values / count
     theory = fbm_covariance(grid[:, None], grid[None, :], hurst)
@@ -210,25 +207,18 @@ def test_05_self_similarity_rescaling(capfd):
     hurst, c = 0.75, 2.0
     window = WindowConfig(U=24.0, du=0.024)
     gamma_sq_scaled = gamma_sq / c ** (2.0 * hurst)
-    worst_hat = worst_tilde = 0.0
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        path = sample_fbm(hurst, window.U, window.du, rng)
-        base = xi_from_fbm(path, gamma_sq)
-        scaled = xi_from_fbm(rescale_fbm(path, c), gamma_sq_scaled)
-        worst_hat = max(worst_hat, abs(scaled.xi_hat - c * base.xi_hat))
-        worst_tilde = max(worst_tilde, abs(scaled.xi_tilde - c * base.xi_tilde))
+    paths = sample_fbm(hurst, window.U, window.du, 50, np.random.default_rng(9))
+    base_hat, base_tilde, _ = xi_from_fbm(paths, gamma_sq)
+    scaled_hat, scaled_tilde, _ = xi_from_fbm(rescale_fbm(paths, c), gamma_sq_scaled)
+    worst_hat = float(np.max(np.abs(scaled_hat - c * base_hat)))
+    worst_tilde = float(np.max(np.abs(scaled_tilde - c * base_tilde)))
     direct, _, _ = sample_xi_batch(
         gamma_sq, hurst, 2000, np.random.default_rng(7), window=window
     )
-    rng_rescaled = np.random.default_rng(8)
-    rescaled = np.array([
-        xi_from_fbm(
-            rescale_fbm(sample_fbm(hurst, window.U, window.du, rng_rescaled), c),
-            gamma_sq_scaled,
-        ).xi_hat / c
-        for _ in range(2000)
-    ])
+    rescaled_paths = sample_fbm(
+        hurst, window.U, window.du, 2000, np.random.default_rng(8)
+    )
+    rescaled = xi_from_fbm(rescale_fbm(rescaled_paths, c), gamma_sq_scaled)[0] / c
     ks = ks_statistic(direct, rescaled)
     step = c * window.du
     passed = worst_hat <= step and worst_tilde <= step and ks < 0.05

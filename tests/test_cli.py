@@ -112,6 +112,16 @@ class TestSimulate:
         _, payload_b = _run(capsys, base + ["--seed", "2"])
         assert payload_a["final_values"] != payload_b["final_values"]
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_replications_exit_1(self, capsys, tmp_path, count):
+        # a count below 1 is an error, not a fallback to the config count
+        config = _write_config(tmp_path, {"n_steps": 300, "replications": 2})
+        code, payload = _run(capsys, ["simulate", "--config", config,
+                                      "--replications", count,
+                                      "--out", str(tmp_path)])
+        assert code == 1
+        assert payload is None
+
 
 class TestEstimate:
     def test_zero_noise_mle_recovers_location(self, capsys, tmp_path):
@@ -152,6 +162,23 @@ class TestEstimate:
         config = _write_config(tmp_path, {"estimator": "ridge"})
         code, _ = _run(capsys, ["estimate", "--config", config])
         assert code == 1
+
+    @pytest.mark.parametrize("estimator", ["mle", "bayes"])
+    @pytest.mark.parametrize("name,signal", [
+        ("SignumSignal", {"family": "signum", "a": 1.0, "T": 1.0,
+                          "theta_bounds": [0.35, 0.65]}),
+        ("QuadraticSignal", {"family": "quadratic", "c0": 0.0, "c1": 1.0,
+                             "c2": 0.5, "T": 1.0}),
+    ], ids=["signum", "quadratic"])
+    def test_signal_without_cusp_exponent_exits_1(
+        self, capsys, caplog, tmp_path, estimator, name, signal
+    ):
+        config = _write_config(tmp_path, {"estimator": estimator, "signal": signal,
+                                          "n_steps": 400})
+        code, payload = _run(capsys, ["estimate", "--config", config])
+        assert code == 1
+        assert payload is None
+        assert name in caplog.text
 
 
 class TestLimitLaw:
@@ -203,6 +230,30 @@ class TestLimitLaw:
         with open(payload["csv"], "r", encoding="utf-8") as handle:
             header = handle.readline().strip()
         assert header == "sample_id,zeta_hat,edge_flag"
+
+    @pytest.mark.parametrize("law,count,flag", [
+        ("xi", 5, "0"),
+        ("zeta", 5, "-1"),
+        ("kappa", -3, None),
+        ("kappa", 1, None),
+        ("kappa", 5, "1"),
+    ])
+    def test_bad_count_exits_1(self, capsys, tmp_path, law, count, flag):
+        # the kappa summary is a ddof=1 variance, so it needs two draws
+        argv = ["limit-law", "--config",
+                _write_config(tmp_path, {"law": law, "count": count}),
+                "--out", str(tmp_path)]
+        code, payload = _run(capsys, argv + (["--replications", flag] if flag else []))
+        assert code == 1
+        assert payload is None
+        assert not (tmp_path / f"limit_{law}_samples.csv").exists()
+
+    def test_kappa_law_two_draws(self, capsys, tmp_path):
+        config = _write_config(tmp_path, {"law": "kappa", "count": 2})
+        code, payload = _run(capsys, ["limit-law", "--config", config,
+                                      "--out", str(tmp_path)])
+        assert code == 0
+        assert math.isfinite(payload["variance"])
 
     def test_unknown_law_exits_1(self, capsys, tmp_path):
         config = _write_config(tmp_path, {"law": "eta"})

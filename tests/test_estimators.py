@@ -10,7 +10,6 @@ from cusplab.estimators import (
     EstimationResult,
     JointEstimationResult,
     LikelihoodField,
-    SearchConfig,
     TruncatedNormalPrior,
     UniformPrior,
     bayes,
@@ -29,7 +28,12 @@ from cusplab.estimators import (
     refine_argmax,
 )
 from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
-from cusplab.signal_models import CuspSignal, QuadraticSignal, SmoothedCuspSignal
+from cusplab.signal_models import (
+    CuspSignal,
+    QuadraticSignal,
+    SignumSignal,
+    SmoothedCuspSignal,
+)
 
 BOUNDS = (0.35, 0.65)
 SIG = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=BOUNDS)
@@ -152,32 +156,10 @@ class TestLikelihoodField:
         assert base == moved
 
 
-class TestSearchConfig:
-    def test_defaults(self):
-        cfg = SearchConfig()
-        assert cfg.shrink == 10
-        assert cfg.span == 20
-        assert cfg.starts == 3
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"coarse_step": -1.0},
-            {"target_step": 0.0},
-            {"shrink": 1},
-            {"span": 0},
-            {"starts": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigError):
-            SearchConfig(**kwargs)
-
-
 class TestCoarseGrid:
     def test_step_bounded_by_twice_rate(self):
         rate = location_rate(0.05, 0.75)
-        grid = coarse_grid(BOUNDS, rate, SearchConfig())
+        grid = coarse_grid(BOUNDS, rate)
         step = grid[1] - grid[0]
         assert step <= 2.0 * rate + 1e-15
         assert grid[0] == BOUNDS[0]
@@ -185,12 +167,8 @@ class TestCoarseGrid:
 
     def test_step_never_wider_than_quarter_range(self):
         # even at huge rates the coarse scan keeps at least five nodes
-        grid = coarse_grid(BOUNDS, 10.0, SearchConfig())
+        grid = coarse_grid(BOUNDS, 10.0)
         assert grid.size >= 5
-
-    def test_explicit_coarse_step_override(self):
-        grid = coarse_grid(BOUNDS, 1.0, SearchConfig(coarse_step=0.01))
-        assert grid[1] - grid[0] <= 0.01 + 1e-15
 
 
 class TestRefineArgmax:
@@ -260,7 +238,7 @@ class TestMle:
 
         path = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 7))
         rate = location_rate(path.epsilon, SIG.hurst)
-        grid = coarse_grid(BOUNDS, rate, SearchConfig())
+        grid = coarse_grid(BOUNDS, rate)
         field = log_likelihood_field(path, SIG, grid)
         baseline = mle(path, SIG)
         shortcut = mle(path, SIG, coarse=(grid, field.log_values))
@@ -271,6 +249,17 @@ class TestMle:
         other = CuspSignal(a=1.0, kappa=0.25, T=0.9, theta_bounds=(0.3, 0.6))
         with pytest.raises(DomainError):
             mle(path, other)
+
+    @pytest.mark.parametrize("estimator", [mle, bayes, pseudo_mle])
+    @pytest.mark.parametrize("signal", [
+        SignumSignal(a=1.0, T=1.0, theta_bounds=BOUNDS),
+        QuadraticSignal(c0=0.0, c1=1.0, c2=0.5, T=1.0),
+    ])
+    def test_signal_without_cusp_exponent_rejected(self, estimator, signal):
+        # the family is named before any cusp attribute (hurst) is read
+        path = _zero_noise_path()
+        with pytest.raises(DomainError, match=type(signal).__name__):
+            estimator(path, signal)
 
 
 class TestBayes:

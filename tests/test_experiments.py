@@ -18,7 +18,6 @@ from cusplab.errors import (
     ExperimentError,
     NumericalDegeneracyError,
 )
-from cusplab.estimators import SearchConfig
 from cusplab.experiments import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -181,13 +180,16 @@ class TestExperimentConfig:
                 "scenario": "cusp-mle", "epsilons": [0.05], "jobs": 4,
             })
 
-    def test_search_dict_becomes_config(self):
-        cfg = experiment_config_from_dict({
-            "scenario": "cusp-mle", "epsilons": [0.05],
-            "search": {"span": 10},
-        })
-        assert isinstance(cfg.search, SearchConfig)
-        assert cfg.search.span == 10
+    @pytest.mark.parametrize("key,value", [
+        ("search", {"span": 10}), ("noise_coefficient", "amplitude"),
+    ], ids=["search", "noise_coefficient"])
+    def test_removed_setting_rejected(self, key, value):
+        # the grid-search settings and the misspec noise coefficient are
+        # fixed; a config that still sets them fails like any unknown key
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            experiment_config_from_dict({
+                "scenario": "cusp-mle", "epsilons": [0.05], key: value,
+            })
 
 
 class TestRunExperimentDeterminism:

@@ -23,9 +23,7 @@ from cusplab.limit_laws import (
     rescale_fbm,
     sample_fbm,
     sample_kappa_limit,
-    sample_xi,
     sample_xi_batch,
-    sample_zeta,
     sample_zeta_batch,
     xi_from_fbm,
     zeta_from_fbm,
@@ -208,28 +206,27 @@ class TestZetaScale:
 
 class TestSampleFbm:
     def test_origin_pinned_to_zero(self):
-        path = sample_fbm(0.75, 2.0, 0.25, rng=replication_rng(0, 0))
-        zero_idx = np.where(path.u_grid == 0.0)[0]
+        path = sample_fbm(0.75, 2.0, 0.25, 3, replication_rng(0, 0))
+        zero_idx = np.where(path.window.nodes() == 0.0)[0]
         assert zero_idx.size == 1
-        assert path.values[zero_idx[0]] == 0.0
+        assert path.values.shape == (3, path.window.node_count)
+        assert np.all(path.values[:, zero_idx[0]] == 0.0)
 
     def test_reproducible(self):
-        p1 = sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(3, 1))
-        p2 = sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(3, 1))
+        p1 = sample_fbm(0.75, 1.0, 0.25, 2, replication_rng(3, 1))
+        p2 = sample_fbm(0.75, 1.0, 0.25, 2, replication_rng(3, 1))
         np.testing.assert_array_equal(p1.values, p2.values)
 
     def test_rejects_hurst_outside_range(self):
         with pytest.raises(DomainError):
-            sample_fbm(0.4, 1.0, 0.25)
+            sample_fbm(0.4, 1.0, 0.25, 1, replication_rng(0, 0))
         with pytest.raises(DomainError):
-            sample_fbm(1.0, 1.0, 0.25)
+            sample_fbm(1.0, 1.0, 0.25, 1, replication_rng(0, 0))
 
     def test_empirical_variance_matches_theory(self):
         rng = replication_rng(0, 42)
         hurst, U, du = 0.75, 2.0, 0.5
-        draws = np.array(
-            [sample_fbm(hurst, U, du, rng=rng).values for _ in range(600)]
-        )
+        draws = sample_fbm(hurst, U, du, 600, rng).values
         grid = WindowConfig(U=U, du=du).nodes()
         theory = np.abs(grid) ** (2.0 * hurst)
         observed = draws.var(axis=0, ddof=1)
@@ -240,9 +237,7 @@ class TestSampleFbm:
 
     def test_wiener_case_has_independent_increments(self):
         rng = replication_rng(0, 43)
-        draws = np.array(
-            [sample_fbm(0.5, 2.0, 0.5, rng=rng).values for _ in range(800)]
-        )
+        draws = sample_fbm(0.5, 2.0, 0.5, 800, rng).values
         grid = WindowConfig(U=2.0, du=0.5).nodes()
         i1 = np.where(grid == 0.5)[0][0]
         i2 = np.where(grid == 1.0)[0][0]
@@ -291,50 +286,64 @@ class TestCirculantEmbedding:
         # "negative beyond round-off"
         monkeypatch.setattr(limit_laws, "EIGEN_RTOL", -1.0)
         with pytest.raises(NumericalDegeneracyError):
-            sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(0, 0))
+            sample_fbm(0.75, 1.0, 0.25, 1, replication_rng(0, 0))
 
     def test_rejects_hurst_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            sample_xi_batch(0.5, 1.0, 4, replication_rng(0, 0),
-                            window=WindowConfig(U=1.0, du=0.25))
+        # one check, [1/2, 1), serves every sampler
+        window = WindowConfig(U=1.0, du=0.25)
+        for hurst in (0.4, 1.0):
+            with pytest.raises(DomainError):
+                sample_xi_batch(0.5, hurst, 4, replication_rng(0, 0), window=window)
+            with pytest.raises(DomainError):
+                sample_zeta_batch(0.7, 2.0, hurst, 4, replication_rng(0, 0),
+                                  window=window)
 
     def test_large_window_samples_without_cap(self):
         window = WindowConfig(U=10.0, du=0.0005)
         assert window.node_count == 40001
-        path = sample_fbm(0.75, window.U, window.du, rng=replication_rng(2, 0))
-        assert path.values.shape == path.u_grid.shape == (40001,)
-        assert path.values[window.half_count] == 0.0
-        assert path.u_grid[window.half_count] == 0.0
+        path = sample_fbm(0.75, window.U, window.du, 1, replication_rng(2, 0))
+        assert path.values.shape == (1, 40001)
+        assert path.values[0, window.half_count] == 0.0
+        assert path.window.nodes()[window.half_count] == 0.0
         assert np.all(np.isfinite(path.values))
 
 
 class TestRescaleFbm:
     def test_exact_scaling(self):
-        path = sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(1, 0))
+        path = sample_fbm(0.75, 1.0, 0.25, 2, replication_rng(1, 0))
         c = 3.0
         scaled = rescale_fbm(path, c)
-        np.testing.assert_array_equal(scaled.u_grid, c * path.u_grid)
+        assert scaled.window == WindowConfig(U=3.0, du=0.75)
+        np.testing.assert_allclose(
+            scaled.window.nodes(), c * path.window.nodes(), rtol=1e-15
+        )
         np.testing.assert_array_equal(scaled.values, c**0.75 * path.values)
         assert scaled.hurst == path.hurst
 
     def test_rejects_nonpositive_factor(self):
-        path = sample_fbm(0.75, 1.0, 0.25, rng=replication_rng(1, 1))
+        path = sample_fbm(0.75, 1.0, 0.25, 1, replication_rng(1, 1))
         with pytest.raises(DomainError):
             rescale_fbm(path, 0.0)
 
 
-def _flat_path(hurst=0.75, U=2.0, du=0.125):
-    grid = WindowConfig(U=U, du=du).nodes()
-    return FbmPath(hurst=hurst, u_grid=grid, values=np.zeros_like(grid))
+def _path(values, hurst=0.75, U=2.0, du=0.125):
+    """Paths with the given rows of values on the window ``[-U, U]``."""
+    window = WindowConfig(U=U, du=du)
+    return FbmPath(hurst=hurst, window=window, values=np.atleast_2d(values))
+
+
+def _flat_path():
+    return _path(np.zeros(WindowConfig(U=2.0, du=0.125).node_count))
 
 
 class TestXiFromFbm:
     def test_flat_path_gives_zero(self):
         # with W identically 0 the field is -Gamma^2/2*|u|^{2H}, peaked at 0
-        sample = xi_from_fbm(_flat_path(), gamma_sq=0.5)
-        assert sample.xi_hat == 0.0
-        assert sample.xi_tilde == pytest.approx(0.0, abs=1e-12)
-        assert not sample.edge_flag
+        xi_hat, xi_tilde, flags = xi_from_fbm(_flat_path(), gamma_sq=0.5)
+        assert xi_hat.shape == xi_tilde.shape == flags.shape == (1,)
+        assert xi_hat[0] == 0.0
+        assert xi_tilde[0] == pytest.approx(0.0, abs=1e-12)
+        assert not flags[0]
 
     def test_argmax_tie_breaks_toward_smaller_u(self):
         grid = WindowConfig(U=1.0, du=0.5).nodes()
@@ -342,28 +351,41 @@ class TestXiFromFbm:
         # craft values so the field is exactly equal at u = -0.5 and +0.5
         comp = 0.5 * np.abs(grid) ** (2.0 * hurst)
         values = np.where(np.abs(grid) == 0.5, comp + 1.0, comp)
-        path = FbmPath(hurst=hurst, u_grid=grid, values=values)
-        sample = xi_from_fbm(path, gamma_sq=1.0)
-        assert sample.xi_hat == -0.5
+        xi_hat, _, _ = xi_from_fbm(_path(values, hurst, 1.0, 0.5), gamma_sq=1.0)
+        assert xi_hat[0] == -0.5
 
     def test_edge_flag_set_for_boundary_argmax(self):
         grid = WindowConfig(U=2.0, du=0.125).nodes()
         ramp = np.linspace(0.0, 100.0, grid.size)
-        path = FbmPath(hurst=0.75, u_grid=grid, values=ramp)
-        sample = xi_from_fbm(path, gamma_sq=1e-6)
-        assert sample.xi_hat == grid[-1]
-        assert sample.edge_flag
+        xi_hat, _, flags = xi_from_fbm(_path(ramp), gamma_sq=1e-6)
+        assert xi_hat[0] == grid[-1]
+        assert flags[0]
 
     def test_rejects_nonpositive_gamma_sq(self):
         with pytest.raises(DomainError):
             xi_from_fbm(_flat_path(), gamma_sq=0.0)
 
+    def test_degenerate_normalization_raises(self):
+        values = np.zeros((2, WindowConfig(U=2.0, du=0.125).node_count))
+        values[1, 3] = np.nan
+        with pytest.raises(NumericalDegeneracyError):
+            xi_from_fbm(_path(values), gamma_sq=0.5)
+
+    def test_block_reduces_like_single_rows(self):
+        paths = sample_fbm(0.75, 2.0, 0.125, 5, replication_rng(4, 0))
+        block = xi_from_fbm(paths, gamma_sq=0.5)
+        for i in range(5):
+            row = xi_from_fbm(_path(paths.values[i]), gamma_sq=0.5)
+            for whole, single in zip(block, row):
+                assert whole[i] == single[0]
+
 
 class TestZetaFromFbm:
     def test_flat_path_gives_zero(self):
-        sample = zeta_from_fbm(_flat_path(), noise_scale=0.7, curvature=2.0)
-        assert sample.xi_hat == 0.0
-        assert sample.xi_tilde is None
+        zeta, flags = zeta_from_fbm(_flat_path(), noise_scale=0.7, curvature=2.0)
+        assert zeta.shape == flags.shape == (1,)
+        assert zeta[0] == 0.0
+        assert not flags[0]
 
     def test_rejects_bad_constants(self):
         with pytest.raises(DomainError):
@@ -375,12 +397,41 @@ class TestZetaFromFbm:
 class TestSamplers:
     WINDOW = WindowConfig(U=10.0, du=0.05)
 
-    def test_sample_xi_reproducible_via_seed(self):
-        s1 = sample_xi(0.5, 0.75, window=self.WINDOW, seed=11)
-        s2 = sample_xi(0.5, 0.75, window=self.WINDOW, seed=11)
-        assert s1.xi_hat == s2.xi_hat
-        assert s1.xi_tilde == s2.xi_tilde
-        assert s1.seed == 11
+    @pytest.mark.parametrize("law", ["xi", "zeta"])
+    def test_batch_is_reduction_of_sample_fbm(self, law):
+        # the same seed gives the same paths, blocks included, and one
+        # reduction per law serves the batch and the per-path callers
+        w, count = self.WINDOW, FBM_BLOCK + 3
+        paths = sample_fbm(0.75, w.U, w.du, count, np.random.default_rng(11))
+        if law == "xi":
+            batch = sample_xi_batch(0.5, 0.75, count, np.random.default_rng(11), w)
+            direct = xi_from_fbm(paths, 0.5)
+        else:
+            batch = sample_zeta_batch(0.7, 2.0, 0.75, count,
+                                      np.random.default_rng(11), w)
+            direct = zeta_from_fbm(paths, 0.7, 2.0)
+        for a, b in zip(batch, direct):
+            np.testing.assert_array_equal(a, b)
+
+    def test_batch_normalization_checked(self, monkeypatch):
+        def nan_paths(scale, half_count, normals):
+            return np.full((2 * normals.shape[0], 2 * half_count + 1), np.nan)
+
+        monkeypatch.setattr(limit_laws, "_fbm_paths", nan_paths)
+        with pytest.raises(NumericalDegeneracyError):
+            sample_xi_batch(0.5, 0.75, 4, replication_rng(5, 3), window=self.WINDOW)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        w = self.WINDOW
+        for draw in (
+            lambda rng: sample_fbm(0.75, w.U, w.du, count, rng),
+            lambda rng: sample_xi_batch(0.5, 0.75, count, rng, window=w),
+            lambda rng: sample_zeta_batch(0.7, 2.0, 0.75, count, rng, window=w),
+            lambda rng: sample_kappa_limit(FISHER_REF, count, rng),
+        ):
+            with pytest.raises(DomainError):
+                draw(replication_rng(5, 4))
 
     def test_sample_xi_batch_deterministic(self):
         a1 = sample_xi_batch(0.5, 0.75, 32, replication_rng(5, 0), window=self.WINDOW)
@@ -418,11 +469,6 @@ class TestSamplers:
                 assert a.shape == (count,)
                 np.testing.assert_array_equal(a, b)
 
-    def test_sample_zeta_reproducible_via_seed(self):
-        s1 = sample_zeta(0.7, 2.0, 0.75, window=self.WINDOW, seed=4)
-        s2 = sample_zeta(0.7, 2.0, 0.75, window=self.WINDOW, seed=4)
-        assert s1.xi_hat == s2.xi_hat
-
     def test_sample_kappa_limit_variance(self):
         fisher = FISHER_REF
         draws = sample_kappa_limit(fisher, 20_000, replication_rng(9, 0))
@@ -435,4 +481,4 @@ class TestSamplers:
 
     def test_sample_kappa_limit_rejects_bad_fisher(self):
         with pytest.raises(DomainError):
-            sample_kappa_limit(0.0, 10)
+            sample_kappa_limit(0.0, 10, replication_rng(9, 1))
