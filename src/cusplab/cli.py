@@ -15,8 +15,11 @@ Conventions: results go to standard output and files under ``--out``;
 diagnostics go to standard error.  Exit status is 0 on success, 1 on
 configuration or domain errors (including usage errors), and 2 on
 numerical failures (degeneracy, ambiguity, failed experiment guards).
-Command-line overrides always win over config-file values, and every
-report echoes the effective configuration.
+
+Each subcommand takes only the flags it reads (``_FLAGS``) and the config
+keys it reads (``_KEYS``; for sweeps the ``ExperimentConfig`` fields); any
+other is an error before anything runs.  A flag given always overrides the
+config key it maps to, and every report echoes the effective configuration.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .errors import (
 )
 from .estimators import bayes, mle, prior_from_config
 from .experiments import (
+    _SIGNAL_DEFAULTS,
     SCHEMA_VERSION,
     experiment_config_from_dict,
     misspec_problem,
@@ -54,13 +58,78 @@ from .limit_laws import (
     sample_zeta_batch,
     zeta_scale,
 )
-from .misspec_analysis import solve_theta_hat
-from .path_sim import TimeGrid, replication_rng, simulate_path, write_path_csv
+from .misspec_analysis import MisspecProblem, solve_theta_hat
+from .path_sim import DEFAULT_N_STEPS, TimeGrid, replication_rng, simulate_path
+from .path_sim import write_path_csv
 from .signal_models import signal_from_config
 
 __all__ = ["main"]
 
 log = logging.getLogger("cusplab")
+
+
+def _parse_epsilons(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
+    return values
+
+
+_FLAG_ARGS = {
+    "--seed": {"type": int, "help": "master seed override"},
+    "--out": {"help": "output directory (created if missing)"},
+    "--threads": {"type": int, "help": "worker thread cap"},
+    "--zero-noise": {"action": "store_true", "help": "drift-only paths, no noise term"},
+    "--epsilon": {"type": _parse_epsilons, "help": "noise levels, e.g. 0.05,0.02,0.01"},
+    "--replications": {"type": int, "help": "replication / sample count override"},
+    "--dump-paths": {"action": "store_true", "help": "one t,x CSV per path under --out"},
+}
+
+_SWEEP_FLAGS = {
+    "--seed": "master_seed", "--out": "out_dir", "--threads": "threads",
+    "--zero-noise": "zero_noise", "--epsilon": "epsilons",
+    "--replications": "replications",
+}
+
+#: The flags of each config-driven subcommand besides ``--config`` and
+#: ``-v``, each with the config key it overrides (``None``: a flag the
+#: handler reads itself, with no config key).
+_FLAGS = {
+    "simulate": {"--seed": "master_seed", "--out": "out_dir",
+                 "--replications": "replications", "--zero-noise": None,
+                 "--dump-paths": None},
+    "estimate": {"--seed": "master_seed", "--zero-noise": None},
+    "limit-law": {"--seed": "master_seed", "--out": "out_dir",
+                  "--replications": "count"},
+    "misspec": {"--out": "out_dir"},
+    "rate": _SWEEP_FLAGS,
+    "kappa": _SWEEP_FLAGS,
+    "joint": _SWEEP_FLAGS,
+}
+
+_CUSP = _SIGNAL_DEFAULTS["cusp-mle"]
+_MISSPEC = _SIGNAL_DEFAULTS["misspec"]
+_PATH_KEYS = {
+    "signal": {"family": "cusp",
+               **{k: _CUSP[k] for k in ("a", "kappa", "T", "theta_bounds")}},
+    "theta_true": _CUSP["theta0"],
+    "epsilon": 0.01,
+    "n_steps": DEFAULT_N_STEPS,
+    "master_seed": 0,
+}
+
+#: The config keys of each non-sweep subcommand and their defaults.
+_KEYS = {
+    "simulate": {**_PATH_KEYS, "replications": 1, "out_dir": "."},
+    "estimate": {**_PATH_KEYS, "estimator": "mle", "prior": {"name": "uniform"}},
+    "limit-law": {"law": "xi", "count": 2000, "master_seed": 0, "out_dir": ".",
+                  **_MISSPEC, "rho": _SIGNAL_DEFAULTS["kappa"]["rho"],
+                  "curvature": None},
+    "misspec": {**_MISSPEC, "quad_order": MisspecProblem.quad_order, "out_dir": "."},
+}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -78,35 +147,49 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+def _settings(args) -> dict:
+    """The config file, checked against and filled from ``_KEYS`` (sweep
+    configs are checked later), with each flag given overriding its key."""
+    config = _load_config(args.config)
+    defaults = _KEYS.get(args.command)
+    if defaults is not None:
+        unknown = set(config) - set(defaults)
+        if unknown:
+            raise ConfigError(
+                f"unknown {args.command} config keys: {sorted(unknown)}; "
+                f"valid: {sorted(defaults)}"
+            )
+        config = {**defaults, **config}
+    for key in filter(None, _FLAGS[args.command].values()):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    return config
+
+
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _parse_epsilons(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse epsilon list {text!r}: {exc}") from None
-    if not values:
-        raise ConfigError(f"empty epsilon list {text!r}")
-    return values
+def _count(config: dict, key: str, minimum: int = 1) -> int:
+    """``config[key]``, which must be at least ``minimum``."""
+    if config[key] < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {config[key]!r}")
+    return config[key]
 
 
-def _count(args, config: dict, key: str, default: int, minimum: int = 1) -> int:
-    """The ``--replications`` override, else ``config[key]``; at least ``minimum``."""
-    count = args.replications
-    if count is None:
-        count = config.get(key, default)
-    if count < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {count!r}")
-    return count
+def _out_dir(config: dict) -> str:
+    os.makedirs(config["out_dir"], exist_ok=True)
+    return config["out_dir"]
 
 
-def _out_dir(args, config: dict) -> str:
-    out = args.out if args.out is not None else config.get("out_dir", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write_samples(path: str, header: str, *columns: np.ndarray) -> None:
+    """``sample_id,<header>``, then one row per draw: floats by ``repr``, flags 0/1."""
+    cells = [(c.astype(int) if c.dtype == bool else c).tolist() for c in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"sample_id,{header}\n")
+        for i, row in enumerate(zip(*cells)):
+            handle.write(",".join(map(repr, (i, *row))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +216,19 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _signal_from(config: dict):
-    spec = config.get("signal", {"family": "cusp", "a": 1.0, "kappa": 0.25,
-                                 "T": 1.0, "theta_bounds": [0.35, 0.65]})
-    return signal_from_config(spec)
-
-
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    signal = _signal_from(config)
-    theta = config.get("theta_true", 0.5)
-    epsilon = config.get("epsilon", 0.01)
-    n_steps = config.get("n_steps", 10_000)
-    count = _count(args, config, "replications", 1)
-    seed = args.seed if args.seed is not None else config.get("master_seed", 0)
-    out = _out_dir(args, config)
-    grid = TimeGrid(signal.T, n_steps)
+    config = _settings(args)
+    signal = signal_from_config(config["signal"])
+    epsilon = config["epsilon"]
+    count = _count(config, "replications")
+    out = _out_dir(config)
+    grid = TimeGrid(signal.T, config["n_steps"])
     files = []
     finals = []
     for rep in range(count):
-        rng = replication_rng(seed, rep)
+        rng = replication_rng(config["master_seed"], rep)
         path = simulate_path(
-            signal, theta, epsilon, grid, rng=rng,
+            signal, config["theta_true"], epsilon, grid, rng=rng,
             zero_noise=args.zero_noise, seed=rep,
         )
         finals.append(float(path.cumulative()[-1]))
@@ -166,12 +240,9 @@ def _cmd_simulate(args) -> int:
     log.info("simulated %d path(s) at epsilon=%g", count, epsilon)
     _emit({
         "schema_version": SCHEMA_VERSION,
-        "replications": count,
-        "epsilon": epsilon,
-        "n_steps": n_steps,
-        "theta_true": theta,
-        "zero_noise": bool(args.zero_noise),
-        "master_seed": seed,
+        **{k: config[k] for k in ("replications", "epsilon", "n_steps", "theta_true",
+                                  "master_seed")},
+        "zero_noise": args.zero_noise,
         "final_values": finals,
         "files": files,
     })
@@ -179,26 +250,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    config = _load_config(args.config)
-    signal = _signal_from(config)
-    theta = config.get("theta_true", 0.5)
-    epsilon = config.get("epsilon", 0.01)
-    n_steps = config.get("n_steps", 10_000)
-    seed = args.seed if args.seed is not None else config.get("master_seed", 0)
-    estimator = config.get("estimator", "mle")
-    grid = TimeGrid(signal.T, n_steps)
-    rng = replication_rng(seed, 0)
+    config = _settings(args)
+    signal = signal_from_config(config["signal"])
+    estimator = config["estimator"]
+    grid = TimeGrid(signal.T, config["n_steps"])
+    rng = replication_rng(config["master_seed"], 0)
     path = simulate_path(
-        signal, theta, epsilon, grid, rng=rng, zero_noise=args.zero_noise
+        signal, config["theta_true"], config["epsilon"], grid, rng=rng,
+        zero_noise=args.zero_noise,
     )
     if estimator == "mle":
         result = mle(path, signal)
     elif estimator == "bayes":
-        prior_cfg = dict(config.get("prior", {"name": "uniform"}))
-        prior = prior_from_config(
-            prior_cfg.pop("name", "uniform"), prior_cfg
-        )
-        result = bayes(path, signal, prior)
+        result = bayes(path, signal, prior_from_config(config["prior"]))
     else:
         raise ConfigError(
             f"unknown estimator {estimator!r}; valid: ['bayes', 'mle']"
@@ -207,39 +271,30 @@ def _cmd_estimate(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "estimator": result.estimator,
         "estimate": result.estimate,
-        "theta_true": theta,
-        "epsilon": epsilon,
+        **{k: config[k] for k in ("theta_true", "epsilon", "master_seed")},
         "rate": result.rate,
         "normalized_error": result.normalized_error,
         "boundary": result.boundary,
         "grid_step": result.grid_step,
         "refinement_levels": result.refinement_levels,
-        "master_seed": seed,
     })
     return 0
 
 
 def _cmd_limit_law(args) -> int:
-    config = _load_config(args.config)
-    law = config.get("law", "xi")
-    a = config.get("a", 1.0)
-    kappa = config.get("kappa", 0.25)
+    config = _settings(args)
+    law, a, kappa = config["law"], config["a"], config["kappa"]
+    if law not in ("kappa", "xi", "zeta"):
+        raise ConfigError(f"unknown limit law {law!r}; valid: ['kappa', 'xi', 'zeta']")
     hurst = kappa + 0.5
-    count = _count(args, config, "count", 2000, minimum=2 if law == "kappa" else 1)
-    seed = args.seed if args.seed is not None else config.get("master_seed", 0)
-    out = _out_dir(args, config)
-    rng = replication_rng(seed, 0)
+    count = _count(config, "count", minimum=2 if law == "kappa" else 1)
+    out = _out_dir(config)
+    rng = replication_rng(config["master_seed"], 0)
     csv_path = os.path.join(out, f"limit_{law}_samples.csv")
     if law == "xi":
         gamma_sq = gamma_squared(a, kappa)
         xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("sample_id,xi_hat,xi_tilde,edge_flag\n")
-            for i in range(count):
-                handle.write(
-                    f"{i},{float(xi_hat[i])!r},{float(xi_tilde[i])!r},"
-                    f"{int(flags[i])}\n"
-                )
+        _write_samples(csv_path, "xi_hat,xi_tilde,edge_flag", xi_hat, xi_tilde, flags)
         summary = {
             "law": "xi",
             "gamma_sq": gamma_sq,
@@ -250,15 +305,12 @@ def _cmd_limit_law(args) -> int:
         }
     elif law == "zeta":
         problem, noise_scale = misspec_problem(config)
-        if "curvature" in config:
-            curvature = float(config["curvature"])
-        else:
+        if config["curvature"] is None:
             curvature = solve_theta_hat(problem).curvature_closed
+        else:
+            curvature = float(config["curvature"])
         zeta, flags = sample_zeta_batch(noise_scale, curvature, hurst, count, rng)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("sample_id,zeta_hat,edge_flag\n")
-            for i in range(count):
-                handle.write(f"{i},{float(zeta[i])!r},{int(flags[i])}\n")
+        _write_samples(csv_path, "zeta_hat,edge_flag", zeta, flags)
         summary = {
             "law": "zeta",
             "noise_scale": noise_scale,
@@ -268,30 +320,21 @@ def _cmd_limit_law(args) -> int:
             "mean_sq_zeta": float((zeta**2).mean()),
             "edge_fraction": float(flags.mean()),
         }
-    elif law == "kappa":
-        rho = config.get("rho", 0.5)
-        T = config.get("T", 1.0)
-        fisher = fisher_info_kappa(a, rho, T, kappa)
+    else:
+        fisher = fisher_info_kappa(a, config["rho"], config["T"], kappa)
         samples = sample_kappa_limit(fisher, count, rng)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("sample_id,kappa_limit\n")
-            for i in range(count):
-                handle.write(f"{i},{float(samples[i])!r}\n")
+        _write_samples(csv_path, "kappa_limit", samples)
         summary = {
             "law": "kappa",
             "fisher_kappa": fisher,
             "variance": float(samples.var(ddof=1)),
             "limit_variance": 1.0 / fisher,
         }
-    else:
-        raise ConfigError(
-            f"unknown limit law {law!r}; valid: ['kappa', 'xi', 'zeta']"
-        )
     log.info("wrote %d %s samples to %s", count, law, csv_path)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "count": count,
-        "master_seed": seed,
+        "master_seed": config["master_seed"],
         "csv": csv_path,
         **summary,
     })
@@ -299,8 +342,8 @@ def _cmd_limit_law(args) -> int:
 
 
 def _cmd_misspec(args) -> int:
-    config = _load_config(args.config)
-    problem, _ = misspec_problem(config, quad_order=config.get("quad_order", 200))
+    config = _settings(args)
+    problem, _ = misspec_problem(config, quad_order=config["quad_order"])
     cusp, real = problem.theoretical, problem.real
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -312,7 +355,7 @@ def _cmd_misspec(args) -> int:
         **dataclasses.asdict(solve_theta_hat(problem)),
         "rate_exponent": 2.0 / (3.0 - 2.0 * cusp.kappa),
     }
-    out = _out_dir(args, config)
+    out = _out_dir(config)
     path = os.path.join(out, "misspec_solution.json")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
@@ -322,25 +365,13 @@ def _cmd_misspec(args) -> int:
     return 0
 
 
-def _run_sweep(args, forced_scenario: Optional[str] = None) -> int:
-    config = _load_config(args.config)
-    if forced_scenario is not None:
-        config["scenario"] = forced_scenario
+def _cmd_sweep(args) -> int:
+    """``rate`` runs the config's scenario; ``kappa`` and ``joint`` pin theirs."""
+    config = _settings(args)
+    if args.command != "rate":
+        config["scenario"] = args.command
     config.setdefault("scenario", "cusp-mle")
-    if args.seed is not None:
-        config["master_seed"] = args.seed
-    if args.out is not None:
-        config["out_dir"] = args.out
-    if args.threads is not None:
-        config["threads"] = args.threads
-    if args.epsilon is not None:
-        config["epsilons"] = list(_parse_epsilons(args.epsilon))
-    if args.replications is not None:
-        config["replications"] = args.replications
-    if args.zero_noise:
-        config["zero_noise"] = True
     experiment = experiment_config_from_dict(config)
-    os.makedirs(experiment.out_dir, exist_ok=True)
     log.info(
         "running scenario %s: epsilons=%s, N=%d",
         experiment.scenario, list(experiment.epsilons), experiment.replications,
@@ -351,41 +382,9 @@ def _run_sweep(args, forced_scenario: Optional[str] = None) -> int:
     return 0
 
 
-def _cmd_rate(args) -> int:
-    return _run_sweep(args)
-
-
-def _cmd_kappa(args) -> int:
-    return _run_sweep(args, forced_scenario="kappa")
-
-
-def _cmd_joint(args) -> int:
-    return _run_sweep(args, forced_scenario="joint")
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--out", help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, help="worker thread cap")
-    parser.add_argument(
-        "--zero-noise", action="store_true",
-        help="suppress the noise term (deterministic drift-only paths)",
-    )
-    parser.add_argument(
-        "--epsilon", help="comma-separated noise levels, e.g. 0.05,0.02,0.01"
-    )
-    parser.add_argument(
-        "--replications", type=int, help="replication / sample count override"
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true", help="verbose diagnostics on stderr"
-    )
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -397,37 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="draw observation paths")
-    p.add_argument(
-        "--dump-paths", action="store_true",
-        help="write one t,x CSV per replication under --out",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("estimate", help="estimate the location on one path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("limit-law", help="sample limit variables to CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_limit_law)
-
-    p = sub.add_parser("rate", help="Monte Carlo sweep over noise levels")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rate)
-
-    p = sub.add_parser("misspec", help="deterministic misspecification analysis")
-    _add_common(p)
-    p.set_defaults(func=_cmd_misspec)
-
-    p = sub.add_parser("kappa", help="exponent-estimation sweep")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kappa)
-
-    p = sub.add_parser("joint", help="joint location/exponent sweep")
-    _add_common(p)
-    p.set_defaults(func=_cmd_joint)
+    for name, func, help_text in (
+        ("simulate", _cmd_simulate, "draw observation paths"),
+        ("estimate", _cmd_estimate, "estimate the location on one path"),
+        ("limit-law", _cmd_limit_law, "sample limit variables to CSV"),
+        ("rate", _cmd_sweep, "Monte Carlo sweep over noise levels"),
+        ("misspec", _cmd_misspec, "deterministic misspecification analysis"),
+        ("kappa", _cmd_sweep, "exponent-estimation sweep"),
+        ("joint", _cmd_sweep, "joint location/exponent sweep"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        for flag, key in _FLAGS[name].items():
+            # an override left off the command line reads None, not False
+            override = {"dest": key, "default": None} if key else {}
+            p.add_argument(flag, **_FLAG_ARGS[flag], **override)
+        p.add_argument(
+            "-v", "--verbose", action="store_true", help="verbose diagnostics on stderr"
+        )
+        p.set_defaults(func=func)
 
     p = sub.add_parser("constants", help="print the analytic constants")
     p.add_argument("--a", type=float, default=1.0, help="cusp amplitude")
@@ -450,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.INFO,
+        level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(message)s",
     )
     try:

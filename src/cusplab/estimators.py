@@ -460,21 +460,22 @@ class TruncatedNormalPrior:
         return np.exp(-0.5 * z * z)
 
 
-def prior_from_config(name: str, params: Optional[dict] = None):
-    """Build a prior from its catalog name; unknown names are listed."""
-    params = dict(params or {})
-    if name == "uniform":
-        return UniformPrior()
-    if name == "truncated_normal":
-        try:
-            return TruncatedNormalPrior(mean=params["mean"], std=params["std"])
-        except KeyError as exc:
-            raise ConfigError(
-                f"truncated_normal prior requires parameter {exc.args[0]!r}"
-            ) from None
-    raise ConfigError(
-        f"unknown prior {name!r}; valid names: ['truncated_normal', 'uniform']"
-    )
+def prior_from_config(block: dict):
+    """Build a prior from a ``{"name": ..., <parameters>}`` config block.
+
+    The name defaults to ``uniform``; an unknown name, a missing parameter
+    or one the prior does not read raises ``ConfigError``.
+    """
+    params = dict(block)
+    name = params.pop("name", "uniform")
+    priors = {"uniform": (UniformPrior, []),
+              "truncated_normal": (TruncatedNormalPrior, ["mean", "std"])}
+    if name not in priors:
+        raise ConfigError(f"unknown prior {name!r}; valid names: {sorted(priors)}")
+    prior, names = priors[name]
+    if sorted(params) != names:
+        raise ConfigError(f"{name} prior takes parameters {names}, got {sorted(params)}")
+    return prior(**params)
 
 
 #: Log-likelihood drop below the observed maximum beyond which posterior

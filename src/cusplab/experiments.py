@@ -399,8 +399,9 @@ def misspec_problem(
 ) -> tuple[MisspecProblem, float]:
     """Misspecification problem and noise scale for signal parameters.
 
-    ``params`` overrides the ``misspec`` scenario defaults (other keys
-    are ignored).  The noise scale multiplying the fBm of the limit law
+    ``params`` overrides the ``misspec`` scenario defaults; other keys are
+    ignored here (the CLI has rejected those its subcommand does not
+    read).  The noise scale multiplying the fBm of the limit law
     is ``Gamma = sqrt(gamma_squared(a, kappa))``: the noise term
     ``int [M(theta_hat + phi*u, t) - M(theta_hat, t)] dW`` has standard
     deviation ``Gamma * phi**H * |u|**H``.
@@ -424,10 +425,7 @@ def misspec_problem(
 def _location(config, t, signal, truth, drift, rate, names, **rest) -> _Spec:
     """A location scenario running the estimators ``names`` per path."""
     (target,) = truth.values()
-    prior = prior_from_config(
-        config.prior.get("name", "uniform"),
-        {k: v for k, v in config.prior.items() if k != "name"},
-    )
+    prior = prior_from_config(config.prior)
     calls = {
         "mle": lambda path, c: mle(path, signal, target=target, coarse=c),
         "bayes": lambda path, c: bayes(path, signal, prior, target=target, coarse=c),

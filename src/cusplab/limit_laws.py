@@ -374,6 +374,8 @@ def default_xi_window(gamma_sq: float, hurst: float) -> WindowConfig:
     thirty times its scale; empirically the edge-flag rate stays far
     below 0.1%.
     """
+    if not gamma_sq > 0.0:
+        raise DomainError(f"gamma_sq must be positive, got {gamma_sq!r}")
     U = 30.0 * gamma_sq ** (-0.5 / hurst)
     return WindowConfig(U=U, du=U / 2000.0)
 

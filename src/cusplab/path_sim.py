@@ -93,6 +93,8 @@ class ObservationPath:
             )
         if not (0.0 < self.epsilon <= 1.0):
             raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+        if not np.isfinite(inc).all():
+            raise DomainError("increments must be finite (found nan or inf)")
         object.__setattr__(self, "increments", inc)
 
     def cumulative(self) -> np.ndarray:

@@ -258,8 +258,9 @@ class TestLimitLaw:
     def test_unknown_law_exits_1(self, capsys, tmp_path):
         config = _write_config(tmp_path, {"law": "eta"})
         code, _ = _run(capsys, ["limit-law", "--config", config,
-                                "--out", str(tmp_path)])
+                                "--out", str(tmp_path / "out")])
         assert code == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestMisspec:
@@ -338,6 +339,15 @@ class TestSweeps:
         assert effective["replications"] == 4
         assert effective["epsilons"] == [0.04]
 
+    @pytest.mark.parametrize("text", ["abc", ",", "0.05,x"])
+    def test_unparsable_epsilon_list_is_usage_error(self, capsys, tmp_path, text):
+        config = _write_config(tmp_path, {"scenario": "cusp-mle", "epsilons": [0.05]})
+        code, payload = _run(capsys, ["rate", "--config", config, "--epsilon", text,
+                                      "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert payload is None
+        assert not (tmp_path / "e").exists()
+
     def test_kappa_subcommand_forces_scenario(self, capsys, tmp_path):
         config = _write_config(
             tmp_path,
@@ -413,6 +423,71 @@ class TestSweeps:
             ["rate", "--config", config, "--out", str(tmp_path / "d")],
         )
         assert code == 1
+
+
+#: (subcommand, flag) pairs where the subcommand does not read the flag.
+DEAD_FLAGS = [
+    ("simulate", "--threads"), ("simulate", "--epsilon"),
+    ("estimate", "--out"), ("estimate", "--threads"), ("estimate", "--epsilon"),
+    ("estimate", "--replications"),
+    ("limit-law", "--threads"), ("limit-law", "--zero-noise"), ("limit-law", "--epsilon"),
+    ("misspec", "--seed"), ("misspec", "--threads"), ("misspec", "--zero-noise"),
+    ("misspec", "--epsilon"), ("misspec", "--replications"),
+]
+FLAG_VALUES = {"--threads": ["2"], "--epsilon": ["0.5"], "--out": ["out"],
+               "--replications": ["3"], "--zero-noise": [], "--seed": ["1"]}
+
+
+class TestFlagsAndKeys:
+    @pytest.mark.parametrize("command,flag", DEAD_FLAGS)
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, command, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, payload = _run(capsys, [command, flag, *FLAG_VALUES[flag]])
+        assert code == 1
+        assert payload is None
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", {"epsilon": 0.05, "n_step": 300}),
+        ("estimate", {"estmator": "bayes"}),
+        ("limit-law", {"law": "xi", "cont": 5}),
+        ("limit-law", {"law": "zeta", "count": 5, "noise_coefficient": "amplitude"}),
+        ("misspec", {"kapa": 0.3}),
+    ])
+    def test_unknown_config_key_exits_1_before_any_output(
+        self, capsys, caplog, tmp_path, monkeypatch, command, config
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", _write_config(tmp_path, config)]
+        if command != "estimate":
+            argv += ["--out", str(tmp_path / "out")]
+        code, payload = _run(capsys, argv)
+        assert code == 1
+        assert payload is None
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        (unknown,) = set(config) - {"law", "epsilon", "count"}
+        assert unknown in caplog.text
+
+    @pytest.mark.parametrize("command,config,count_key", [
+        ("simulate", {"n_steps": 300, "epsilon": 0.05}, "replications"),
+        ("limit-law", {"law": "xi"}, "count"),
+    ])
+    def test_seed_and_replications_override_config(
+        self, capsys, tmp_path, command, config, count_key
+    ):
+        out = ["--out", str(tmp_path)]
+        flagged = _write_config(tmp_path, {**config, "master_seed": 1, count_key: 5},
+                                "flagged.json")
+        code, payload = _run(capsys, [command, "--config", flagged, *out,
+                                      "--seed", "9", "--replications", "3"])
+        assert code == 0
+        assert payload["master_seed"] == 9
+        assert payload[count_key] == 3
+        plain = _write_config(tmp_path, {**config, "master_seed": 9, count_key: 3},
+                              "plain.json")
+        assert _run(capsys, [command, "--config", plain, *out]) == (0, payload)
 
 
 class TestErrorHandling:

@@ -1,5 +1,6 @@
 """The README quick start runs, and the package exports match the modules."""
 
+import argparse
 import ast
 import importlib
 import pathlib
@@ -9,6 +10,7 @@ import re
 import pytest
 
 import cusplab
+from cusplab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = {
@@ -49,3 +51,31 @@ def test_package_imports_only_exported_names():
     for node in imports:
         names = {alias.name for alias in node.names}
         assert names - _exports(MODULES[node.module]) == set(), node.module
+
+
+def _readme_cli_table() -> dict:
+    """``{subcommand: (flags, config keys)}`` from the README flag table."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line interface", 1)[1]
+    table = section.split("| Subcommand | Flags | Config keys |", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.strip().splitlines()[1:]:
+        names, flags, keys = (re.findall(r"`([^`]+)`", cell)
+                              for cell in line.strip("|").split("|"))
+        for name in names:
+            rows[name] = (set(flags), set(keys))
+    return rows
+
+
+def test_readme_cli_table_matches_parser():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        name: {a.option_strings[0] for a in sub._actions
+               if a.option_strings and a.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+    documented = _readme_cli_table()
+    assert {name: flags for name, (flags, _) in documented.items()} == registered
+    keyed = {name: keys for name, (_, keys) in documented.items() if name in cli._KEYS}
+    assert keyed == {name: set(keys) for name, keys in cli._KEYS.items()}

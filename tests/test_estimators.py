@@ -27,7 +27,7 @@ from cusplab.estimators import (
     pseudo_mle,
     refine_argmax,
 )
-from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
+from cusplab.path_sim import ObservationPath, TimeGrid, replication_rng, simulate_path
 from cusplab.signal_models import (
     CuspSignal,
     QuadraticSignal,
@@ -287,13 +287,19 @@ class TestBayes:
         assert 0.0 <= result.boundary_mass <= 1.0
 
     def test_prior_from_config(self):
-        assert isinstance(prior_from_config("uniform"), UniformPrior)
-        prior = prior_from_config("truncated_normal", {"mean": 0.5, "std": 0.1})
+        assert isinstance(prior_from_config({"name": "uniform"}), UniformPrior)
+        assert isinstance(prior_from_config({}), UniformPrior)
+        prior = prior_from_config({"name": "truncated_normal", "mean": 0.5, "std": 0.1})
         assert isinstance(prior, TruncatedNormalPrior)
-        with pytest.raises(ConfigError):
-            prior_from_config("cauchy")
-        with pytest.raises(ConfigError):
-            prior_from_config("truncated_normal", {"mean": 0.5})
+        assert (prior.mean, prior.std) == (0.5, 0.1)
+        for block in (
+            {"name": "cauchy"},
+            {"name": "truncated_normal", "mean": 0.5},
+            {"name": "uniform", "std": 0.1},
+            {"name": "truncated_normal", "mean": 0.5, "std": 0.1, "sd": 0.1},
+        ):
+            with pytest.raises(ConfigError):
+                prior_from_config(block)
 
 
 class TestPseudoMle:
@@ -311,6 +317,22 @@ class TestPseudoMle:
         # the L2 projection of the symmetric smoothed cusp is its center
         assert result.estimate == pytest.approx(0.5, abs=1e-4)
         assert result.rate == pytest.approx(misspec_rate(0.01, 0.25))
+
+
+class TestNonFiniteIncrements:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("estimate", [
+        lambda path: mle(path, SIG),
+        lambda path: bayes(path, SIG),
+        lambda path: kappa_mle(path, 1.0, 0.5),
+    ], ids=["mle", "bayes", "kappa_mle"])
+    def test_path_with_non_finite_increment_never_reaches_estimator(self, bad, estimate):
+        # unchecked, one such increment gives mle a nan (for inf, a finite
+        # wrong estimate) and bayes a raw numpy ValueError
+        increments = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(0, 0)).increments
+        increments[700] = bad
+        with pytest.raises(DomainError, match="finite"):
+            estimate(ObservationPath(GRID, increments, 0.02, theta_true=0.5))
 
 
 class TestKappaMle:

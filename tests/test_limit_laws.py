@@ -433,6 +433,12 @@ class TestSamplers:
             with pytest.raises(DomainError):
                 draw(replication_rng(5, 4))
 
+    @pytest.mark.parametrize("gamma_sq", [0.0, -1.0])
+    def test_sample_xi_batch_rejects_nonpositive_gamma_sq(self, gamma_sq):
+        # the default window is sized from gamma_sq, so it checks it first
+        with pytest.raises(DomainError, match="gamma_sq"):
+            sample_xi_batch(gamma_sq, 0.75, 4, replication_rng(5, 5))
+
     def test_sample_xi_batch_deterministic(self):
         a1 = sample_xi_batch(0.5, 0.75, 32, replication_rng(5, 0), window=self.WINDOW)
         a2 = sample_xi_batch(0.5, 0.75, 32, replication_rng(5, 0), window=self.WINDOW)
