@@ -18,14 +18,12 @@ from .errors import (
 from .estimators import (
     EstimationResult,
     JointEstimationResult,
-    LikelihoodField,
     TruncatedNormalPrior,
     UniformPrior,
     bayes,
     joint_mle,
     kappa_mle,
     location_rate,
-    log_likelihood_field,
     misspec_rate,
     mle,
     pseudo_mle,
@@ -74,7 +72,6 @@ from .path_sim import (
     TimeGrid,
     replication_rng,
     simulate_path,
-    simulate_wiener,
     write_path_csv,
 )
 from .signal_models import (
@@ -89,7 +86,6 @@ from .signal_models import (
     ThetaRampNuisance,
     TwoSidedCuspSignal,
     eval_signal,
-    eval_signal_grid,
     is_location_signal,
     signal_from_config,
 )

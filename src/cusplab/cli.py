@@ -45,6 +45,7 @@ from .errors import (
 from .estimators import bayes, mle, prior_from_config
 from .experiments import (
     _SIGNAL_DEFAULTS,
+    _check_type,
     SCHEMA_VERSION,
     experiment_config_from_dict,
     misspec_problem,
@@ -149,7 +150,10 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _settings(args) -> dict:
     """The config file, checked against and filled from ``_KEYS`` (sweep
-    configs are checked later), with each flag given overriding its key."""
+    configs are checked later), with each flag given overriding its key.
+
+    A key outside ``_KEYS`` or a value not of its default's type
+    (``_check_type``) is a ``ConfigError``."""
     config = _load_config(args.config)
     defaults = _KEYS.get(args.command)
     if defaults is not None:
@@ -159,6 +163,7 @@ def _settings(args) -> dict:
                 f"unknown {args.command} config keys: {sorted(unknown)}; "
                 f"valid: {sorted(defaults)}"
             )
+        _check_type(config, defaults)
         config = {**defaults, **config}
     for key in filter(None, _FLAGS[args.command].values()):
         if getattr(args, key) is not None:

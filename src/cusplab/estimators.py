@@ -45,7 +45,6 @@ from .path_sim import ObservationPath
 from .signal_models import is_location_signal
 
 __all__ = [
-    "LikelihoodField",
     "EstimationResult",
     "JointEstimationResult",
     "UniformPrior",
@@ -54,8 +53,6 @@ __all__ = [
     "location_rate",
     "misspec_rate",
     "ito_loglik",
-    "log_likelihood_field",
-    "grid_argmax",
     "refine_argmax",
     "coarse_grid",
     "joint_coarse_nodes",
@@ -89,24 +86,6 @@ def misspec_rate(epsilon: float, kappa: float) -> float:
 # the log-likelihood field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LikelihoodField:
-    """Max-shifted log-likelihood values over a theta grid.
-
-    ``log_values`` are shifted so their maximum is exactly 0; ``shift``
-    holds the subtracted constant, so the raw field is
-    ``log_values + shift``.
-    """
-
-    theta_grid: np.ndarray
-    log_values: np.ndarray
-    shift: float
-
-    def __post_init__(self) -> None:
-        if self.theta_grid.shape != self.log_values.shape:
-            raise DomainError("theta_grid and log_values must have equal length")
-
-
 def ito_loglik(
     drift_rows: np.ndarray, increments: np.ndarray, dt: float, eps: float
 ) -> np.ndarray:
@@ -129,11 +108,7 @@ def _path_loglik(path: ObservationPath, drift_rows: np.ndarray) -> np.ndarray:
 
 def _location_loglik(path: ObservationPath, signal, thetas: np.ndarray) -> np.ndarray:
     t = path.grid.left_nodes
-    if is_location_signal(signal):
-        drift = signal.value(thetas[:, None], t[None, :])
-    else:
-        drift = np.asarray(signal.value(t), dtype=float)
-    return _path_loglik(path, np.broadcast_to(drift, (thetas.size, t.size)))
+    return _path_loglik(path, signal.value(thetas[:, None], t[None, :]))
 
 
 def _check_horizon(path: ObservationPath, signal) -> None:
@@ -142,37 +117,6 @@ def _check_horizon(path: ObservationPath, signal) -> None:
             f"signal horizon T={signal.T!r} does not match path horizon "
             f"T={path.grid.T!r}"
         )
-
-
-def log_likelihood_field(
-    path: ObservationPath, signal, theta_grid: Sequence[float]
-) -> LikelihoodField:
-    """Evaluate the log-likelihood on a theta grid and max-shift it.
-
-    For location signals the grid must stay inside the parameter bounds.
-    Fixed (theta-free) signals give a constant field.
-    """
-    _check_horizon(path, signal)
-    grid = np.asarray(theta_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise DomainError("theta_grid must be a non-empty 1-D array")
-    if is_location_signal(signal):
-        alpha, beta = signal.theta_bounds
-        if grid.min() < alpha - 1e-12 or grid.max() > beta + 1e-12:
-            raise DomainError(
-                f"theta grid [{grid.min()!r}, {grid.max()!r}] leaves the "
-                f"parameter bounds ({alpha!r}, {beta!r})"
-            )
-    values = _location_loglik(path, signal, grid)
-    shift = float(values.max())
-    return LikelihoodField(theta_grid=grid, log_values=values - shift, shift=shift)
-
-
-def grid_argmax(field: LikelihoodField) -> float:
-    """Argmax of a field; exact ties resolve to the smallest theta."""
-    order = np.argsort(field.theta_grid, kind="stable")
-    values = field.log_values[order]
-    return float(field.theta_grid[order][int(np.argmax(values))])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +169,9 @@ def refine_argmax(
     Returns ``(theta, value, levels, final_step)``.  Within each level
     the step shrinks ``SHRINK``-fold and the scan window is ``SPAN`` new
     steps either side of the incumbent, clipped to ``bounds``; ties
-    resolve to the smallest theta.
+    resolve to the smallest theta.  When ``step`` is already at most
+    ``target_step`` no level runs and each candidate keeps its own field
+    value.
     """
     best_theta = math.nan
     best_value = -math.inf
@@ -239,6 +185,8 @@ def refine_argmax(
             cur /= SHRINK
             depth += 1
             theta, value = _scan_best(eval_fn, _window(bounds, theta, cur, SPAN))
+        if depth == 0:
+            value = float(eval_fn(np.array([theta]))[0])
         if value > best_value or (value == best_value and theta < best_theta):
             best_theta, best_value = theta, value
             levels = depth

@@ -63,7 +63,6 @@ from .estimators import (
     joint_mle,
     kappa_mle,
     location_rate,
-    log_likelihood_field,
     misspec_rate,
     mle,
     prior_from_config,
@@ -226,9 +225,53 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
+#: The default of each ``ExperimentConfig`` field but the two required ones.
+_CONFIG_DEFAULTS = {
+    f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in ("scenario", "epsilons")
+}
+
+
+def _check_type(value, default, name: str = "config") -> None:
+    """Raise ``ConfigError`` unless ``value`` has the type of ``default``.
+
+    An int default takes an int but not a bool, a float default an int or
+    a float, a ``None`` default a number or ``None``, a list or tuple
+    default a list or a tuple (each element checked against the default's
+    first) and a mapping default a mapping (each key that has a default
+    checked against it); any other default takes its own type.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, float):
+        ok = number
+    elif default is None:
+        ok = number or value is None
+    elif isinstance(default, (list, tuple)):
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, type(default)) and (
+            isinstance(value, bool) == isinstance(default, bool)
+        )
+    if not ok:
+        raise ConfigError(
+            f"{name}={value!r} does not match the type of its default {default!r}"
+        )
+    if isinstance(default, dict):
+        for key, item in value.items():
+            if key in default:
+                _check_type(item, default[key], f"{name}.{key}")
+    elif isinstance(default, (list, tuple)) and default:
+        for i, item in enumerate(value):
+            _check_type(item, default[0], f"{name}[{i}]")
+
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from a plain mapping (parsed JSON)."""
+    """Build a validated config from a plain mapping (parsed JSON).
+
+    Each value must have the type of its default (``_check_type``); the
+    signal block's defaults are the scenario's.
+    """
     if "scenario" not in data:
         raise ConfigError("config must name a scenario")
     unknown = set(data) - _CONFIG_KEYS
@@ -237,11 +280,11 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
         )
     scenario = data["scenario"]
+    epsilons = _DEFAULT_EPSILONS.get(scenario, (0.05, 0.02, 0.01, 0.005))
+    _check_type(data, {**_CONFIG_DEFAULTS, "epsilons": epsilons,
+                       "signal": _SIGNAL_DEFAULTS.get(scenario, {})})
     kwargs = dict(data)
-    kwargs.setdefault(
-        "epsilons", _DEFAULT_EPSILONS.get(scenario, (0.05, 0.02, 0.01, 0.005))
-    )
-    kwargs["epsilons"] = tuple(kwargs["epsilons"])
+    kwargs["epsilons"] = tuple(kwargs.get("epsilons", epsilons))
     signal = dict(kwargs.get("signal", {}))
     for key in ("theta_bounds", "kappa_bounds"):
         if key in signal:
@@ -845,8 +888,8 @@ def separation_bound_fit(
     grid = TimeGrid(signal.T, n_steps)
     path = simulate_path(signal, theta0, epsilon, grid, zero_noise=True)
     thetas = np.unique(np.append(np.linspace(alpha, beta, grid_count), theta0))
-    fld = log_likelihood_field(path, signal, thetas)
-    raw = fld.log_values + fld.shift
+    drift = signal.value(thetas[:, None], grid.left_nodes[None, :])
+    raw = ito_loglik(drift, path.increments, grid.dt, epsilon)
     at_truth = raw[np.searchsorted(thetas, theta0)]
     gap = -2.0 * epsilon**2 * (raw - at_truth)
     mask = np.abs(thetas - theta0) > 1e-9

@@ -209,14 +209,16 @@ def _local_minima(values: np.ndarray) -> list[int]:
     return idx
 
 
-def solve_theta_hat(problem: MisspecProblem, with_curvature: bool = True) -> MisspecSolution:
+def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
     """Locate the pseudo-true location and certify its uniqueness.
 
     A 2001-node scan of the L2 gap over the parameter interval brackets
     every local minimum; the two best basins are polished by
     golden-section search to a 1e-10 bracket.  The certificate is the
     value gap between the runner-up and the winner; below 1e-10 the
-    minimizer is declared ambiguous.
+    minimizer is declared ambiguous.  When the real signal has ``d2``
+    the solution carries both curvatures, so a minimizer on the bound
+    raises ``DomainError`` (see ``curvature``).
     """
     alpha, beta = problem.theoretical.theta_bounds
     grid = np.linspace(alpha, beta, 2001)
@@ -255,7 +257,7 @@ def solve_theta_hat(problem: MisspecProblem, with_curvature: bool = True) -> Mis
         min_distance=math.sqrt(max(best_val, 0.0)),
         uniqueness_certificate=float(certificate),
     )
-    if with_curvature and hasattr(problem.real, "d2"):
+    if hasattr(problem.real, "d2"):
         closed, fd = curvature(problem, solution)
         solution = replace(solution, curvature_closed=closed, curvature_fd=fd)
     return solution

@@ -23,7 +23,7 @@ from typing import IO, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .signal_models import Signal, is_location_signal
+from .signal_models import Signal, eval_signal
 
 __all__ = [
     "DEFAULT_N_STEPS",
@@ -33,7 +33,6 @@ __all__ = [
     "euler_increments",
     "replication_rng",
     "simulate_path",
-    "simulate_wiener",
     "warn_if_coarse",
     "write_path_csv",
 ]
@@ -116,18 +115,6 @@ def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(replication)]))
 
 
-def _drift_on_left_nodes(signal: Signal, theta: Optional[float], grid: TimeGrid) -> np.ndarray:
-    t = grid.left_nodes
-    if is_location_signal(signal):
-        if theta is None:
-            raise DomainError("location signals require theta_true for simulation")
-        alpha, beta = signal.theta_bounds
-        if not (alpha <= theta <= beta):
-            raise DomainError(f"theta_true={theta!r} outside theta_bounds [{alpha}, {beta}]")
-        return signal.value(float(theta), t)
-    return signal.value(t)
-
-
 def warn_if_coarse(kappa: Optional[float], epsilon: float, grid: TimeGrid) -> None:
     """Warn when ``dt**(kappa+1/2)`` exceeds the noise level; ``None`` skips."""
     if kappa is None:
@@ -180,9 +167,9 @@ def simulate_path(
         Noise level in ``(0, 1]``.  Kept even with ``zero_noise`` because
         downstream likelihoods scale by ``1/epsilon**2``.
     grid : TimeGrid
-        Simulation grid.  A warning is emitted when ``dt**(kappa+1/2)``
-        exceeds ``epsilon``, i.e. when the grid cannot resolve the cusp
-        against the noise.
+        Simulation grid, inside the signal's horizon.  A warning is
+        emitted when ``dt**(kappa+1/2)`` exceeds ``epsilon``, i.e. when
+        the grid cannot resolve the cusp against the noise.
     rng : numpy.random.Generator, optional
         Source of randomness; a fresh default generator when omitted.
     zero_noise : bool
@@ -193,7 +180,7 @@ def simulate_path(
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     warn_if_coarse(getattr(signal, "kappa_eff", None), epsilon, grid)
-    drift = _drift_on_left_nodes(signal, theta_true, grid)
+    drift = eval_signal(signal, theta_true, grid.left_nodes)
     if zero_noise:
         rng = None
     elif rng is None:
@@ -205,16 +192,6 @@ def simulate_path(
         theta_true=theta_true,
         seed=seed,
     )
-
-
-def simulate_wiener(
-    grid: TimeGrid, rng: Optional[np.random.Generator] = None
-) -> ObservationPath:
-    """Standard Wiener path (zero drift, unit noise) on the grid."""
-    if rng is None:
-        rng = np.random.default_rng()
-    increments = np.sqrt(grid.dt) * rng.standard_normal(grid.n)
-    return ObservationPath(grid=grid, increments=increments, epsilon=1.0)
 
 
 def write_path_csv(path: ObservationPath, stream: Union[str, IO[str]]) -> None:

@@ -28,7 +28,7 @@ shared freely between replications and processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -51,9 +51,6 @@ class ConstantNuisance:
     def value(self, theta: float, t: ArrayLike) -> np.ndarray:
         return np.full_like(np.asarray(t, dtype=float), self.level)
 
-    def d_theta(self, theta: float, t: ArrayLike) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
-
 
 @dataclass(frozen=True)
 class CosineNuisance:
@@ -64,9 +61,6 @@ class CosineNuisance:
 
     def value(self, theta: float, t: ArrayLike) -> np.ndarray:
         return self.amplitude * np.cos(self.frequency * np.asarray(t, dtype=float))
-
-    def d_theta(self, theta: float, t: ArrayLike) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,6 @@ class ThetaRampNuisance:
 
     def value(self, theta: float, t: ArrayLike) -> np.ndarray:
         return self.gain * theta * np.asarray(t, dtype=float)
-
-    def d_theta(self, theta: float, t: ArrayLike) -> np.ndarray:
-        return self.gain * np.asarray(t, dtype=float)
 
 
 Nuisance = Union[ConstantNuisance, CosineNuisance, ThetaRampNuisance]
@@ -422,12 +413,6 @@ def eval_signal(signal: Signal, theta: Optional[float], t: ArrayLike) -> np.ndar
         _check_theta(signal, float(theta))
         return signal.value(float(theta), arr)
     return signal.value(arr)
-
-
-def eval_signal_grid(signal: Signal, theta: Optional[float], grid) -> np.ndarray:
-    """Evaluate the signal on every node of a time grid object or array."""
-    nodes = getattr(grid, "nodes", grid)
-    return eval_signal(signal, theta, np.asarray(nodes, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,25 @@ class TestSweeps:
         assert summary["count"] == 6
         assert summary["mean_abs_error"] < 1e-3
 
+    def test_coarse_step_at_target_gives_finite_rows(self, capsys, tmp_path):
+        # at eps 0.05 the coarse step of bounds (0.4999, 0.5001) is already
+        # below the refinement target: no level runs, no row may be nan
+        config = _write_config(tmp_path, {
+            "scenario": "cusp-mle", "epsilons": [0.05], "replications": 4,
+            "n_steps": 400, "limit_samples": 10,
+            "signal": {"theta_bounds": [0.4999, 0.5001]},
+        })
+        out = tmp_path / "results"
+        code, payload = _run(capsys, ["rate", "--config", config, "--out", str(out)])
+        assert code == 0
+        (summary,) = payload["summaries"]
+        assert summary["failures"] == 0
+        assert math.isfinite(summary["mean_abs_error"])
+        with open(out / "cusp_mle_samples.csv", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 4
+        assert all(0.4999 <= float(r["estimate"]) <= 0.5001 for r in rows)
+
     def test_cli_overrides_win(self, capsys, tmp_path):
         config = _write_config(
             tmp_path,
@@ -469,6 +488,36 @@ class TestFlagsAndKeys:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         (unknown,) = set(config) - {"law", "epsilon", "count"}
         assert unknown in caplog.text
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("simulate", {"epsilon": "0.05"}, "epsilon"),
+        ("limit-law", {"law": "xi", "count": "5"}, "count"),
+        ("limit-law", {"law": "kappa", "count": 2.5}, "count"),
+        ("rate", {"replications": "5"}, "replications"),
+        ("rate", {"replications": 2.5}, "replications"),
+        ("rate", {"epsilons": "0.05"}, "epsilons"),
+        ("rate", {"master_seed": "x"}, "master_seed"),
+        ("rate", {"signal": {"kappa": "0.25"}}, "signal.kappa"),
+    ])
+    def test_mistyped_config_value_exits_1_before_any_output(
+        self, capsys, caplog, tmp_path, command, config, key
+    ):
+        argv = [command, "--config", _write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]
+        code, payload = _run(capsys, argv)
+        assert code == 1
+        assert payload is None
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert f"config.{key}=" in caplog.text
+
+    def test_values_of_the_default_type_accepted(self, capsys, tmp_path):
+        # an int where the default is a float, a null curvature (its default)
+        config = _write_config(tmp_path, {"law": "zeta", "count": 3, "a": 1,
+                                          "curvature": None})
+        code, payload = _run(capsys, ["limit-law", "--config", config,
+                                      "--out", str(tmp_path)])
+        assert code == 0
+        assert payload["count"] == 3
 
     @pytest.mark.parametrize("command,config,count_key", [
         ("simulate", {"n_steps": 300, "epsilon": 0.05}, "replications"),

@@ -9,18 +9,15 @@ from cusplab.errors import ConfigError, DomainError
 from cusplab.estimators import (
     EstimationResult,
     JointEstimationResult,
-    LikelihoodField,
     TruncatedNormalPrior,
     UniformPrior,
     bayes,
     coarse_grid,
-    grid_argmax,
     ito_loglik,
     joint_coarse_nodes,
     joint_mle,
     kappa_mle,
     location_rate,
-    log_likelihood_field,
     misspec_rate,
     mle,
     prior_from_config,
@@ -111,51 +108,6 @@ class TestRates:
             misspec_rate(0.01, 0.6)
 
 
-class TestLikelihoodField:
-    def test_max_shifted_to_zero(self):
-        path = _zero_noise_path()
-        field = log_likelihood_field(path, SIG, np.linspace(0.35, 0.65, 61))
-        assert field.log_values.max() == pytest.approx(0.0, abs=1e-9)
-
-    def test_zero_noise_peaks_at_truth(self):
-        path = _zero_noise_path(theta=0.45)
-        grid = np.linspace(0.35, 0.65, 121)  # contains 0.45 exactly
-        field = log_likelihood_field(path, SIG, grid)
-        assert grid_argmax(field) == pytest.approx(0.45, abs=1e-12)
-
-    def test_grid_outside_bounds_rejected(self):
-        path = _zero_noise_path()
-        with pytest.raises(DomainError):
-            log_likelihood_field(path, SIG, np.linspace(0.2, 0.65, 10))
-
-    def test_horizon_mismatch_rejected(self):
-        path = simulate_path(SIG, 0.5, 0.01, TimeGrid(1.0, 100), zero_noise=True)
-        other = CuspSignal(a=1.0, kappa=0.25, T=2.0, theta_bounds=BOUNDS)
-        with pytest.raises(DomainError):
-            log_likelihood_field(path, other, np.linspace(0.4, 0.6, 5))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            LikelihoodField(np.ones(4), np.ones(3), 0.0)
-
-    def test_argmax_tie_breaks_toward_smaller_theta(self):
-        # equal maxima at 0.4 and 0.6 resolve to 0.4
-        grid = np.array([0.35, 0.4, 0.5, 0.6, 0.65])
-        values = np.array([-2.0, 0.0, -1.0, 0.0, -3.0])
-        field = LikelihoodField(grid, values, 0.0)
-        assert grid_argmax(field) == 0.4
-
-    @given(shift=st.floats(-50.0, 50.0))
-    @settings(max_examples=40, deadline=None)
-    def test_argmax_invariant_under_constant_shift(self, shift):
-        grid = np.linspace(0.35, 0.65, 31)
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal(31)
-        base = grid_argmax(LikelihoodField(grid, values, 0.0))
-        moved = grid_argmax(LikelihoodField(grid, values + shift, 0.0))
-        assert base == moved
-
-
 class TestCoarseGrid:
     def test_step_bounded_by_twice_rate(self):
         rate = location_rate(0.05, 0.75)
@@ -191,6 +143,14 @@ class TestRefineArgmax:
             fn, BOUNDS, [0.5], step=0.01, target_step=1e-3
         )
         assert theta <= 0.5
+
+    def test_step_at_target_keeps_best_start(self):
+        # no level runs: each start keeps its own value and the best wins
+        fn = lambda g: -((np.asarray(g) - 0.5) ** 2)
+        theta, value, levels, step = refine_argmax(
+            fn, BOUNDS, [0.4, 0.52, 0.45], step=1e-3, target_step=1e-2
+        )
+        assert (theta, value, levels, step) == (0.52, fn(0.52), 0, 1e-3)
 
     def test_multiple_candidates_keep_global_best(self):
         # two local maxima; the better one wins regardless of seed order
@@ -234,15 +194,28 @@ class TestMle:
         assert BOUNDS[0] <= result.estimate <= BOUNDS[1]
 
     def test_coarse_values_shortcut_matches_standalone(self):
-        from cusplab.estimators import log_likelihood_field
-
         path = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 7))
         rate = location_rate(path.epsilon, SIG.hurst)
         grid = coarse_grid(BOUNDS, rate)
-        field = log_likelihood_field(path, SIG, grid)
+        drift = SIG.value(grid[:, None], GRID.left_nodes[None, :])
+        values = ito_loglik(drift, path.increments, GRID.dt, path.epsilon)
         baseline = mle(path, SIG)
-        shortcut = mle(path, SIG, coarse=(grid, field.log_values))
+        shortcut = mle(path, SIG, coarse=(grid, values))
         assert shortcut.estimate == baseline.estimate
+
+    def test_coarse_step_at_target_returns_coarse_argmax(self):
+        # on bounds (0.4999, 0.5001) the coarse step range/4 is already
+        # below rate/50 at eps 0.05, so no refinement level runs
+        sig = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=(0.4999, 0.5001))
+        path = simulate_path(sig, 0.5, 0.05, GRID, rng=replication_rng(0, 0))
+        grid = coarse_grid(sig.theta_bounds, location_rate(0.05, sig.hurst))
+        assert grid[1] - grid[0] <= location_rate(0.05, sig.hurst) / 50.0
+        drift = sig.value(grid[:, None], GRID.left_nodes[None, :])
+        values = ito_loglik(drift, path.increments, GRID.dt, path.epsilon)
+        result = mle(path, sig)
+        assert result.estimate == grid[int(np.argmax(values))]
+        assert np.isfinite(result.normalized_error)
+        assert result.grid_step == grid[1] - grid[0]
 
     def test_horizon_mismatch_rejected(self):
         path = simulate_path(SIG, 0.5, 0.01, TimeGrid(1.0, 50), zero_noise=True)
@@ -355,6 +328,14 @@ class TestKappaMle:
         path = _zero_noise_path()
         with pytest.raises(DomainError):
             kappa_mle(path, -1.0, 0.5)
+
+    def test_coarse_step_at_target_returns_finite_estimate(self):
+        # the coarse step range/4 = 5e-5 is already below eps/50 = 2e-4
+        path = _zero_noise_path()
+        result = kappa_mle(path, 1.0, 0.5, kappa_bounds=(0.2499, 0.2501), target=0.25)
+        assert result.estimate == pytest.approx(0.25, abs=1e-5)
+        assert np.isfinite(result.normalized_error)
+        assert result.refinement_levels == 1
 
 
 class TestJointMle:

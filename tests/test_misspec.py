@@ -118,12 +118,6 @@ class TestSolveThetaHat:
         gaps = np.array([l2_gap(default_problem, t) for t in thetas])
         assert default_solution.min_distance**2 <= gaps.min() + 1e-12
 
-    def test_without_curvature_flag(self, default_problem):
-        solution = solve_theta_hat(default_problem, with_curvature=False)
-        assert solution.curvature_closed is None
-        assert solution.curvature_fd is None
-        assert solution.theta_hat == pytest.approx(THETA_HAT_REF, abs=1e-6)
-
 
 class TestPhi:
     def test_zero_at_minimizer(self, default_problem, default_solution):
@@ -172,10 +166,8 @@ class TestCurvature:
         # projection onto the boundary, where curvature is undefined
         real = SmoothedCuspSignal(a=1.0, kappa=0.25, center=0.95, delta=0.05, T=1.0)
         problem = MisspecProblem(theoretical=THEORETICAL, real=real)
-        solution = solve_theta_hat(problem, with_curvature=False)
-        assert solution.theta_hat == pytest.approx(0.65, abs=1e-6)
         with pytest.raises(DomainError):
-            curvature(problem, solution)
+            solve_theta_hat(problem)
 
 
 class TestSolutionContainer:

@@ -15,7 +15,6 @@ from cusplab.path_sim import (
     TimeGrid,
     replication_rng,
     simulate_path,
-    simulate_wiener,
     write_path_csv,
 )
 from cusplab.signal_models import CuspSignal, QuadraticSignal
@@ -137,6 +136,12 @@ class TestSimulatePath:
         with pytest.raises(DomainError):
             simulate_path(SIG, 0.9, 0.1, grid)
 
+    @pytest.mark.parametrize("signal", [SIG, QuadraticSignal(c0=1.0, c1=0.0, c2=0.0, T=1.0)])
+    def test_grid_beyond_signal_horizon_rejected(self, signal):
+        # the drift is never evaluated past the signal's horizon T=1
+        with pytest.raises(DomainError, match="evaluation times"):
+            simulate_path(signal, 0.5, 0.1, TimeGrid(2.0, 100))
+
     def test_smooth_signal_ignores_theta(self):
         grid = TimeGrid(1.0, 10)
         quad = QuadraticSignal(c0=1.0, c1=0.0, c2=0.0, T=1.0)
@@ -165,16 +170,6 @@ class TestSimulatePath:
             lambda t: float(SIG.value(0.5, t)), 0.0, 1.0, points=[0.5]
         )
         assert path.cumulative()[-1] == pytest.approx(integral, rel=1e-4)
-
-
-class TestSimulateWiener:
-    def test_increment_scale(self):
-        grid = TimeGrid(1.0, 50_000)
-        path = simulate_wiener(grid, rng=replication_rng(0, 1))
-        assert path.epsilon == 1.0
-        assert path.increments.std(ddof=1) == pytest.approx(
-            np.sqrt(grid.dt), rel=0.05
-        )
 
 
 class TestWritePathCsv:
