@@ -257,21 +257,19 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     config = _settings(args)
     signal = signal_from_config(config["signal"])
+    prior = prior_from_config(config["prior"])
     estimator = config["estimator"]
+    if estimator not in ("bayes", "mle"):
+        raise ConfigError(
+            f"unknown estimator {estimator!r}; valid: ['bayes', 'mle']"
+        )
     grid = TimeGrid(signal.T, config["n_steps"])
     rng = replication_rng(config["master_seed"], 0)
     path = simulate_path(
         signal, config["theta_true"], config["epsilon"], grid, rng=rng,
         zero_noise=args.zero_noise,
     )
-    if estimator == "mle":
-        result = mle(path, signal)
-    elif estimator == "bayes":
-        result = bayes(path, signal, prior_from_config(config["prior"]))
-    else:
-        raise ConfigError(
-            f"unknown estimator {estimator!r}; valid: ['bayes', 'mle']"
-        )
+    result = mle(path, signal) if estimator == "mle" else bayes(path, signal, prior)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "estimator": result.estimator,

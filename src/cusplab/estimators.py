@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalDegeneracyError
 from .path_sim import ObservationPath
-from .signal_models import is_location_signal
+from .signal_models import from_config, is_location_signal
 
 __all__ = [
     "EstimationResult",
@@ -408,22 +408,16 @@ class TruncatedNormalPrior:
         return np.exp(-0.5 * z * z)
 
 
+_PRIORS = {"uniform": UniformPrior, "truncated_normal": TruncatedNormalPrior}
+
+
 def prior_from_config(block: dict):
     """Build a prior from a ``{"name": ..., <parameters>}`` config block.
 
-    The name defaults to ``uniform``; an unknown name, a missing parameter
-    or one the prior does not read raises ``ConfigError``.
+    The name defaults to ``uniform``; the parameters are checked by
+    ``signal_models.from_config``.
     """
-    params = dict(block)
-    name = params.pop("name", "uniform")
-    priors = {"uniform": (UniformPrior, []),
-              "truncated_normal": (TruncatedNormalPrior, ["mean", "std"])}
-    if name not in priors:
-        raise ConfigError(f"unknown prior {name!r}; valid names: {sorted(priors)}")
-    prior, names = priors[name]
-    if sorted(params) != names:
-        raise ConfigError(f"{name} prior takes parameters {names}, got {sorted(params)}")
-    return prior(**params)
+    return from_config(_PRIORS, block, "prior", default="uniform")
 
 
 #: Log-likelihood drop below the observed maximum beyond which posterior

@@ -199,6 +199,7 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads!r}")
         if self.limit_samples < 10:
             raise ConfigError(f"limit_samples must be >= 10, got {self.limit_samples!r}")
+        prior_from_config(self.prior)  # checked even where no estimator reads it
         defaults = _SIGNAL_DEFAULTS[self.scenario]
         unknown = set(self.signal) - set(defaults)
         if unknown:
@@ -274,15 +275,20 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """
     if "scenario" not in data:
         raise ConfigError("config must name a scenario")
+    scenario = data["scenario"]
+    if not (isinstance(scenario, str) and scenario in SCENARIOS):
+        raise ConfigError(
+            f"config.scenario={scenario!r} is not a scenario; "
+            f"valid: {sorted(SCENARIOS)}"
+        )
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
         )
-    scenario = data["scenario"]
     epsilons = _DEFAULT_EPSILONS.get(scenario, (0.05, 0.02, 0.01, 0.005))
     _check_type(data, {**_CONFIG_DEFAULTS, "epsilons": epsilons,
-                       "signal": _SIGNAL_DEFAULTS.get(scenario, {})})
+                       "signal": _SIGNAL_DEFAULTS[scenario]})
     kwargs = dict(data)
     kwargs["epsilons"] = tuple(kwargs.get("epsilons", epsilons))
     signal = dict(kwargs.get("signal", {}))
@@ -486,7 +492,8 @@ def _location(config, t, signal, truth, drift, rate, names, **rest) -> _Spec:
 
 
 def _cusp(p, config, t, with_bayes=False) -> _Spec:
-    signal = signal_from_config({"family": "cusp", **p})
+    family = {k: v for k, v in p.items() if k != "theta0"}
+    signal = signal_from_config({"family": "cusp", **family})
     gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
     names = ("mle", "bayes") if with_bayes else ("mle",)
 
@@ -510,7 +517,8 @@ def _cusp(p, config, t, with_bayes=False) -> _Spec:
 
 
 def _multi_cusp(p, config, t) -> _Spec:
-    signal = signal_from_config({"family": "multi_cusp", **p})
+    family = {k: v for k, v in p.items() if k != "theta0"}
+    signal = signal_from_config({"family": "multi_cusp", **family})
     hurst = signal.hurst
     return _location(
         config, t, signal, {"theta0": p["theta0"]},

@@ -287,8 +287,12 @@ def curvature(problem: MisspecProblem, solution: MisspecSolution) -> tuple[float
     kappa = problem.theoretical.kappa
     T = problem.theoretical.T
     alpha, beta = problem.theoretical.theta_bounds
-    if not alpha < th < beta:
-        raise DomainError(f"theta_hat={th!r} must be interior to ({alpha!r}, {beta!r})")
+    # the finite-difference stencil reaches 2*FD_STEP either side
+    if not (alpha <= th - 2.0 * FD_STEP and th + 2.0 * FD_STEP <= beta):
+        raise DomainError(
+            f"theta_hat={th!r} must be interior to ({alpha!r}, {beta!r}), at least "
+            f"2*FD_STEP={2.0 * FD_STEP!r} from each bound"
+        )
 
     s0, sT = float(real.value(0.0)), float(real.value(T))
     d0, dT = float(real.d1(0.0)), float(real.d1(T))

@@ -27,6 +27,7 @@ shared freely between replications and processes.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -78,14 +79,6 @@ class ThetaRampNuisance:
 
 
 Nuisance = Union[ConstantNuisance, CosineNuisance, ThetaRampNuisance]
-
-_NUISANCE_BUILDERS = {
-    "constant": lambda p: ConstantNuisance(level=float(p["level"])),
-    "cosine": lambda p: CosineNuisance(
-        amplitude=float(p["amplitude"]), frequency=float(p["frequency"])
-    ),
-    "theta_ramp": lambda p: ThetaRampNuisance(gain=float(p["gain"])),
-}
 
 
 def _check_horizon(T: float) -> None:
@@ -419,112 +412,89 @@ def eval_signal(signal: Signal, theta: Optional[float], t: ArrayLike) -> np.ndar
 # construction from configuration dictionaries
 # ---------------------------------------------------------------------------
 
-def _nuisance_from_config(cfg: Optional[dict]) -> Optional[Nuisance]:
-    if cfg is None:
-        return None
-    name = cfg.get("name")
-    builder = _NUISANCE_BUILDERS.get(name)
-    if builder is None:
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}={value!r} must be a number")
+    return float(value)
+
+
+def _pair(value, where: str) -> tuple[float, float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{where}={value!r} must be a pair of numbers")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _pairs(value, where: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}={value!r} must be a list of number pairs")
+    return tuple(_pair(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+#: How a parameter of each name is checked and converted; any other
+#: parameter is a number.
+_PARAMETERS = {
+    "theta_bounds": _pair,
+    "terms": _pairs,
+    "nuisance": lambda value, where: from_config(_NUISANCES, value, "nuisance"),
+}
+
+
+def from_config(table: dict, block, kind: str, key: str = "name", default=None):
+    """Build ``table[block[key]]`` from the block's other keys.
+
+    The keys must be the constructor's parameter names, all but those
+    with a default required.  ``theta_bounds`` is a pair of numbers,
+    ``terms`` a list of number pairs, ``nuisance`` a nuisance block, and
+    every other parameter a number (not a bool), passed on as a float.
+    An unknown name, or an unknown, missing or mistyped parameter, raises
+    ``ConfigError`` naming it.
+    """
+    if not isinstance(block, dict):
         raise ConfigError(
-            f"unknown nuisance {name!r}; valid names: "
-            f"{sorted(_NUISANCE_BUILDERS)}"
+            f"{kind} config must be a mapping, got {type(block).__name__}"
         )
-    try:
-        return builder(cfg)
-    except KeyError as exc:
-        raise ConfigError(f"nuisance {name!r} missing parameter {exc}") from exc
+    params = dict(block)
+    name = params.pop(key, default)
+    if not (isinstance(name, str) and name in table):
+        raise ConfigError(f"unknown {kind} {name!r}; valid: {sorted(table)}")
+    make = table[name]
+    names = inspect.signature(make).parameters
+    unknown = sorted(set(params) - set(names))
+    missing = [n for n, p in names.items() if p.default is p.empty and n not in params]
+    if unknown or missing:
+        raise ConfigError(
+            f"{kind} {name!r} takes parameters {list(names)}; "
+            f"got unknown {unknown}, missing {missing}"
+        )
+    where = f"{kind} {name!r} parameter "
+    return make(**{
+        n: _PARAMETERS.get(n, _number)(v, where + n) for n, v in params.items()
+    })
 
 
-def _build_cusp(p: dict) -> CuspSignal:
-    return CuspSignal(
-        a=float(p["a"]),
-        kappa=float(p["kappa"]),
-        T=float(p["T"]),
-        theta_bounds=tuple(p["theta_bounds"]),
-        nuisance=_nuisance_from_config(p.get("nuisance")),
-    )
-
-
-def _build_multi_cusp(p: dict) -> MultiCuspSignal:
-    return MultiCuspSignal(
-        terms=tuple((float(a), float(k)) for a, k in p["terms"]),
-        T=float(p["T"]),
-        theta_bounds=tuple(p["theta_bounds"]),
-    )
-
-
-def _build_two_sided(p: dict) -> TwoSidedCuspSignal:
-    return TwoSidedCuspSignal(
-        a=float(p["a"]),
-        b=float(p["b"]),
-        kappa=float(p["kappa"]),
-        T=float(p["T"]),
-        theta_bounds=tuple(p["theta_bounds"]),
-        nuisance=_nuisance_from_config(p.get("nuisance")),
-    )
-
-
-def _build_signum(p: dict) -> SignumSignal:
-    return SignumSignal(
-        a=float(p["a"]), T=float(p["T"]), theta_bounds=tuple(p["theta_bounds"])
-    )
-
-
-def _build_constant(p: dict) -> QuadraticSignal:
-    return QuadraticSignal(c0=float(p["c"]), c1=0.0, c2=0.0, T=float(p["T"]))
-
-
-def _build_quadratic(p: dict) -> QuadraticSignal:
-    return QuadraticSignal(
-        c0=float(p["c0"]), c1=float(p["c1"]), c2=float(p["c2"]), T=float(p["T"])
-    )
-
-
-def _build_cosine(p: dict) -> CosineSignal:
-    return CosineSignal(
-        c0=float(p["c0"]), c1=float(p["c1"]), omega=float(p["omega"]), T=float(p["T"])
-    )
-
-
-def _build_smoothed_cusp(p: dict) -> SmoothedCuspSignal:
-    return SmoothedCuspSignal(
-        a=float(p["a"]),
-        kappa=float(p["kappa"]),
-        center=float(p["center"]),
-        delta=float(p["delta"]),
-        T=float(p["T"]),
-    )
-
+_NUISANCES = {
+    "constant": ConstantNuisance,
+    "cosine": CosineNuisance,
+    "theta_ramp": ThetaRampNuisance,
+}
 
 SIGNAL_FAMILIES = {
-    "cusp": _build_cusp,
-    "multi_cusp": _build_multi_cusp,
-    "two_sided_cusp": _build_two_sided,
-    "signum": _build_signum,
-    "constant": _build_constant,
-    "quadratic": _build_quadratic,
-    "cosine": _build_cosine,
-    "smoothed_cusp": _build_smoothed_cusp,
+    "cusp": CuspSignal,
+    "multi_cusp": MultiCuspSignal,
+    "two_sided_cusp": TwoSidedCuspSignal,
+    "signum": SignumSignal,
+    "constant": lambda c, T: QuadraticSignal(c0=c, c1=0.0, c2=0.0, T=T),
+    "quadratic": QuadraticSignal,
+    "cosine": CosineSignal,
+    "smoothed_cusp": SmoothedCuspSignal,
 }
 
 
 def signal_from_config(cfg: dict) -> Signal:
-    """Build a signal from a configuration dictionary.
+    """Build a signal from a ``{"family": ..., <parameters>}`` config block.
 
-    The dictionary must carry a ``family`` key naming a catalog entry;
-    the remaining keys are the family's constructor parameters.  Unknown
-    family names raise :class:`ConfigError` listing the valid ones.
+    The parameters are the family's constructor parameters, checked by
+    ``from_config``; an unknown family raises ``ConfigError`` listing the
+    valid ones.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"signal config must be a mapping, got {type(cfg).__name__}")
-    family = cfg.get("family")
-    builder = SIGNAL_FAMILIES.get(family)
-    if builder is None:
-        raise ConfigError(
-            f"unknown signal family {family!r}; valid families: "
-            f"{sorted(SIGNAL_FAMILIES)}"
-        )
-    try:
-        return builder(cfg)
-    except KeyError as exc:
-        raise ConfigError(f"signal family {family!r} missing parameter {exc}") from exc
+    return from_config(SIGNAL_FAMILIES, cfg, "signal family", key="family")

@@ -18,6 +18,9 @@ from cusplab.limit_laws import fisher_info_kappa, gamma_squared
 
 GAMMA_SQ_REF = 0.511988584660
 FISHER_REF = 1.081184249478
+CUSP_BLOCK = {"family": "cusp", "a": 1.0, "kappa": 0.25, "T": 1.0,
+              "theta_bounds": [0.35, 0.65]}
+QUADRATIC_BLOCK = {"family": "quadratic", "c0": 0.0, "c1": 1.0, "c2": 0.5, "T": 1.0}
 
 
 def _run(capsys, argv):
@@ -163,6 +166,25 @@ class TestEstimate:
         code, _ = _run(capsys, ["estimate", "--config", config])
         assert code == 1
 
+    @pytest.mark.parametrize("config,message", [
+        ({"estimator": "ridge"}, "unknown estimator 'ridge'"),
+        ({"estimator": "mle", "prior": {"name": "bogus"}}, "unknown prior 'bogus'"),
+        ({"estimator": "mle", "prior": {"name": "truncated_normal", "mean": 0.5}},
+         "missing ['std']"),
+    ])
+    def test_whole_config_read_before_simulating(
+        self, capsys, caplog, tmp_path, monkeypatch, config, message
+    ):
+        def simulated(*args, **kwargs):
+            raise AssertionError("path simulated before the config was read")
+
+        monkeypatch.setattr("cusplab.cli.simulate_path", simulated)
+        code, payload = _run(capsys, ["estimate", "--config",
+                                      _write_config(tmp_path, config)])
+        assert code == 1
+        assert payload is None
+        assert message in caplog.text
+
     @pytest.mark.parametrize("estimator", ["mle", "bayes"])
     @pytest.mark.parametrize("name,signal", [
         ("SignumSignal", {"family": "signum", "a": 1.0, "T": 1.0,
@@ -279,6 +301,15 @@ class TestMisspec:
             (tmp_path / "misspec_solution.json").read_text(encoding="utf-8")
         )
         assert on_disk == payload
+
+    def test_minimizer_on_the_bound_exits_1(self, capsys, caplog, tmp_path):
+        config = _write_config(tmp_path, {"center": 0.6499})
+        code, payload = _run(capsys, ["misspec", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert payload is None
+        assert "must be interior to (0.35, 0.65)" in caplog.text
+        assert "outside parameter bounds" not in caplog.text
 
 
 class TestSweeps:
@@ -498,6 +529,8 @@ class TestFlagsAndKeys:
         ("rate", {"epsilons": "0.05"}, "epsilons"),
         ("rate", {"master_seed": "x"}, "master_seed"),
         ("rate", {"signal": {"kappa": "0.25"}}, "signal.kappa"),
+        ("rate", {"scenario": ["cusp-mle"]}, "scenario"),
+        ("rate", {"scenario": "cusp"}, "scenario"),
     ])
     def test_mistyped_config_value_exits_1_before_any_output(
         self, capsys, caplog, tmp_path, command, config, key
@@ -509,6 +542,32 @@ class TestFlagsAndKeys:
         assert payload is None
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert f"config.{key}=" in caplog.text
+
+    @pytest.mark.parametrize("command,config,named", [
+        ("estimate", {"estimator": "bayes", "prior": {
+            "name": "truncated_normal", "mean": "0.5", "std": 0.1}}, "mean='0.5'"),
+        ("estimate", {"estimator": "bayes", "prior": {
+            "name": "truncated_normal", "mean": 0.5, "std": True}}, "std=True"),
+        ("estimate", {"estimator": "bayes", "prior": {
+            "name": "truncated_normal", "mean": "x", "std": 0.1}}, "mean='x'"),
+        ("estimate", {"signal": {**CUSP_BLOCK, "nuisance": {
+            "name": "constant", "level": "0.3"}}}, "level='0.3'"),
+        ("simulate", {"signal": {**QUADRATIC_BLOCK, "c0": "1.5"}}, "c0='1.5'"),
+        ("simulate", {"signal": {**QUADRATIC_BLOCK, "c0": "x"}}, "c0='x'"),
+        ("simulate", {"signal": {**CUSP_BLOCK, "typo": 3}}, "unknown ['typo']"),
+        ("kappa", {"prior": {"name": "bogus"}}, "unknown prior 'bogus'"),
+    ])
+    def test_mistyped_block_parameter_exits_1_before_any_output(
+        self, capsys, caplog, tmp_path, command, config, named
+    ):
+        argv = [command, "--config", _write_config(tmp_path, config)]
+        if command != "estimate":
+            argv += ["--out", str(tmp_path / "out")]
+        code, payload = _run(capsys, argv)
+        assert code == 1
+        assert payload is None
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert named in caplog.text
 
     def test_values_of_the_default_type_accepted(self, capsys, tmp_path):
         # an int where the default is a float, a null curvature (its default)

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -10,7 +11,7 @@ import re
 import pytest
 
 import cusplab
-from cusplab import cli
+from cusplab import cli, estimators, signal_models
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = {
@@ -53,18 +54,19 @@ def test_package_imports_only_exported_names():
         assert names - _exports(MODULES[node.module]) == set(), node.module
 
 
+def _readme_table(header: str) -> list:
+    """The backticked names in each cell of each row of the README table
+    whose header row is ``header``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    return [[re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")]
+            for line in table.strip().splitlines()[1:]]
+
+
 def _readme_cli_table() -> dict:
     """``{subcommand: (flags, config keys)}`` from the README flag table."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Command-line interface", 1)[1]
-    table = section.split("| Subcommand | Flags | Config keys |", 1)[1].split("\n\n", 1)[0]
-    rows = {}
-    for line in table.strip().splitlines()[1:]:
-        names, flags, keys = (re.findall(r"`([^`]+)`", cell)
-                              for cell in line.strip("|").split("|"))
-        for name in names:
-            rows[name] = (set(flags), set(keys))
-    return rows
+    rows = _readme_table("| Subcommand | Flags | Config keys |")
+    return {name: (set(flags), set(keys)) for names, flags, keys in rows for name in names}
 
 
 def test_readme_cli_table_matches_parser():
@@ -79,3 +81,14 @@ def test_readme_cli_table_matches_parser():
     assert {name: flags for name, (flags, _) in documented.items()} == registered
     keyed = {name: keys for name, (_, keys) in documented.items() if name in cli._KEYS}
     assert keyed == {name: set(keys) for name, keys in cli._KEYS.items()}
+
+
+@pytest.mark.parametrize("header,table", [
+    ("| Signal family | Parameters |", signal_models.SIGNAL_FAMILIES),
+    ("| Nuisance | Parameters |", signal_models._NUISANCES),
+    ("| Prior | Parameters |", estimators._PRIORS),
+], ids=["signal", "nuisance", "prior"])
+def test_readme_block_tables_match_constructors(header, table):
+    documented = {name: params for (name,), params in _readme_table(header)}
+    assert documented == {name: list(inspect.signature(make).parameters)
+                          for name, make in table.items()}

@@ -274,6 +274,22 @@ class TestBayes:
             with pytest.raises(ConfigError):
                 prior_from_config(block)
 
+    @pytest.mark.parametrize("params,named", [
+        ({"mean": "0.5", "std": 0.1}, "mean='0.5'"),
+        ({"mean": "x", "std": 0.1}, "mean='x'"),
+        ({"mean": 0.5, "std": True}, "std=True"),
+        ({"mean": None, "std": 0.1}, "mean=None"),
+    ])
+    def test_prior_parameters_must_be_numbers(self, params, named):
+        with pytest.raises(ConfigError, match="must be a number") as info:
+            prior_from_config({"name": "truncated_normal", **params})
+        assert named in str(info.value)
+
+    def test_prior_ints_passed_on_as_floats(self):
+        prior = prior_from_config({"name": "truncated_normal", "mean": 0, "std": 1})
+        assert (prior.mean, prior.std) == (0.0, 1.0)
+        assert type(prior.mean) is float and type(prior.std) is float
+
 
 class TestPseudoMle:
     def test_degenerate_case_recovers_truth(self):

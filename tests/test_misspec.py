@@ -166,7 +166,16 @@ class TestCurvature:
         # projection onto the boundary, where curvature is undefined
         real = SmoothedCuspSignal(a=1.0, kappa=0.25, center=0.95, delta=0.05, T=1.0)
         problem = MisspecProblem(theoretical=THEORETICAL, real=real)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="interior"):
+            solve_theta_hat(problem)
+
+    @pytest.mark.parametrize("center", [0.6499, 0.66])
+    def test_minimizer_within_stencil_of_bound_rejected(self, center):
+        # the golden section stops a hair inside the bound, where the
+        # finite-difference stencil would step outside it
+        real = SmoothedCuspSignal(a=1.0, kappa=0.25, center=center, delta=0.05, T=1.0)
+        problem = MisspecProblem(theoretical=THEORETICAL, real=real)
+        with pytest.raises(DomainError, match="interior"):
             solve_theta_hat(problem)
 
 

@@ -259,13 +259,90 @@ class TestSignalFromConfig:
         assert isinstance(sig, cls)
 
     def test_unknown_family_lists_valid_names(self):
-        with pytest.raises(ConfigError, match="valid families"):
+        with pytest.raises(ConfigError, match=r"valid: \['constant', 'cosine', 'cusp'"):
             signal_from_config({"family": "sawtooth"})
 
     def test_missing_parameter_names_it(self):
-        with pytest.raises(ConfigError, match="kappa"):
+        with pytest.raises(ConfigError, match=r"missing \['kappa'\]"):
             signal_from_config({"family": "cusp", "a": 1.0, "T": 1.0,
                                 "theta_bounds": [0.35, 0.65]})
+
+    def test_ints_passed_on_as_floats(self):
+        sig = signal_from_config({"family": "cusp", "a": 2, "kappa": 0.25, "T": 1,
+                                  "theta_bounds": [0.35, 0.65],
+                                  "nuisance": {"name": "constant", "level": 0}})
+        values = (sig.a, sig.T, sig.nuisance.level, *sig.theta_bounds)
+        assert [type(v) for v in values] == [float] * 5
+        multi = signal_from_config({"family": "multi_cusp", "terms": [[1, 0.2]],
+                                    "T": 1.0, "theta_bounds": [0.35, 0.65]})
+        assert multi.terms == ((1.0, 0.2),) and type(multi.terms[0][0]) is float
+
+    def test_constant_is_a_flat_quadratic(self):
+        sig = signal_from_config({"family": "constant", "c": 1.5, "T": 2.0})
+        assert sig == QuadraticSignal(c0=1.5, c1=0.0, c2=0.0, T=2.0)
+
+    @pytest.mark.parametrize("name,params", [
+        ("constant", {"level": 0.3}),
+        ("cosine", {"amplitude": 0.1, "frequency": 2.0}),
+        ("theta_ramp", {"gain": 0.5}),
+    ])
+    def test_every_nuisance_constructible(self, name, params):
+        sig = signal_from_config({"family": "two_sided_cusp", "a": 1.0, "b": 2.0,
+                                  "kappa": 0.25, "T": 1.0, "theta_bounds": [0.35, 0.65],
+                                  "nuisance": {"name": name, **params}})
+        assert sig.nuisance == {"constant": ConstantNuisance, "cosine": CosineNuisance,
+                                "theta_ramp": ThetaRampNuisance}[name](**params)
+
+    @pytest.mark.parametrize("change,named", [
+        ({"a": "1.0"}, "a='1.0'"),
+        ({"a": True}, "a=True"),
+        ({"kappa": None}, "kappa=None"),
+        ({"kappa": [0.25]}, "kappa=[0.25]"),
+        ({"theta_bounds": [0.35]}, "theta_bounds=[0.35]"),
+        ({"theta_bounds": "0.35,0.65"}, "theta_bounds='0.35,0.65'"),
+        ({"theta_bounds": [0.35, "0.65"]}, "theta_bounds[1]='0.65'"),
+        ({"typo": 3}, "unknown ['typo']"),
+        ({"nuisance": None}, "nuisance config must be a mapping"),
+        ({"nuisance": {"name": "constant", "level": "0.3"}}, "level='0.3'"),
+        ({"nuisance": {"name": "constant", "level": False}}, "level=False"),
+        ({"nuisance": {"name": "cosine", "amplitude": 0.1}}, "missing ['frequency']"),
+        ({"nuisance": {"name": "constant", "level": 0.3, "gain": 1.0}},
+         "unknown ['gain']"),
+    ])
+    def test_mistyped_or_unknown_parameter_named(self, change, named):
+        block = {"family": "cusp", "a": 1.0, "kappa": 0.25, "T": 1.0,
+                 "theta_bounds": [0.35, 0.65], **change}
+        with pytest.raises(ConfigError) as info:
+            signal_from_config(block)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("terms,named", [
+        ("1.0,0.2", "terms='1.0,0.2'"),
+        ([1.0, 0.2], "terms[0]=1.0"),
+        ([[1.0, 0.2], [1.0]], "terms[1]=[1.0]"),
+        ([[1.0, 0.2], [1.0, "0.4"]], "terms[1][1]='0.4'"),
+    ])
+    def test_terms_must_be_number_pairs(self, terms, named):
+        with pytest.raises(ConfigError) as info:
+            signal_from_config({"family": "multi_cusp", "terms": terms, "T": 1.0,
+                                "theta_bounds": [0.35, 0.65]})
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("family,key", [
+        ("quadratic", "c0"), ("cosine", "omega"), ("smoothed_cusp", "delta"),
+        ("signum", "a"), ("constant", "c"),
+    ])
+    def test_string_number_rejected_in_every_family(self, family, key):
+        params = {
+            "quadratic": {"c0": 0.0, "c1": 1.0, "c2": -1.0, "T": 1.0},
+            "cosine": {"c0": 0.0, "c1": 1.0, "omega": 3.0, "T": 1.0},
+            "smoothed_cusp": {"a": 1.0, "kappa": 0.25, "center": 0.5,
+                              "delta": 0.05, "T": 1.0},
+            "signum": {"a": 1.0, "T": 1.0, "theta_bounds": [0.35, 0.65]},
+            "constant": {"c": 1.0, "T": 1.0},
+        }[family]
+        with pytest.raises(ConfigError, match=f"{key}='1.5' must be a number"):
+            signal_from_config({"family": family, **params, key: "1.5"})
 
     def test_unknown_nuisance_rejected(self):
         with pytest.raises(ConfigError, match="nuisance"):
