@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalDegeneracyError
 from .path_sim import ObservationPath
-from .signal_models import from_config, is_location_signal
+from .signal_models import cusp_term, from_config, is_location_signal
 
 __all__ = [
     "EstimationResult",
@@ -529,8 +529,8 @@ def kappa_mle(
     if not 0.0 < rho < path.grid.T:
         raise DomainError(f"rho must lie in (0, T), got {rho!r}")
     rate = path.epsilon
-    dist = np.abs(path.grid.left_nodes - rho)
-    eval_fn = lambda kappas: _path_loglik(path, a * dist[None, :] ** kappas[:, None])
+    t = path.grid.left_nodes
+    eval_fn = lambda kappas: _path_loglik(path, cusp_term(a, rho, kappas[:, None], t))
     kappa, _, levels, step, boundary = _nested_argmax(
         eval_fn, kappa_bounds, rate, coarse=coarse
     )
@@ -571,7 +571,9 @@ def joint_mle(
     """Joint MLE of (location, exponent) with known amplitude.
 
     A coarse two-dimensional scan seeds alternating per-axis nested
-    refinements; the location error is normalized by ``eps**(1/H)`` at
+    refinements.  Each scan window, location or exponent, is one product
+    over the drift rows ``cusp_term(a, rho, kappa, t)`` with that axis as
+    a column.  The location error is normalized by ``eps**(1/H)`` at
     the estimated exponent, the exponent error by ``eps``.  ``coarse``
     optionally supplies ``(rho_nodes, kappa_nodes, values)`` with
     ``values[i, j]`` the log-likelihood at ``(kappa_nodes[i],
@@ -590,13 +592,13 @@ def joint_mle(
     eps = path.epsilon
     t = path.grid.left_nodes
 
-    def field(rhos: np.ndarray, kappa: float) -> np.ndarray:
-        return _path_loglik(path, a * np.abs(t[None, :] - rhos[:, None]) ** kappa)
+    def field(rho, kappa) -> np.ndarray:
+        return _path_loglik(path, cusp_term(a, rho, kappa, t))
 
     # Coarse scan: a handful of exponents, a dense location axis.
     if coarse is None:
         rho_nodes, kappa_nodes = joint_coarse_nodes(theta_bounds, kappa_bounds)
-        values = np.stack([field(rho_nodes, float(k)) for k in kappa_nodes])
+        values = np.stack([field(rho_nodes[:, None], float(k)) for k in kappa_nodes])
     else:
         rho_nodes, kappa_nodes, values = coarse
         rho_nodes = np.asarray(rho_nodes, dtype=float)
@@ -624,22 +626,18 @@ def joint_mle(
             # and the second pass lets the scan windows follow it.
             for _ in range(2):
                 rho, _ = _scan_best(
-                    lambda g: field(g, kappa),
+                    lambda g: field(g[:, None], kappa),
                     _window(theta_bounds, rho, rho_step, SPAN),
                 )
-                # One row per exponent: batching them into one product
-                # would change the last bits of the field.
                 kappa, value = _scan_best(
-                    lambda g: np.array(
-                        [field(np.array([rho]), float(k))[0] for k in g]
-                    ),
+                    lambda g: field(rho, g[:, None]),
                     _window(kappa_bounds, kappa, kappa_step, SPAN),
                 )
             levels += 1
             if levels > 12:
                 break
         if not np.isfinite(value):
-            value = float(field(np.array([rho]), kappa)[0])
+            value = float(field(np.array([[rho]]), kappa)[0])
         return rho, kappa, value, levels, rho_step, kappa_step
 
     # Multi-start: descend from the best few coarse cells that do not sit

@@ -86,7 +86,7 @@ from .path_sim import (
     simulate_path,
     warn_if_coarse,
 )
-from .signal_models import CuspSignal, SmoothedCuspSignal, signal_from_config
+from .signal_models import CuspSignal, SmoothedCuspSignal, cusp_term, signal_from_config
 
 __all__ = [
     "SCENARIOS",
@@ -130,7 +130,7 @@ _SIGNAL_DEFAULTS = {
     "cusp-mle": _CUSP_DEFAULTS,
     "cusp-bayes": _CUSP_DEFAULTS,
     "multi-cusp": {
-        "terms": ((1.0, 0.2), (1.0, 0.4)), "T": 1.0,
+        "terms": [(1.0, 0.2), (1.0, 0.4)], "T": 1.0,
         "theta0": 0.5, "theta_bounds": (0.35, 0.65),
     },
     "misspec": {
@@ -148,8 +148,8 @@ _SIGNAL_DEFAULTS = {
 }
 
 _DEFAULT_EPSILONS = {
-    "kappa": (0.01,),
-    "joint": (0.01,),
+    "kappa": [0.01],
+    "joint": [0.01],
 }
 
 
@@ -157,10 +157,11 @@ _DEFAULT_EPSILONS = {
 class ExperimentConfig:
     """Full specification of one Monte Carlo sweep.
 
-    ``signal`` holds scenario-specific parameters (defaults above);
-    unknown keys are rejected to catch typos.  Noise levels must be
-    strictly decreasing and at least 100 replications are required as
-    soon as a rate fit is possible (three or more levels).
+    ``signal`` holds scenario-specific parameters (defaults above), its
+    bounds and terms as tuples; unknown keys are rejected to catch typos.
+    Noise levels must be strictly decreasing and at least 100
+    replications are required as soon as a rate fit is possible (three or
+    more levels).
     """
 
     scenario: str
@@ -208,6 +209,10 @@ class ExperimentConfig:
                 f"{sorted(unknown)}; valid: {sorted(defaults)}"
             )
         merged = {**defaults, **self.signal}
+        for key in {"theta_bounds", "kappa_bounds"} & set(merged):
+            merged[key] = tuple(merged[key])
+        if "terms" in merged:
+            merged["terms"] = tuple(map(tuple, merged["terms"]))
         object.__setattr__(self, "signal", merged)
 
     def to_dict(self) -> dict:
@@ -238,10 +243,11 @@ def _check_type(value, default, name: str = "config") -> None:
     """Raise ``ConfigError`` unless ``value`` has the type of ``default``.
 
     An int default takes an int but not a bool, a float default an int or
-    a float, a ``None`` default a number or ``None``, a list or tuple
-    default a list or a tuple (each element checked against the default's
-    first) and a mapping default a mapping (each key that has a default
-    checked against it); any other default takes its own type.
+    a float, a ``None`` default a number or ``None``, a list default a list
+    or tuple of any length, a tuple default (a pair of bounds) one of its
+    length, each element checked against the default's first, and a
+    mapping default a mapping (each key that has a default checked
+    against it); any other default takes its own type.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, float):
@@ -249,7 +255,9 @@ def _check_type(value, default, name: str = "config") -> None:
     elif default is None:
         ok = number or value is None
     elif isinstance(default, (list, tuple)):
-        ok = isinstance(value, (list, tuple))
+        ok = isinstance(value, (list, tuple)) and (
+            isinstance(default, list) or len(value) == len(default)
+        )
     else:
         ok = isinstance(value, type(default)) and (
             isinstance(value, bool) == isinstance(default, bool)
@@ -286,18 +294,11 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
         )
-    epsilons = _DEFAULT_EPSILONS.get(scenario, (0.05, 0.02, 0.01, 0.005))
+    epsilons = _DEFAULT_EPSILONS.get(scenario, [0.05, 0.02, 0.01, 0.005])
     _check_type(data, {**_CONFIG_DEFAULTS, "epsilons": epsilons,
                        "signal": _SIGNAL_DEFAULTS[scenario]})
     kwargs = dict(data)
     kwargs["epsilons"] = tuple(kwargs.get("epsilons", epsilons))
-    signal = dict(kwargs.get("signal", {}))
-    for key in ("theta_bounds", "kappa_bounds"):
-        if key in signal:
-            signal[key] = tuple(signal[key])
-    if "terms" in signal:
-        signal["terms"] = tuple(tuple(term) for term in signal["terms"])
-    kwargs["signal"] = signal
     return ExperimentConfig(**kwargs)
 
 
@@ -557,11 +558,10 @@ def _misspec(p, config, t) -> _Spec:
 def _kappa(p, config, t) -> _Spec:
     a, rho, kappa0, bounds = p["a"], p["rho"], p["kappa0"], p["kappa_bounds"]
     fisher = fisher_info_kappa(a, rho, p["T"], kappa0)
-    dist = np.abs(t - rho)
 
     def coarse(eps):
         kgrid = coarse_grid(bounds, eps)
-        return (kgrid,), [lambda: a * dist[None, :] ** kgrid[:, None]]
+        return (kgrid,), [lambda: cusp_term(a, rho, kgrid[:, None], t)]
 
     def compare(errors, count, rng):
         limit = sample_kappa_limit(fisher, count, rng)
@@ -570,7 +570,7 @@ def _kappa(p, config, t) -> _Spec:
     return _Spec(
         constants={"fisher_kappa": fisher, "rate_target": 1.0,
                    "limit_variance": 1.0 / fisher},
-        truth={"kappa0": kappa0}, drift=a * dist**kappa0, kappa=kappa0,
+        truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, t), kappa=kappa0,
         coarse=coarse, compare=compare,
         estimators={("kappa_mle",): lambda path, c: kappa_mle(
             path, a, rho, bounds, target=kappa0, coarse=c)},
@@ -587,7 +587,7 @@ def _joint(p, config, t) -> _Spec:
 
     def coarse(eps):
         return (rho_nodes, kappa_nodes), [
-            lambda k=float(k): a * np.abs(t[None, :] - rho_nodes[:, None]) ** k
+            lambda k=float(k): cusp_term(a, rho_nodes[:, None], k, t)
             for k in kappa_nodes
         ]
 
@@ -606,7 +606,7 @@ def _joint(p, config, t) -> _Spec:
         constants={"gamma_sq": gamma_sq, "fisher_kappa": fisher, "hurst": hurst,
                    "rho_rate_target": 1.0 / hurst, "kappa_rate_target": 1.0},
         truth={"rho0": rho0, "kappa0": kappa0},
-        drift=a * np.abs(t - rho0) ** kappa0, kappa=kappa0,
+        drift=cusp_term(a, rho0, kappa0, t), kappa=kappa0,
         coarse=coarse, compare=compare,
         estimators={("joint_rho", "joint_kappa"): lambda path, c: joint_mle(
             path, a, tbounds, kbounds, rho_true=rho0, kappa_true=kappa0, coarse=c)},

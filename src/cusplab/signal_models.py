@@ -99,6 +99,11 @@ def _check_kappa(kappa: float) -> None:
         raise DomainError(f"cusp exponent kappa must lie in (0, 1/2), got {kappa!r}")
 
 
+def cusp_term(a: ArrayLike, theta: ArrayLike, kappa: ArrayLike, t: np.ndarray) -> np.ndarray:
+    """``a*|t-theta|**kappa``; a column ``theta`` or ``kappa`` gives one row per candidate."""
+    return a * np.abs(t - theta) ** kappa
+
+
 # ---------------------------------------------------------------------------
 # location families
 # ---------------------------------------------------------------------------
@@ -149,7 +154,7 @@ class CuspSignal:
 
     def value(self, theta: float, t: ArrayLike) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = self.a * np.abs(t - theta) ** self.kappa
+        out = cusp_term(self.a, theta, self.kappa, t)
         if self.nuisance is not None:
             out = out + self.nuisance.value(theta, t)
         return out
@@ -190,11 +195,7 @@ class MultiCuspSignal:
 
     def value(self, theta: float, t: ArrayLike) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        d = np.abs(t - theta)
-        out = np.zeros_like(d)
-        for a, k in self.terms:
-            out += a * d**k
-        return out
+        return sum(cusp_term(a, theta, k, t) for a, k in self.terms)
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,7 @@ class TwoSidedCuspSignal:
 
     def value(self, theta: float, t: ArrayLike) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        amp = np.where(t < theta, self.a, self.b)
-        out = amp * np.abs(t - theta) ** self.kappa
+        out = cusp_term(np.where(t < theta, self.a, self.b), theta, self.kappa, t)
         if self.nuisance is not None:
             out = out + self.nuisance.value(theta, t)
         return out

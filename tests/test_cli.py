@@ -531,6 +531,12 @@ class TestFlagsAndKeys:
         ("rate", {"signal": {"kappa": "0.25"}}, "signal.kappa"),
         ("rate", {"scenario": ["cusp-mle"]}, "scenario"),
         ("rate", {"scenario": "cusp"}, "scenario"),
+        # a tuple default fixes the length: bounds are pairs
+        ("misspec", {"theta_bounds": [0.35]}, "theta_bounds"),
+        ("limit-law", {"law": "zeta", "theta_bounds": [0.35]}, "theta_bounds"),
+        ("kappa", {"signal": {"kappa_bounds": [0.05]}}, "signal.kappa_bounds"),
+        ("joint", {"signal": {"theta_bounds": [0.35, 0.5, 0.65]}},
+         "signal.theta_bounds"),
     ])
     def test_mistyped_config_value_exits_1_before_any_output(
         self, capsys, caplog, tmp_path, command, config, key

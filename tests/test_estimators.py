@@ -30,6 +30,7 @@ from cusplab.signal_models import (
     QuadraticSignal,
     SignumSignal,
     SmoothedCuspSignal,
+    cusp_term,
 )
 
 BOUNDS = (0.35, 0.65)
@@ -87,6 +88,41 @@ class TestItoLoglik:
             for k in range(paths):
                 want = _direct_ito_sum(drift[j], increments[k], dt, eps)
                 assert got[j, k] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
+
+
+class TestExponentRows:
+    """One ``ito_loglik`` product over ``cusp_term`` rows, with a column of
+    exponents or of locations, matches the direct sum node by node."""
+
+    @pytest.mark.parametrize("axis", ["kappa", "rho"])
+    @given(
+        rows=st.integers(1, 5),
+        n=st.integers(2, 60),
+        eps=st.floats(1e-3, 1.0),
+        a=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_column_matches_direct_sum(self, axis, rows, n, eps, a, seed):
+        rng = np.random.default_rng(seed)
+        dt = 1.0 / n
+        t = np.arange(n) * dt
+        increments = rng.normal(0.0, 0.1, size=n)
+        rhos = rng.uniform(0.0, 1.0, rows)
+        kappas = rng.uniform(0.05, 0.45, rows)
+        if axis == "kappa":  # one location, a column of exponents
+            rhos[:] = rhos[0]
+            drift = cusp_term(a, rhos[0], kappas[:, None], t)
+        else:  # one exponent, a column of locations
+            kappas[:] = kappas[0]
+            drift = cusp_term(a, rhos[:, None], kappas[0], t)
+        got = ito_loglik(drift, increments, dt, eps)
+        assert got.shape == (rows,)
+        for j in range(rows):
+            rho, k = float(rhos[j]), float(kappas[j])
+            nodes = [a * abs(float(ti) - rho) ** k for ti in t]
+            want = _direct_ito_sum(nodes, increments, dt, eps)
+            assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
 
 
 class TestRates:

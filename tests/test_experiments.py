@@ -18,6 +18,7 @@ from cusplab.errors import (
     ExperimentError,
     NumericalDegeneracyError,
 )
+from cusplab.estimators import bayes, joint_mle, kappa_mle, mle, pseudo_mle
 from cusplab.experiments import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -32,7 +33,8 @@ from cusplab.experiments import (
     run_experiment,
     write_rows_csv,
 )
-from cusplab.signal_models import CuspSignal
+from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
+from cusplab.signal_models import CuspSignal, MultiCuspSignal
 
 EPS_SINGLE = (0.05,)
 
@@ -213,6 +215,47 @@ class TestRunExperimentDeterminism:
         a = run_experiment(_tiny()).rows
         b = run_experiment(_tiny(master_seed=2)).rows
         assert a != b
+
+
+def _stand_alone(scenario, p):
+    """``(drift signal, location, path -> {row name: estimate})`` of a
+    scenario, each estimator called without a precomputed coarse field."""
+    bounds = p.get("theta_bounds", (0.35, 0.65))
+    cusp = lambda kappa: CuspSignal(a=p["a"], kappa=kappa, T=p["T"], theta_bounds=bounds)
+    if scenario == "misspec":
+        problem, _ = experiments.misspec_problem(p)
+        return problem.real, None, lambda path: {
+            "pseudo_mle": pseudo_mle(path, problem.theoretical).estimate}
+    if scenario == "kappa":
+        return cusp(p["kappa0"]), p["rho"], lambda path: {
+            "kappa_mle": kappa_mle(path, p["a"], p["rho"], p["kappa_bounds"]).estimate}
+    if scenario == "joint":
+        def joint(path):
+            res = joint_mle(path, p["a"], bounds, p["kappa_bounds"])
+            return {"joint_rho": res.rho_hat, "joint_kappa": res.kappa_hat}
+        return cusp(p["kappa0"]), p["rho0"], joint
+    signal = (MultiCuspSignal(terms=p["terms"], T=p["T"], theta_bounds=bounds)
+              if scenario == "multi-cusp" else cusp(p["kappa"]))
+    calls = {"mle": mle, "bayes": bayes} if scenario == "cusp-bayes" else {"mle": mle}
+    return signal, p["theta0"], lambda path: {
+        name: call(path, signal).estimate for name, call in calls.items()}
+
+
+class TestSweepRowsMatchStandAloneCalls:
+    @pytest.mark.parametrize("scenario", sorted(SMALL))
+    def test_row_equals_call_without_coarse(self, scenario):
+        # a sweep hands each estimator its precomputed coarse field; the
+        # estimate must be the one the estimator finds on its own
+        cfg = _tiny(scenario, **SMALL[scenario])
+        rows = run_experiment(cfg).rows
+        signal, theta, call = _stand_alone(scenario, cfg.signal)
+        grid = TimeGrid(cfg.signal["T"], cfg.n_steps)
+        alone = {}
+        for rep, eps in dict.fromkeys((r["replication"], r["epsilon"]) for r in rows):
+            rng = replication_rng(cfg.master_seed, rep)
+            alone[rep] = call(simulate_path(signal, theta, eps, grid, rng=rng))
+        differ = [r for r in rows if r["estimate"] != alone[r["replication"]][r["estimator"]]]
+        assert rows and differ == []
 
 
 class TestRunExperimentScenarios:
