@@ -291,13 +291,11 @@ def _cmd_limit_law(args) -> int:
         raise ConfigError(f"unknown limit law {law!r}; valid: ['kappa', 'xi', 'zeta']")
     hurst = kappa + 0.5
     count = _count(config, "count", minimum=2 if law == "kappa" else 1)
-    out = _out_dir(config)
     rng = replication_rng(config["master_seed"], 0)
-    csv_path = os.path.join(out, f"limit_{law}_samples.csv")
     if law == "xi":
         gamma_sq = gamma_squared(a, kappa)
         xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
-        _write_samples(csv_path, "xi_hat,xi_tilde,edge_flag", xi_hat, xi_tilde, flags)
+        header, columns = "xi_hat,xi_tilde,edge_flag", (xi_hat, xi_tilde, flags)
         summary = {
             "law": "xi",
             "gamma_sq": gamma_sq,
@@ -313,7 +311,7 @@ def _cmd_limit_law(args) -> int:
         else:
             curvature = float(config["curvature"])
         zeta, flags = sample_zeta_batch(noise_scale, curvature, hurst, count, rng)
-        _write_samples(csv_path, "zeta_hat,edge_flag", zeta, flags)
+        header, columns = "zeta_hat,edge_flag", (zeta, flags)
         summary = {
             "law": "zeta",
             "noise_scale": noise_scale,
@@ -326,13 +324,17 @@ def _cmd_limit_law(args) -> int:
     else:
         fisher = fisher_info_kappa(a, config["rho"], config["T"], kappa)
         samples = sample_kappa_limit(fisher, count, rng)
-        _write_samples(csv_path, "kappa_limit", samples)
+        header, columns = "kappa_limit", (samples,)
         summary = {
             "law": "kappa",
             "fisher_kappa": fisher,
             "variance": float(samples.var(ddof=1)),
             "limit_variance": 1.0 / fisher,
         }
+    # The output directory is made only once sampling has succeeded, so a
+    # run that fails a domain check leaves nothing behind.
+    csv_path = os.path.join(_out_dir(config), f"limit_{law}_samples.csv")
+    _write_samples(csv_path, header, *columns)
     log.info("wrote %d %s samples to %s", count, law, csv_path)
     _emit({
         "schema_version": SCHEMA_VERSION,

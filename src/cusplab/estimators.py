@@ -30,15 +30,23 @@ coarse step of twice the rate (at most a quarter of the parameter
 range), refinement levels that shrink the step ``SHRINK``-fold and scan
 ``SPAN`` steps either side of the incumbent until it is at most
 rate/50, and ``STARTS`` separated coarse candidates refined each.
+Each scan window is a linspace grid.
+
+The Bayes fine grid is instead the half-offset lattice
+``(m + 1/2) * dt/q`` at a step of at most rate/10.  The three cusp
+families are functions of ``t - theta``, so every drift row on it is a
+strided view of one kernel vector, and ``ito_loglik`` takes the rows
+without building them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, NumericalDegeneracyError
 from .path_sim import ObservationPath
@@ -420,6 +428,42 @@ def prior_from_config(block: dict):
     return from_config(_PRIORS, block, "prior", default="uniform")
 
 
+def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
+    """``(thetas, field)`` on the half-offset lattice ``(m + 1/2)*dt/q`` in ``[lo, hi]``.
+
+    ``q = ceil(dt/h)`` and every ``p``-th node is kept, ``p = max(1,
+    floor(h/dt))``, so one of ``p``, ``q`` is 1 and the step ``p*dt/q`` is
+    at most ``h``.  The half-unit offset keeps every theta at least
+    ``dt/(2q)`` from the time nodes, off the tips of the cusps
+    ``|t_i - theta|**kappa``.
+
+    The three cusp families are functions of ``t - theta`` plus a
+    nuisance, and ``t_i - theta_m = (i*q - m - 1/2) * dt/q``.  So one
+    kernel vector ``K[k] = S(0, (k - m_max - 1/2) * dt/q)`` holds every
+    drift row: row ``m`` is ``K[m_max - m + i*q]``, a strided view, and the
+    nuisance is added to it.  A window narrower than ``dt`` would make
+    the kernel longer than the rows themselves; the rows are then
+    evaluated directly at the same thetas.
+    """
+    dt, t = path.grid.dt, path.grid.left_nodes
+    q, p = math.ceil(dt / h), max(1, math.floor(h / dt))
+    u = dt / q
+    m_min = math.ceil(lo / u - 0.5)
+    ms = m_min + p * np.arange(math.floor((hi / u - 0.5 - m_min) / p) + 1)
+    thetas = (ms + 0.5) * u
+    width = q * (t.size - 1) + 1
+    span = int(ms[-1] - m_min)
+    if width + span > thetas.size * t.size:
+        return thetas, _location_loglik(path, signal, thetas)
+    nuisance = getattr(signal, "nuisance", None)
+    kernel = signal if nuisance is None else replace(signal, nuisance=None)
+    lags = (np.arange(width + span) - ms[-1] - 0.5) * u
+    rows = sliding_window_view(kernel.value(0.0, lags), width)[::-p, ::q]
+    if nuisance is not None:
+        rows = rows + nuisance.value(thetas[:, None], t)
+    return thetas, _path_loglik(path, rows)
+
+
 #: Log-likelihood drop below the observed maximum beyond which posterior
 #: mass is negligible at double precision (exp(-60) ~ 9e-27).
 _POSTERIOR_LOG_DROP = 60.0
@@ -435,10 +479,15 @@ def bayes(
     """Posterior-mean location estimate under quadratic loss.
 
     The posterior concentrates on an ``eps**(1/H)``-neighbourhood of the
-    maximum, so the ratio of integrals is computed on a fine trapezoid
-    grid covering every coarse node within ``exp(-60)`` of the maximum,
-    with max-shifted exponentials for stability.  ``coarse`` optionally
-    supplies precomputed ``(grid, values)`` from ``coarse_grid``.
+    maximum, so the ratio of integrals is computed by the trapezoid rule
+    on a window covering every coarse node within ``exp(-60)`` of the
+    maximum, with max-shifted exponentials for stability.  The fine grid
+    is the half-offset lattice ``(m + 1/2) * dt/q`` at a step of at most
+    rate/10 and at most 1/51 of the window, so at least 50 intervals span
+    it; its drift rows are strided views of one kernel vector
+    (``_fine_field``).  The MLE refinement windows stay on
+    linspace grids.  ``coarse`` optionally supplies precomputed
+    ``(grid, values)`` from ``coarse_grid``.
     """
     _require_cusp(signal, "bayes")
     _check_horizon(path, signal)
@@ -452,14 +501,13 @@ def bayes(
         (alpha, beta), rate, coarse,
     )
     keep = cvals >= cvals.max() - _POSTERIOR_LOG_DROP
-    step = cgrid[1] - cgrid[0]
-    lo = max(alpha, cgrid[keep].min() - step)
-    hi = min(beta, cgrid[keep].max() + step)
+    coarse_step = cgrid[1] - cgrid[0]
+    lo = max(alpha, cgrid[keep].min() - coarse_step)
+    hi = min(beta, cgrid[keep].max() + coarse_step)
 
-    fine_step = rate / 10.0
-    n_fine = max(50, int(math.ceil((hi - lo) / fine_step))) + 1
-    grid = np.linspace(lo, hi, n_fine)
-    log_vals = _location_loglik(path, signal, grid)
+    fine_step = min(rate / 10.0, (hi - lo) / 51.0)
+    grid, log_vals = _fine_field(path, signal, lo, hi, fine_step)
+    step = grid[1] - grid[0]
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())
     denom = np.trapezoid(weights, grid)
     if not (np.isfinite(denom) and denom > 0.0):
@@ -470,21 +518,18 @@ def bayes(
     estimate = float(np.trapezoid(grid * weights, grid) / denom)
     estimate = float(np.clip(estimate, alpha, beta))
 
-    edge = np.zeros_like(grid, dtype=bool)
-    edge |= grid <= alpha + fine_step
-    edge |= grid >= beta - fine_step
+    edge = (grid <= alpha + step) | (grid >= beta - step)
     if edge.any():
         boundary_mass = float(np.trapezoid(np.where(edge, weights, 0.0), grid) / denom)
     else:
         boundary_mass = 0.0
-    actual_step = grid[1] - grid[0]
     return EstimationResult(
         estimator="bayes",
         estimate=estimate,
         rate=rate,
         normalized_error=_normalized(estimate, target, rate),
-        boundary=estimate <= alpha + actual_step or estimate >= beta - actual_step,
-        grid_step=actual_step,
+        boundary=estimate <= alpha + step or estimate >= beta - step,
+        grid_step=step,
         refinement_levels=1,
         boundary_mass=boundary_mass,
     )

@@ -284,6 +284,15 @@ class TestLimitLaw:
         assert code == 1
         assert not (tmp_path / "out").exists()
 
+    def test_domain_error_leaves_no_output_directory(self, capsys, caplog, tmp_path):
+        config = _write_config(tmp_path, {"law": "xi", "kappa": 0.7})
+        code, payload = _run(capsys, ["limit-law", "--config", config,
+                                      "--out", str(tmp_path / "o1")])
+        assert code == 1
+        assert payload is None
+        assert "kappa must lie in (0, 1/2)" in caplog.text
+        assert not (tmp_path / "o1").exists()
+
 
 class TestMisspec:
     def test_solution_record(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cusplab import estimators
 from cusplab.errors import ConfigError, DomainError
 from cusplab.estimators import (
     EstimationResult,
@@ -26,10 +27,15 @@ from cusplab.estimators import (
 )
 from cusplab.path_sim import ObservationPath, TimeGrid, replication_rng, simulate_path
 from cusplab.signal_models import (
+    ConstantNuisance,
+    CosineNuisance,
     CuspSignal,
+    MultiCuspSignal,
     QuadraticSignal,
     SignumSignal,
     SmoothedCuspSignal,
+    ThetaRampNuisance,
+    TwoSidedCuspSignal,
     cusp_term,
 )
 
@@ -325,6 +331,108 @@ class TestBayes:
         prior = prior_from_config({"name": "truncated_normal", "mean": 0, "std": 1})
         assert (prior.mean, prior.std) == (0.0, 1.0)
         assert type(prior.mean) is float and type(prior.std) is float
+
+    def test_bounds_hugging_the_truth(self, monkeypatch):
+        # bounds two time steps wide: the lattice step is a fraction of dt
+        signal = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=(0.4999, 0.5001))
+        grid = TimeGrid(1.0, 10_000)
+        path = simulate_path(signal, 0.5, 0.01, grid, rng=replication_rng(2, 0))
+        sizes = []
+
+        def spy(*args):
+            thetas, field = fine_field(*args)
+            sizes.append(thetas.size)
+            return thetas, field
+
+        fine_field = estimators._fine_field
+        monkeypatch.setattr(estimators, "_fine_field", spy)
+        result = bayes(path, signal)
+        assert np.isfinite(result.estimate)
+        assert 0.4999 <= result.estimate <= 0.5001
+        assert sizes[0] - 1 >= 50  # intervals of the fine grid
+        assert result.grid_step <= 0.0002 / 50
+
+    def test_lattice_does_not_alias_the_cusp_tips(self):
+        # a theta lattice through the time nodes puts a tip of every
+        # |t_i - theta|**kappa on a node; on this path that moves the
+        # posterior mean by 0.069 rates
+        grid = TimeGrid(1.0, 10_000)
+        path = simulate_path(SIG, 0.5, 0.005, grid, rng=replication_rng(1, 74))
+        result = bayes(path, SIG)
+        rate = result.rate
+        center = mle(path, SIG).estimate
+        fine = np.linspace(center - 25.0 * rate, center + 25.0 * rate, 5001)
+        values = np.concatenate([
+            ito_loglik(cusp_term(1.0, chunk[:, None], 0.25, grid.left_nodes),
+                       path.increments, grid.dt, path.epsilon)
+            for chunk in np.array_split(fine, 10)
+        ])
+        weights = np.exp(values - values.max())
+        reference = np.trapezoid(fine * weights, fine) / np.trapezoid(weights, fine)
+        assert abs(result.estimate - reference) <= 0.02 * rate
+
+
+_NUISANCE_CHOICES = {
+    "none": None,
+    "constant": ConstantNuisance(level=0.7),
+    "cosine": CosineNuisance(amplitude=0.5, frequency=9.0),
+    "theta_ramp": ThetaRampNuisance(gain=1.5),
+}
+
+
+class TestFineLattice:
+    """The Bayes fine field from one kernel vector equals ``ito_loglik`` over
+    drift rows evaluated directly at the same thetas."""
+
+    @pytest.mark.parametrize("family,nuisance", [
+        (family, nuisance)
+        for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
+    ] + [("multi_cusp", "none")])
+    @pytest.mark.parametrize("branch", ["q", "p", "narrow"])
+    @given(
+        n=st.integers(500, 2000),
+        eps=st.floats(0.02, 0.2),
+        lo=st.floats(0.3, 0.5),
+        width=st.floats(0.05, 0.15),
+        ratio=st.floats(1.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_matches_direct_rows(
+        self, family, nuisance, branch, n, eps, lo, width, ratio, seed
+    ):
+        bounds = (0.2, 0.8)
+        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
+        if family == "cusp":
+            signal = CuspSignal(1.3, 0.25, 1.0, bounds, **extra)
+        elif family == "two_sided_cusp":
+            signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, bounds, **extra)
+        else:
+            signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, bounds)
+        grid = TimeGrid(1.0, n)
+        dt = grid.dt
+        rng = replication_rng(seed, 0)
+        path = simulate_path(signal, lo + width / 2, eps, grid, rng=rng)
+        if branch == "q":  # step dt/q with q > 1, the kernel path
+            h = dt / (1.0 + ratio)
+        elif branch == "p":  # step p*dt with p > 1, the kernel path
+            h = dt * (1.0 + ratio)
+        else:  # a window below dt: the same lattice, rows evaluated directly
+            width, h = dt * ratio / 8.0, dt * ratio / 400.0
+        hi = lo + width
+        thetas, field = estimators._fine_field(path, signal, lo, hi, h)
+        # inside the window and at most h apart, up to rounding
+        assert lo - 1e-12 <= thetas[0] and thetas[-1] <= hi + 1e-12
+        steps = np.diff(thetas)
+        assert steps.max() <= h * (1 + 1e-9)
+        assert np.allclose(steps, steps[0], rtol=1e-9)
+        # no lattice theta sits on a time node
+        nodes = grid.left_nodes
+        gaps = np.abs(thetas[:, None] - nodes[None, :]).min(axis=1)
+        assert gaps.min() > 1e-6 * dt
+        rows = signal.value(thetas[:, None], nodes)
+        want = ito_loglik(rows, path.increments, dt, eps)
+        np.testing.assert_allclose(field, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 class TestPseudoMle:
