@@ -63,7 +63,9 @@ __all__ = [
     "ito_loglik",
     "refine_argmax",
     "coarse_grid",
-    "joint_coarse_nodes",
+    "location_coarse",
+    "kappa_coarse",
+    "joint_coarse",
     "mle",
     "bayes",
     "pseudo_mle",
@@ -206,11 +208,7 @@ def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
     """Coarse scan grid over ``bounds`` at twice the convergence rate.
 
     The step is at most a quarter of the range, so the grid keeps at
-    least five nodes.
-
-    Experiment sweeps precompute field values on exactly this grid (one
-    matrix product per cell) and hand them to the estimators, so the
-    construction must stay in one place.
+    least five nodes.  ``location_coarse`` and ``kappa_coarse`` scan it.
     """
     lo, hi = bounds
     step = min(2.0 * rate, (hi - lo) / 4.0)
@@ -218,18 +216,42 @@ def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _coarse_scan(eval_fn, bounds, rate, coarse=None):
-    """``(grid, values)`` of the coarse scan: ``coarse`` if given, else evaluated."""
-    if coarse is None:
-        grid = coarse_grid(bounds, rate)
-        return grid, np.asarray(eval_fn(grid), dtype=float)
-    grid, values = coarse
-    return np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+# One coarse scan per estimator family: its axes, then its field over one path of
+# increments ``(n,)`` or, with a trailing path axis, over a ``(paths, n)`` matrix.
+# A sweep scans a cell's paths at once and passes each estimator its column.
+def location_coarse(signal, rate, grid, increments, eps):
+    """``(thetas, field)`` over ``coarse_grid(signal.theta_bounds, rate)``."""
+    thetas = coarse_grid(signal.theta_bounds, rate)
+    rows = signal.value(thetas[:, None], grid.left_nodes[None, :])
+    return thetas, ito_loglik(rows, increments, grid.dt, eps)
 
 
-def _nested_argmax(eval_fn, bounds, rate, coarse=None):
+def kappa_coarse(a, rho, kappa_bounds, grid, increments, eps):
+    """``(kappas, field)`` over ``coarse_grid(kappa_bounds, eps)``."""
+    kappas = coarse_grid(kappa_bounds, eps)
+    rows = cusp_term(a, rho, kappas[:, None], grid.left_nodes)
+    return kappas, ito_loglik(rows, increments, grid.dt, eps)
+
+
+def joint_coarse(a, theta_bounds, kappa_bounds, grid, increments, eps):
+    """``(rho_nodes, kappa_nodes, field)``: 201 locations, 9 exponents.
+
+    ``field[i, j]`` is the log-likelihood at ``(kappa_nodes[i],
+    rho_nodes[j])``; one ``201 x n`` drift matrix is alive at a time.
+    """
+    rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
+    kappa_nodes = np.linspace(kappa_bounds[0], kappa_bounds[1], 9)
+    field = np.stack([
+        ito_loglik(cusp_term(a, rho_nodes[:, None], float(k), grid.left_nodes),
+                   increments, grid.dt, eps)
+        for k in kappa_nodes
+    ])
+    return rho_nodes, kappa_nodes, field
+
+
+def _nested_argmax(eval_fn, bounds, rate, coarse):
     lo, hi = bounds
-    grid, values = _coarse_scan(eval_fn, bounds, rate, coarse)
+    grid, values = coarse
     actual_step = grid[1] - grid[0]
     candidates = _top_candidates(grid, values, STARTS, 2.0 * actual_step)
     theta, value, levels, final_step = refine_argmax(
@@ -328,9 +350,11 @@ def _require_cusp(signal, estimator: str) -> None:
 
 def _location_mle(path, signal, rate, estimator, target, coarse=None):
     _check_horizon(path, signal)
+    if coarse is None:
+        coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
     eval_fn = lambda thetas: _location_loglik(path, signal, thetas)
     theta, _, levels, step, boundary = _nested_argmax(
-        eval_fn, signal.theta_bounds, rate, coarse=coarse
+        eval_fn, signal.theta_bounds, rate, coarse
     )
     return EstimationResult(
         estimator=estimator,
@@ -353,8 +377,7 @@ def mle(
 
     ``target`` defaults to the true location recorded on the path (if
     any) and only affects the reported normalized error.  ``coarse``
-    optionally supplies precomputed ``(grid, values)`` for the coarse
-    scan; the grid must come from ``coarse_grid``.
+    optionally supplies this path's ``location_coarse`` scan.
     """
     _require_cusp(signal, "mle")
     rate = location_rate(path.epsilon, signal.hurst)
@@ -374,7 +397,8 @@ def pseudo_mle(
     The likelihood uses ``theoretical_signal`` regardless of how the
     path was generated.  ``target`` should be the best-approximation
     location (the minimizer of the L2 gap between the real and assumed
-    drifts); errors are normalized by ``eps**(2/(3-2*kappa))``.
+    drifts); errors are normalized by ``eps**(2/(3-2*kappa))``.  ``coarse``
+    as in ``mle``, at this rate.
     """
     _require_cusp(theoretical_signal, "pseudo_mle")
     rate = misspec_rate(path.epsilon, theoretical_signal.kappa_eff)
@@ -486,8 +510,8 @@ def bayes(
     rate/10 and at most 1/51 of the window, so at least 50 intervals span
     it; its drift rows are strided views of one kernel vector
     (``_fine_field``).  The MLE refinement windows stay on
-    linspace grids.  ``coarse`` optionally supplies precomputed
-    ``(grid, values)`` from ``coarse_grid``.
+    linspace grids.  ``coarse`` optionally supplies this path's
+    ``location_coarse`` scan.
     """
     _require_cusp(signal, "bayes")
     _check_horizon(path, signal)
@@ -496,10 +520,9 @@ def bayes(
         target = path.theta_true
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    cgrid, cvals = _coarse_scan(
-        lambda thetas: _location_loglik(path, signal, thetas),
-        (alpha, beta), rate, coarse,
-    )
+    if coarse is None:
+        coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
+    cgrid, cvals = coarse
     keep = cvals >= cvals.max() - _POSTERIOR_LOG_DROP
     coarse_step = cgrid[1] - cgrid[0]
     lo = max(alpha, cgrid[keep].min() - coarse_step)
@@ -564,7 +587,8 @@ def kappa_mle(
 
     This is a regular (smooth) problem, rate ``eps``; after the nested
     grid search a three-point parabolic interpolation of the log-field
-    polishes the estimate below the final grid step.
+    polishes the estimate below the final grid step.  ``coarse``
+    optionally supplies this path's ``kappa_coarse`` scan.
     """
     lo, hi = kappa_bounds
     if not (0.0 < lo < hi):
@@ -574,11 +598,11 @@ def kappa_mle(
     if not 0.0 < rho < path.grid.T:
         raise DomainError(f"rho must lie in (0, T), got {rho!r}")
     rate = path.epsilon
+    if coarse is None:
+        coarse = kappa_coarse(a, rho, kappa_bounds, path.grid, path.increments, rate)
     t = path.grid.left_nodes
     eval_fn = lambda kappas: _path_loglik(path, cusp_term(a, rho, kappas[:, None], t))
-    kappa, _, levels, step, boundary = _nested_argmax(
-        eval_fn, kappa_bounds, rate, coarse=coarse
-    )
+    kappa, _, levels, step, boundary = _nested_argmax(eval_fn, kappa_bounds, rate, coarse)
     inner = np.clip([kappa - step, kappa, kappa + step], lo, hi)
     if inner[0] < inner[1] < inner[2]:
         polished = _parabolic_step(inner, eval_fn(np.asarray(inner)))
@@ -593,15 +617,6 @@ def kappa_mle(
         grid_step=step,
         refinement_levels=levels,
     )
-
-
-def joint_coarse_nodes(
-    theta_bounds: tuple[float, float], kappa_bounds: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse axes of the two-parameter scan: dense in location, 9 exponents."""
-    rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
-    kappa_nodes = np.linspace(kappa_bounds[0], kappa_bounds[1], 9)
-    return rho_nodes, kappa_nodes
 
 
 def joint_mle(
@@ -619,19 +634,18 @@ def joint_mle(
     refinements.  Each scan window, location or exponent, is one product
     over the drift rows ``cusp_term(a, rho, kappa, t)`` with that axis as
     a column.  The location error is normalized by ``eps**(1/H)`` at
-    the estimated exponent, the exponent error by ``eps``.  ``coarse``
-    optionally supplies ``(rho_nodes, kappa_nodes, values)`` with
-    ``values[i, j]`` the log-likelihood at ``(kappa_nodes[i],
-    rho_nodes[j])``, as built by ``joint_coarse_nodes``.
+    the estimated exponent, the exponent error by ``eps``.  The exponent
+    bounds must lie in ``(0, 1/2)``, where the location rate is defined.
+    ``coarse`` optionally supplies this path's ``joint_coarse`` scan.
     """
     if not a > 0.0:
         raise DomainError(f"amplitude a must be positive, got {a!r}")
     alo, ahi = theta_bounds
     klo, khi = kappa_bounds
     if not (0.0 < alo < ahi < path.grid.T):
-        raise DomainError(f"invalid theta bounds {theta_bounds!r}")
-    if not (0.0 < klo < khi):
-        raise DomainError(f"invalid kappa bounds {kappa_bounds!r}")
+        raise DomainError(f"theta_bounds need 0 < lo < hi < T, got {theta_bounds!r}")
+    if not (0.0 < klo < khi < 0.5):
+        raise DomainError(f"kappa_bounds need 0 < lo < hi < 1/2, got {kappa_bounds!r}")
     if rho_true is None:
         rho_true = path.theta_true
     eps = path.epsilon
@@ -640,15 +654,11 @@ def joint_mle(
     def field(rho, kappa) -> np.ndarray:
         return _path_loglik(path, cusp_term(a, rho, kappa, t))
 
-    # Coarse scan: a handful of exponents, a dense location axis.
     if coarse is None:
-        rho_nodes, kappa_nodes = joint_coarse_nodes(theta_bounds, kappa_bounds)
-        values = np.stack([field(rho_nodes[:, None], float(k)) for k in kappa_nodes])
-    else:
-        rho_nodes, kappa_nodes, values = coarse
-        rho_nodes = np.asarray(rho_nodes, dtype=float)
-        kappa_nodes = np.asarray(kappa_nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
+        coarse = joint_coarse(
+            a, theta_bounds, kappa_bounds, path.grid, path.increments, eps
+        )
+    rho_nodes, kappa_nodes, values = coarse
     coarse_rho_step = rho_nodes[1] - rho_nodes[0]
     coarse_kappa_step = kappa_nodes[1] - kappa_nodes[0]
     kappa_target = eps / 50.0

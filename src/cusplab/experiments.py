@@ -2,9 +2,10 @@
 
 Ties the other modules together.  A table maps each scenario to a setup
 that binds its parameters into a spec: constants, true values, drift,
-coarse axes, per-path estimator calls and limit-law comparison.  One
+coarse scan, per-path estimator calls and limit-law comparison.  One
 cell runner serves every spec at each noise level: Euler increments for
-``N`` paths, one coarse likelihood field over all of them, per-path
+``N`` paths, one coarse likelihood scan over all of them (the
+estimators' own, ``estimators.location_coarse`` and its kin), per-path
 refinement and the guards.  Errors are normalized by the theoretical
 rate; the report holds rate fits, Kolmogorov-Smirnov comparisons
 against limit-law samples, and moment orderings.
@@ -57,11 +58,12 @@ from .errors import (
 from .estimators import (
     JointEstimationResult,
     bayes,
-    coarse_grid,
     ito_loglik,
-    joint_coarse_nodes,
+    joint_coarse,
     joint_mle,
+    kappa_coarse,
     kappa_mle,
+    location_coarse,
     location_rate,
     misspec_rate,
     mle,
@@ -417,20 +419,19 @@ class _Spec:
     ``truth`` maps each true parameter to its value, in the order the
     estimators report their parameters.  ``drift`` is the generating
     drift on the left nodes and ``kappa`` the exponent of the resolution
-    warning.  ``coarse(eps)`` returns a cell's coarse axes and makers of
-    its drift matrices, one coarse field each (several stack along a
-    leading axis); a matrix lives only while its field is computed.
-    ``estimators`` maps the row names of each per-path call ``(path,
-    coarse) -> result`` to the call, in run order.  ``compare(errors,
-    count, rng)`` returns ``(ks_results, moment_comparison)`` against a
-    sample of the limit law.
+    warning.  ``coarse(eps, increments)`` is the estimators' coarse scan
+    ``(*axes, field)`` of a cell's ``(paths, n)`` increments, the path the
+    last axis of the field.  ``estimators`` maps the row names of each
+    per-path call ``(path, coarse) -> result`` to the call, in run order.
+    ``compare(errors, count, rng)`` returns ``(ks_results,
+    moment_comparison)`` against a sample of the limit law.
     """
 
     constants: dict
     truth: dict
     drift: np.ndarray
     kappa: float
-    coarse: Callable[[float], tuple]
+    coarse: Callable[[float, np.ndarray], tuple]
     estimators: dict
     compare: Optional[Callable] = None
     notes: tuple = ()
@@ -472,7 +473,7 @@ def misspec_problem(
 # estimators as globals of this module, looked up when a call runs, so
 # rebinding e.g. ``cusplab.experiments.mle`` reaches every replication.
 
-def _location(config, t, signal, truth, drift, rate, names, **rest) -> _Spec:
+def _location(config, grid, signal, truth, drift, rate, names, **rest) -> _Spec:
     """A location scenario running the estimators ``names`` per path."""
     (target,) = truth.values()
     prior = prior_from_config(config.prior)
@@ -481,18 +482,14 @@ def _location(config, t, signal, truth, drift, rate, names, **rest) -> _Spec:
         "bayes": lambda path, c: bayes(path, signal, prior, target=target, coarse=c),
         "pseudo_mle": lambda path, c: pseudo_mle(path, signal, target=target, coarse=c),
     }
-
-    def coarse(eps):
-        cgrid = coarse_grid(signal.theta_bounds, rate(eps))
-        return (cgrid,), [lambda: signal.value(cgrid[:, None], t[None, :])]
-
     return _Spec(
-        truth=truth, drift=drift, kappa=signal.kappa_eff, coarse=coarse,
+        truth=truth, drift=drift, kappa=signal.kappa_eff,
+        coarse=lambda eps, dx: location_coarse(signal, rate(eps), grid, dx, eps),
         estimators={(name,): calls[name] for name in names}, **rest,
     )
 
 
-def _cusp(p, config, t, with_bayes=False) -> _Spec:
+def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     family = {k: v for k, v in p.items() if k != "theta0"}
     signal = signal_from_config({"family": "cusp", **family})
     gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
@@ -510,20 +507,20 @@ def _cusp(p, config, t, with_bayes=False) -> _Spec:
                     "pooled_se": se, "significant": flag}
 
     return _location(
-        config, t, signal, {"theta0": p["theta0"]},
-        np.asarray(signal.value(p["theta0"], t), dtype=float),
+        config, grid, signal, {"theta0": p["theta0"]},
+        np.asarray(signal.value(p["theta0"], grid.left_nodes), dtype=float),
         lambda e: location_rate(e, hurst), names, compare=compare,
         constants={"gamma_sq": gamma_sq, "hurst": hurst, "rate_target": 1.0 / hurst},
     )
 
 
-def _multi_cusp(p, config, t) -> _Spec:
+def _multi_cusp(p, config, grid) -> _Spec:
     family = {k: v for k, v in p.items() if k != "theta0"}
     signal = signal_from_config({"family": "multi_cusp", **family})
     hurst = signal.hurst
     return _location(
-        config, t, signal, {"theta0": p["theta0"]},
-        np.asarray(signal.value(p["theta0"], t), dtype=float),
+        config, grid, signal, {"theta0": p["theta0"]},
+        np.asarray(signal.value(p["theta0"], grid.left_nodes), dtype=float),
         lambda e: location_rate(e, hurst), ("mle",),
         constants={"hurst": hurst, "rate_target": 1.0 / hurst,
                    "kappa_eff": signal.kappa_eff},
@@ -532,7 +529,7 @@ def _multi_cusp(p, config, t) -> _Spec:
     )
 
 
-def _misspec(p, config, t) -> _Spec:
+def _misspec(p, config, grid) -> _Spec:
     problem, noise_scale = misspec_problem(p)
     solution = solve_theta_hat(problem)
     curv, hurst = solution.curvature_closed, problem.theoretical.hurst
@@ -543,8 +540,8 @@ def _misspec(p, config, t) -> _Spec:
         return {"pseudo_mle": _ks_entry(errors["pseudo_mle"], zeta, edge)}, None
 
     return _location(
-        config, t, problem.theoretical, {"theta_hat": solution.theta_hat},
-        np.asarray(problem.real.value(t), dtype=float),
+        config, grid, problem.theoretical, {"theta_hat": solution.theta_hat},
+        np.asarray(problem.real.value(grid.left_nodes), dtype=float),
         lambda e: misspec_rate(e, p["kappa"]), ("pseudo_mle",), compare=compare,
         constants={
             **dataclasses.asdict(solution),
@@ -555,13 +552,9 @@ def _misspec(p, config, t) -> _Spec:
     )
 
 
-def _kappa(p, config, t) -> _Spec:
+def _kappa(p, config, grid) -> _Spec:
     a, rho, kappa0, bounds = p["a"], p["rho"], p["kappa0"], p["kappa_bounds"]
     fisher = fisher_info_kappa(a, rho, p["T"], kappa0)
-
-    def coarse(eps):
-        kgrid = coarse_grid(bounds, eps)
-        return (kgrid,), [lambda: cusp_term(a, rho, kgrid[:, None], t)]
 
     def compare(errors, count, rng):
         limit = sample_kappa_limit(fisher, count, rng)
@@ -570,26 +563,20 @@ def _kappa(p, config, t) -> _Spec:
     return _Spec(
         constants={"fisher_kappa": fisher, "rate_target": 1.0,
                    "limit_variance": 1.0 / fisher},
-        truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, t), kappa=kappa0,
-        coarse=coarse, compare=compare,
+        truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, grid.left_nodes),
+        kappa=kappa0, compare=compare,
+        coarse=lambda eps, dx: kappa_coarse(a, rho, bounds, grid, dx, eps),
         estimators={("kappa_mle",): lambda path, c: kappa_mle(
             path, a, rho, bounds, target=kappa0, coarse=c)},
     )
 
 
-def _joint(p, config, t) -> _Spec:
+def _joint(p, config, grid) -> _Spec:
     a, rho0, kappa0 = p["a"], p["rho0"], p["kappa0"]
     tbounds, kbounds = p["theta_bounds"], p["kappa_bounds"]
     gamma_sq = gamma_squared(a, kappa0)
     fisher = fisher_info_kappa(a, rho0, p["T"], kappa0)
     hurst = kappa0 + 0.5
-    rho_nodes, kappa_nodes = joint_coarse_nodes(tbounds, kbounds)
-
-    def coarse(eps):
-        return (rho_nodes, kappa_nodes), [
-            lambda k=float(k): cusp_term(a, rho_nodes[:, None], k, t)
-            for k in kappa_nodes
-        ]
 
     def compare(errors, count, rng):
         xi_hat, _, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
@@ -606,17 +593,17 @@ def _joint(p, config, t) -> _Spec:
         constants={"gamma_sq": gamma_sq, "fisher_kappa": fisher, "hurst": hurst,
                    "rho_rate_target": 1.0 / hurst, "kappa_rate_target": 1.0},
         truth={"rho0": rho0, "kappa0": kappa0},
-        drift=cusp_term(a, rho0, kappa0, t), kappa=kappa0,
-        coarse=coarse, compare=compare,
+        drift=cusp_term(a, rho0, kappa0, grid.left_nodes), kappa=kappa0, compare=compare,
+        coarse=lambda eps, dx: joint_coarse(a, tbounds, kbounds, grid, dx, eps),
         estimators={("joint_rho", "joint_kappa"): lambda path, c: joint_mle(
             path, a, tbounds, kbounds, rho_true=rho0, kappa_true=kappa0, coarse=c)},
     )
 
 
-#: Scenario name -> setup ``(signal parameters, config, left nodes) -> _Spec``.
+#: Scenario name -> setup ``(signal parameters, config, time grid) -> _Spec``.
 _SCENARIOS = {
     "cusp-mle": _cusp,
-    "cusp-bayes": lambda p, config, t: _cusp(p, config, t, with_bayes=True),
+    "cusp-bayes": lambda p, config, grid: _cusp(p, config, grid, with_bayes=True),
     "multi-cusp": _multi_cusp,
     "misspec": _misspec,
     "kappa": _kappa,
@@ -671,19 +658,18 @@ def _rows(rep, eps, names, result, targets) -> list:
 def _run_cell(config, spec, grid, ei, eps) -> list:
     """All replications at one noise level, with the cell's guards.
 
-    The coarse field over all paths is one matrix product per drift
-    matrix; each replication then refines through the ordinary estimator
-    entry points, so results are identical to calling them stand-alone.
+    The coarse scan over all paths is the estimators' own, one matrix
+    product per drift matrix; each replication then refines from its
+    column through the ordinary estimator entry points, so results are
+    identical to calling them stand-alone.
     """
     warn_if_coarse(spec.kappa, eps, grid)
-    axes, makers = spec.coarse(eps)
     rep_ids = [ei * config.replications + i for i in range(config.replications)]
     increments = np.empty((config.replications, grid.n))
     for i, rep in enumerate(rep_ids):
         rng = None if config.zero_noise else replication_rng(config.master_seed, rep)
         increments[i] = euler_increments(spec.drift, eps, grid, rng)
-    fields = [ito_loglik(make(), increments, grid.dt, eps) for make in makers]
-    values = fields[0] if len(fields) == 1 else np.stack(fields)
+    *axes, values = spec.coarse(eps, increments)
 
     def worker(i: int) -> list:
         path = ObservationPath(
@@ -784,7 +770,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     p = config.signal
     grid = TimeGrid(p["T"], config.n_steps)
-    spec = _SCENARIOS[config.scenario](p, config, grid.left_nodes)
+    spec = _SCENARIOS[config.scenario](p, config, grid)
     for name, value in spec.truth.items():
         key, strict = _TRUTH_BOUNDS[name]
         lo, hi = p[key]

@@ -466,6 +466,22 @@ class TestSweeps:
         assert code == 1
         assert payload is None
 
+    def test_joint_kappa_bounds_reaching_half_exits_1(self, capsys, caplog, tmp_path):
+        # the exponent bounds must stay below 1/2, where the location rate
+        # is defined; the sweep used to die mid-run naming no config key
+        config = _write_config(tmp_path, {
+            "epsilons": [0.05], "replications": 20, "n_steps": 1000,
+            "signal": {"kappa0": 0.45, "kappa_bounds": [0.05, 0.6]},
+        })
+        out = tmp_path / "j"
+        code, payload = _run(
+            capsys, ["joint", "--config", config, "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert payload is None
+        assert "kappa_bounds" in caplog.text
+        assert not out.exists()
+
     def test_domain_error_exits_1(self, capsys, tmp_path):
         config = _write_config(
             tmp_path,

@@ -15,9 +15,11 @@ from cusplab.estimators import (
     bayes,
     coarse_grid,
     ito_loglik,
-    joint_coarse_nodes,
+    joint_coarse,
     joint_mle,
+    kappa_coarse,
     kappa_mle,
+    location_coarse,
     location_rate,
     misspec_rate,
     mle,
@@ -131,6 +133,54 @@ class TestExponentRows:
             assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
 
 
+class TestCoarseScans:
+    """Column ``i`` of a coarse scan over a ``(paths, n)`` matrix is the
+    one-path scan of row ``i``, and each node is the direct Ito sum over the
+    drift at its axis values: ``field[i, j]`` is at ``(kappa_nodes[i],
+    rho_nodes[j])`` for the joint scan."""
+
+    @pytest.mark.parametrize("scan", ["location", "kappa", "joint"])
+    @given(
+        paths=st.integers(1, 3),
+        n=st.integers(2, 30),
+        eps=st.floats(0.05, 1.0),
+        a=st.floats(0.1, 3.0),
+        kappa=st.floats(0.05, 0.45),
+        rho=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_columns_match_one_path_and_direct_sum(
+        self, scan, paths, n, eps, a, kappa, rho, seed
+    ):
+        grid = TimeGrid(1.0, n)
+        increments = np.random.default_rng(seed).normal(0.0, 0.1, size=(paths, n))
+        if scan == "location":
+            sig = CuspSignal(a=a, kappa=kappa, T=1.0, theta_bounds=(0.3, 0.7))
+            rate = location_rate(eps, sig.hurst)
+            run = lambda dx: location_coarse(sig, rate, grid, dx, eps)
+            node = lambda axes, idx: (axes[0][idx[0]], kappa)
+        elif scan == "kappa":
+            run = lambda dx: kappa_coarse(a, rho, (0.1, 0.4), grid, dx, eps)
+            node = lambda axes, idx: (rho, axes[0][idx[0]])
+        else:
+            run = lambda dx: joint_coarse(a, (0.3, 0.7), (0.1, 0.4), grid, dx, eps)
+            node = lambda axes, idx: (axes[0][idx[1]], axes[1][idx[0]])
+        *axes, field = run(increments)
+        assert field.shape[-1] == paths
+        for i in range(paths):
+            *_, single = run(increments[i])
+            np.testing.assert_allclose(
+                field[..., i], single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+        t = [float(ti) for ti in grid.left_nodes]
+        for idx in np.ndindex(field.shape[:-1]):
+            r, k = (float(v) for v in node(axes, idx))
+            drift = [a * abs(ti - r) ** k for ti in t]
+            for i in range(paths):
+                want = _direct_ito_sum(drift, increments[i], grid.dt, eps)
+                assert field[idx + (i,)] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
+
+
 class TestRates:
     def test_location_rate(self):
         assert location_rate(0.01, 0.75) == pytest.approx(0.01 ** (4.0 / 3.0))
@@ -236,14 +286,15 @@ class TestMle:
         assert BOUNDS[0] <= result.estimate <= BOUNDS[1]
 
     def test_coarse_values_shortcut_matches_standalone(self):
-        path = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 7))
-        rate = location_rate(path.epsilon, SIG.hurst)
-        grid = coarse_grid(BOUNDS, rate)
-        drift = SIG.value(grid[:, None], GRID.left_nodes[None, :])
-        values = ito_loglik(drift, path.increments, GRID.dt, path.epsilon)
-        baseline = mle(path, SIG)
-        shortcut = mle(path, SIG, coarse=(grid, values))
-        assert shortcut.estimate == baseline.estimate
+        # a sweep scans three paths at once and hands each its column
+        paths = [simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, rep))
+                 for rep in (6, 7, 8)]
+        rate = location_rate(0.02, SIG.hurst)
+        increments = np.stack([path.increments for path in paths])
+        thetas, field = location_coarse(SIG, rate, GRID, increments, 0.02)
+        for i, path in enumerate(paths):
+            shortcut = mle(path, SIG, coarse=(thetas, field[:, i]))
+            assert shortcut.estimate == mle(path, SIG).estimate
 
     def test_coarse_step_at_target_returns_coarse_argmax(self):
         # on bounds (0.4999, 0.5001) the coarse step range/4 is already
@@ -528,17 +579,52 @@ class TestJointMle:
             location_rate(0.01, result.kappa_hat + 0.5)
         )
 
-    def test_rejects_bad_bounds(self):
-        path = _zero_noise_path()
-        with pytest.raises(DomainError):
-            joint_mle(path, 1.0, (0.0, 0.65))
-        with pytest.raises(DomainError):
-            joint_mle(path, 1.0, BOUNDS, kappa_bounds=(-0.1, 0.45))
+    @pytest.mark.parametrize("theta_bounds,kappa_bounds,named", [
+        ((0.0, 0.65), (0.05, 0.45), "theta_bounds"),
+        (BOUNDS, (-0.1, 0.45), "kappa_bounds"),
+        # an upper exponent bound at or past 1/2 has no location rate; it
+        # used to pass this check and fail mid-sweep in the refinement
+        (BOUNDS, (0.05, 0.6), "kappa_bounds"),
+        (BOUNDS, (0.05, 0.5), "kappa_bounds"),
+    ])
+    def test_rejects_bad_bounds(self, theta_bounds, kappa_bounds, named):
+        sig = CuspSignal(a=1.0, kappa=0.45, T=1.0, theta_bounds=BOUNDS)
+        path = simulate_path(sig, 0.5, 0.05, TimeGrid(1.0, 1000),
+                             rng=replication_rng(1, 0))
+        with pytest.raises(DomainError, match=named):
+            joint_mle(path, 1.0, theta_bounds, kappa_bounds)
 
-    def test_joint_coarse_nodes_cover_bounds(self):
-        rho_nodes, kappa_nodes = joint_coarse_nodes(BOUNDS, (0.05, 0.45))
+    def test_joint_coarse_axes_cover_bounds(self):
+        path = _zero_noise_path()
+        rho_nodes, kappa_nodes, field = joint_coarse(
+            1.0, BOUNDS, (0.05, 0.45), GRID, path.increments, path.epsilon)
         assert rho_nodes[0] == BOUNDS[0] and rho_nodes[-1] == BOUNDS[1]
         assert kappa_nodes[0] == 0.05 and kappa_nodes[-1] == 0.45
+        assert field.shape == (kappa_nodes.size, rho_nodes.size)
+
+
+def _joint_estimates(path):
+    result = joint_mle(path, 1.0, BOUNDS)
+    return [(result.rho_hat, BOUNDS), (result.kappa_hat, (0.05, 0.45))]
+
+
+class TestEpsilonOne:
+    """At the largest admissible noise level every estimator still returns
+    finite estimates inside its bounds."""
+
+    @pytest.mark.parametrize("zero_noise", [False, True], ids=["noisy", "zero-noise"])
+    @pytest.mark.parametrize("estimate", [
+        lambda path: [(mle(path, SIG).estimate, BOUNDS)],
+        lambda path: [(bayes(path, SIG).estimate, BOUNDS)],
+        lambda path: [(pseudo_mle(path, SIG).estimate, BOUNDS)],
+        lambda path: [(kappa_mle(path, 1.0, 0.5).estimate, (0.05, 0.45))],
+        _joint_estimates,
+    ], ids=["mle", "bayes", "pseudo_mle", "kappa_mle", "joint_mle"])
+    def test_finite_in_bounds(self, estimate, zero_noise):
+        path = simulate_path(SIG, 0.5, 1.0, GRID, rng=replication_rng(0, 0),
+                             zero_noise=zero_noise)
+        for value, (lo, hi) in estimate(path):
+            assert np.isfinite(value) and lo <= value <= hi
 
 
 class TestEstimationResult:
