@@ -280,6 +280,7 @@ def _cmd_estimate(args) -> int:
         "boundary": result.boundary,
         "grid_step": result.grid_step,
         "refinement_levels": result.refinement_levels,
+        "boundary_mass": result.boundary_mass,
     })
     return 0
 

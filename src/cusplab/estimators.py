@@ -32,11 +32,12 @@ range), refinement levels that shrink the step ``SHRINK``-fold and scan
 rate/50, and ``STARTS`` separated coarse candidates refined each.
 Each scan window is a linspace grid.
 
-The Bayes fine grid is instead the half-offset lattice
-``(m + 1/2) * dt/q`` at a step of at most rate/10.  The three cusp
-families are functions of ``t - theta``, so every drift row on it is a
-strided view of one kernel vector, and ``ito_loglik`` takes the rows
-without building them.
+The Bayes posterior is instead integrated over the whole of
+``theta_bounds`` on the half-offset lattice ``(m + 1/2) * dt/q`` at a step
+of at most rate/10.  The three cusp families are a kernel of ``t - theta``
+plus a nuisance affine in theta, so the field on that lattice is one FFT
+correlation of one kernel vector plus prefix sums of its square
+(``_fine_field``); no drift row is formed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import next_fast_len
 
 from .errors import ConfigError, DomainError, NumericalDegeneracyError
 from .path_sim import ObservationPath
@@ -461,36 +462,60 @@ def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
     ``dt/(2q)`` from the time nodes, off the tips of the cusps
     ``|t_i - theta|**kappa``.
 
-    The three cusp families are functions of ``t - theta`` plus a
-    nuisance, and ``t_i - theta_m = (i*q - m - 1/2) * dt/q``.  So one
-    kernel vector ``K[k] = S(0, (k - m_max - 1/2) * dt/q)`` holds every
-    drift row: row ``m`` is ``K[m_max - m + i*q]``, a strided view, and the
-    nuisance is added to it.  A window narrower than ``dt`` would make
-    the kernel longer than the rows themselves; the rows are then
-    evaluated directly at the same thetas.
+    The three cusp families are ``K(t - theta) + h(theta, t)`` with an
+    affine nuisance ``h = h0(t) + theta*h1(t)``, and ``t_i - theta_m =
+    (i*q - m - 1/2) * dt/q``.  So with one kernel vector ``K[k] = S(0, (k -
+    m_max - 1/2) * dt/q)`` the drift row of ``theta_m`` is ``K[c + i*q]`` at
+    ``c = m_max - m``, and no row is formed:
+
+    * ``sum_i K[c + i*q] v_i`` for ``v`` = the increments, ``h0`` and
+      ``h1`` is one real-FFT correlation of ``K`` with the three vectors
+      upsampled by ``q``, every ``c`` at once;
+    * ``sum_i K[c + i*q]**2`` is a difference of prefix sums of ``K**2``
+      along the residue class of ``c`` mod ``q``;
+    * the rest of the dot and energy terms are scalar sums times powers
+      of theta.
+
+    A window narrower than ``dt`` would make the kernel longer than the
+    rows themselves; the rows are then evaluated directly at the same
+    thetas.
     """
-    dt, t = path.grid.dt, path.grid.left_nodes
+    dt, t, n = path.grid.dt, path.grid.left_nodes, path.grid.n
     q, p = math.ceil(dt / h), max(1, math.floor(h / dt))
     u = dt / q
     m_min = math.ceil(lo / u - 0.5)
     ms = m_min + p * np.arange(math.floor((hi / u - 0.5 - m_min) / p) + 1)
     thetas = (ms + 0.5) * u
-    width = q * (t.size - 1) + 1
+    width = q * (n - 1) + 1
     span = int(ms[-1] - m_min)
-    if width + span > thetas.size * t.size:
+    if width + span > thetas.size * n:
         return thetas, _location_loglik(path, signal, thetas)
     nuisance = getattr(signal, "nuisance", None)
-    kernel = signal if nuisance is None else replace(signal, nuisance=None)
-    lags = (np.arange(width + span) - ms[-1] - 0.5) * u
-    rows = sliding_window_view(kernel.value(0.0, lags), width)[::-p, ::q]
-    if nuisance is not None:
-        rows = rows + nuisance.value(thetas[:, None], t)
-    return thetas, _path_loglik(path, rows)
+    if nuisance is None:
+        kernel, h0, h1 = signal, np.zeros(n), np.zeros(n)
+    else:  # every nuisance class is affine in theta
+        kernel, h0 = replace(signal, nuisance=None), nuisance.value(0.0, t)
+        h1 = nuisance.value(1.0, t) - h0
+    K = kernel.value(0.0, (np.arange(width + span) - ms[-1] - 0.5) * u)
 
+    dx = path.increments
+    upsampled = np.zeros((3, width))
+    upsampled[:, ::q] = (dx, h0, h1)
+    size = next_fast_len(K.size, real=True)  # >= K.size: no wrap-around
+    spectrum = np.fft.rfft(K, size) * np.fft.rfft(upsampled, size).conj()
+    offsets = span - p * np.arange(thetas.size)  # c = m_max - m of each theta
+    k_dx, k_h0, k_h1 = np.fft.irfft(spectrum, size)[:, offsets]
 
-#: Log-likelihood drop below the observed maximum beyond which posterior
-#: mass is negligible at double precision (exp(-60) ~ 9e-27).
-_POSTERIOR_LOG_DROP = 60.0
+    classes = np.zeros((n + span // q + 1, q))
+    classes.flat[q:q + K.size] = K * K
+    prefix = np.cumsum(classes, axis=0)
+    start, residue = np.divmod(offsets, q)
+    k_sq = prefix[start + n, residue] - prefix[start, residue]
+
+    dot = k_dx + h0 @ dx + thetas * (h1 @ dx)
+    energy = (k_sq + 2.0 * (k_h0 + thetas * k_h1) + h0 @ h0
+              + thetas * (2.0 * (h0 @ h1) + thetas * (h1 @ h1)))
+    return thetas, (dot - 0.5 * dt * energy) / (path.epsilon * path.epsilon)
 
 
 def bayes(
@@ -498,20 +523,15 @@ def bayes(
     signal,
     prior=None,
     target: Optional[float] = None,
-    coarse=None,
 ) -> EstimationResult:
     """Posterior-mean location estimate under quadratic loss.
 
-    The posterior concentrates on an ``eps**(1/H)``-neighbourhood of the
-    maximum, so the ratio of integrals is computed by the trapezoid rule
-    on a window covering every coarse node within ``exp(-60)`` of the
-    maximum, with max-shifted exponentials for stability.  The fine grid
-    is the half-offset lattice ``(m + 1/2) * dt/q`` at a step of at most
-    rate/10 and at most 1/51 of the window, so at least 50 intervals span
-    it; its drift rows are strided views of one kernel vector
-    (``_fine_field``).  The MLE refinement windows stay on
-    linspace grids.  ``coarse`` optionally supplies this path's
-    ``location_coarse`` scan.
+    The ratio of integrals is computed by the trapezoid rule over the
+    whole of ``theta_bounds``, with max-shifted exponentials for
+    stability.  The grid is the half-offset lattice ``(m + 1/2) * dt/q`` at
+    a step of at most rate/10 and at most 1/51 of the bounds, so at least
+    50 intervals span them; its field is one FFT correlation plus prefix
+    sums (``_fine_field``), with no coarse scan and no search.
     """
     _require_cusp(signal, "bayes")
     _check_horizon(path, signal)
@@ -520,16 +540,9 @@ def bayes(
         target = path.theta_true
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    if coarse is None:
-        coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
-    cgrid, cvals = coarse
-    keep = cvals >= cvals.max() - _POSTERIOR_LOG_DROP
-    coarse_step = cgrid[1] - cgrid[0]
-    lo = max(alpha, cgrid[keep].min() - coarse_step)
-    hi = min(beta, cgrid[keep].max() + coarse_step)
-
-    fine_step = min(rate / 10.0, (hi - lo) / 51.0)
-    grid, log_vals = _fine_field(path, signal, lo, hi, fine_step)
+    grid, log_vals = _fine_field(
+        path, signal, alpha, beta, min(rate / 10.0, (beta - alpha) / 51.0)
+    )
     step = grid[1] - grid[0]
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())
     denom = np.trapezoid(weights, grid)
@@ -542,10 +555,7 @@ def bayes(
     estimate = float(np.clip(estimate, alpha, beta))
 
     edge = (grid <= alpha + step) | (grid >= beta - step)
-    if edge.any():
-        boundary_mass = float(np.trapezoid(np.where(edge, weights, 0.0), grid) / denom)
-    else:
-        boundary_mass = 0.0
+    boundary_mass = float(np.trapezoid(np.where(edge, weights, 0.0), grid) / denom)
     return EstimationResult(
         estimator="bayes",
         estimate=estimate,

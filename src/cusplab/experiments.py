@@ -479,7 +479,7 @@ def _location(config, grid, signal, truth, drift, rate, names, **rest) -> _Spec:
     prior = prior_from_config(config.prior)
     calls = {
         "mle": lambda path, c: mle(path, signal, target=target, coarse=c),
-        "bayes": lambda path, c: bayes(path, signal, prior, target=target, coarse=c),
+        "bayes": lambda path, c: bayes(path, signal, prior, target=target),
         "pseudo_mle": lambda path, c: pseudo_mle(path, signal, target=target, coarse=c),
     }
     return _Spec(
@@ -631,14 +631,22 @@ def _run_indexed(worker: Callable[[int], list], count: int, threads: int) -> lis
 
 
 def _rows(rep, eps, names, result, targets) -> list:
-    """Records of one estimator call, one per name; ``None`` marks a failure."""
+    """Records of one estimator call, one per name; ``None`` marks a failure.
+
+    Besides the CSV fields each record keeps the call's search counters for
+    the summaries: refinement levels, final grid step over rate and (Bayes,
+    else 0) posterior mass near the bounds.
+    """
     if result is None:
-        parts = [(math.nan, math.nan, False)] * len(names)
+        parts = [(math.nan, math.nan, False, math.nan)] * len(names)
     elif isinstance(result, JointEstimationResult):
-        parts = [(result.rho_hat, result.rho_normalized_error, result.boundary),
-                 (result.kappa_hat, result.kappa_normalized_error, result.boundary)]
+        parts = [(result.rho_hat, result.rho_normalized_error, result.boundary,
+                  result.rho_step / result.rho_rate),
+                 (result.kappa_hat, result.kappa_normalized_error, result.boundary,
+                  result.kappa_step / result.kappa_rate)]
     else:
-        parts = [(result.estimate, result.normalized_error, result.boundary)]
+        parts = [(result.estimate, result.normalized_error, result.boundary,
+                  result.grid_step / result.rate)]
     return [
         {
             "replication": rep,
@@ -649,8 +657,11 @@ def _rows(rep, eps, names, result, targets) -> list:
             "boundary_flag": bool(boundary),
             "target": target,
             "failed": result is None,
+            "refinement_levels": getattr(result, "refinement_levels", 0),
+            "step_over_rate": step_over_rate,
+            "boundary_mass": getattr(result, "boundary_mass", 0.0),
         }
-        for name, (estimate, normalized_error, boundary), target
+        for name, (estimate, normalized_error, boundary, step_over_rate), target
         in zip(names, parts, targets)
     ]
 
@@ -718,6 +729,7 @@ def _summarize(rows, eps, estimator):
     ok = [r for r in sub if not r["failed"]]
     errors = np.array([r["estimate"] - r["target"] for r in ok])
     normalized = np.array([r["normalized_error"] for r in ok])
+    levels = [r["refinement_levels"] for r in ok]
     abs_err = np.abs(errors)
     return {
         "epsilon": eps,
@@ -732,6 +744,10 @@ def _summarize(rows, eps, estimator):
         "mean_sq_error": float((errors**2).mean()) if ok else math.nan,
         "mean_abs_normalized": float(np.abs(normalized).mean()) if ok else math.nan,
         "mean_sq_normalized": float((normalized**2).mean()) if ok else math.nan,
+        "refinement_levels_mean": float(np.mean(levels)) if ok else math.nan,
+        "refinement_levels_max": max(levels, default=0),
+        "step_over_rate_max": max((r["step_over_rate"] for r in ok), default=math.nan),
+        "boundary_mass_max": max((r["boundary_mass"] for r in ok), default=math.nan),
     }
 
 

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from cusplab.cli import main
+from cusplab.estimators import bayes
+from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
+from cusplab.signal_models import signal_from_config
 from cusplab.limit_laws import fisher_info_kappa, gamma_squared
 
 GAMMA_SQ_REF = 0.511988584660
@@ -160,6 +163,24 @@ class TestEstimate:
         assert code == 0
         assert payload["estimator"] == "bayes"
         assert payload["estimate"] == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("estimator", ["mle", "bayes"])
+    def test_emits_boundary_mass(self, capsys, tmp_path, estimator):
+        # bounds narrower than the rate: the posterior spreads to the edges
+        signal = {**CUSP_BLOCK, "theta_bounds": [0.49, 0.51]}
+        settings = {"estimator": estimator, "signal": signal, "theta_true": 0.5,
+                    "epsilon": 0.05, "n_steps": 800, "master_seed": 4}
+        code, payload = _run(capsys, ["estimate", "--config",
+                                      _write_config(tmp_path, settings)])
+        assert code == 0
+        if estimator == "mle":
+            assert payload["boundary_mass"] == 0.0
+            return
+        cusp = signal_from_config(signal)
+        path = simulate_path(cusp, 0.5, 0.05, TimeGrid(1.0, 800),
+                             rng=replication_rng(4, 0))
+        assert payload["boundary_mass"] == bayes(path, cusp).boundary_mass
+        assert 0.0 < payload["boundary_mass"] < 1.0
 
     def test_unknown_estimator_exits_1(self, capsys, tmp_path):
         config = _write_config(tmp_path, {"estimator": "ridge"})

@@ -1,5 +1,8 @@
 """Tests for the likelihood field and the estimator family."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,7 @@ from cusplab.signal_models import (
     SmoothedCuspSignal,
     ThetaRampNuisance,
     TwoSidedCuspSignal,
+    _NUISANCES,
     cusp_term,
 )
 
@@ -403,6 +407,20 @@ class TestBayes:
         assert sizes[0] - 1 >= 50  # intervals of the fine grid
         assert result.grid_step <= 0.0002 / 50
 
+    def test_memory_stays_bounded_at_small_eps(self):
+        # 4e4 nodes at eps 1e-3: 36,000 lattice thetas over the bounds; dense
+        # drift rows over them would hold 1.4e9 doubles
+        grid = TimeGrid(1.0, 40_000)
+        path = simulate_path(SIG, 0.5, 1e-3, grid, rng=replication_rng(3, 0))
+        tracemalloc.start()
+        try:
+            result = bayes(path, SIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(result.estimate)
+        assert peak < 64 * 2**20
+
     def test_lattice_does_not_alias_the_cusp_tips(self):
         # a theta lattice through the time nodes puts a tip of every
         # |t_i - theta|**kappa on a node; on this path that moves the
@@ -484,6 +502,42 @@ class TestFineLattice:
         rows = signal.value(thetas[:, None], nodes)
         want = ito_loglik(rows, path.increments, dt, eps)
         np.testing.assert_allclose(field, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+    @pytest.mark.parametrize("eps,q,p", [(0.01, 1, 2), (0.005, 2, 1)])
+    def test_whole_bounds_at_bench_size(self, eps, q, p):
+        # the field bayes integrates: all of theta_bounds at n = 1e4
+        grid = TimeGrid(1.0, 10_000)
+        path = simulate_path(SIG, 0.5, eps, grid, rng=replication_rng(5, 0))
+        rate = location_rate(eps, SIG.hurst)
+        h = min(rate / 10.0, (BOUNDS[1] - BOUNDS[0]) / 51.0)
+        thetas, field = estimators._fine_field(path, SIG, *BOUNDS, h)
+        step = p * grid.dt / q
+        assert np.diff(thetas).mean() == pytest.approx(step)
+        assert thetas[0] - BOUNDS[0] < step and BOUNDS[1] - thetas[-1] < step
+        want = np.concatenate([
+            ito_loglik(SIG.value(chunk[:, None], grid.left_nodes),
+                       path.increments, grid.dt, eps)
+            for chunk in np.array_split(thetas, 20)
+        ])
+        np.testing.assert_allclose(field, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name", sorted(_NUISANCES))
+    @given(
+        params=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+        theta=st.floats(0.0, 1.0),
+        t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_nuisances_are_affine_in_theta(self, name, params, theta, t):
+        # the kernel correlation takes h(theta, t) = h0(t) + theta * h1(t)
+        cls = _NUISANCES[name]
+        nuisance = cls(*params[:len(dataclasses.fields(cls))])
+        t = np.asarray(t)
+        h0, h1 = nuisance.value(0.0, t), nuisance.value(1.0, t) - nuisance.value(0.0, t)
+        scale = 1.0 + np.abs(h0).max() + np.abs(h1).max()
+        np.testing.assert_allclose(nuisance.value(theta, t), h0 + theta * h1,
+                                   rtol=0, atol=1e-14 * scale)
 
 
 class TestPseudoMle:

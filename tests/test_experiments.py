@@ -18,7 +18,14 @@ from cusplab.errors import (
     ExperimentError,
     NumericalDegeneracyError,
 )
-from cusplab.estimators import bayes, joint_mle, kappa_mle, mle, pseudo_mle
+from cusplab.estimators import (
+    bayes,
+    joint_mle,
+    kappa_mle,
+    mle,
+    prior_from_config,
+    pseudo_mle,
+)
 from cusplab.experiments import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -206,6 +213,7 @@ class TestRunExperimentDeterminism:
         base = run_experiment(_tiny(scenario, **SMALL[scenario]))
         threaded = run_experiment(_tiny(scenario, threads=3, **SMALL[scenario]))
         assert base.rows == threaded.rows
+        assert base.summaries == threaded.summaries
         assert base.ks_results == threaded.ks_results
         assert base.moment_comparison == threaded.moment_comparison
         for entry in base.ks_results.values():
@@ -257,6 +265,22 @@ class TestSweepRowsMatchStandAloneCalls:
         differ = [r for r in rows if r["estimate"] != alone[r["replication"]][r["estimator"]]]
         assert rows and differ == []
 
+    def test_bayes_rows_equal_stand_alone_calls(self):
+        # bayes takes no coarse scan: its sweep rows are the plain calls
+        prior = {"name": "truncated_normal", "mean": 0.48, "std": 0.05}
+        cfg = _tiny("cusp-bayes", epsilons=(0.05, 0.02), prior=prior)
+        rows = [r for r in run_experiment(cfg).rows if r["estimator"] == "bayes"]
+        signal = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=(0.35, 0.65))
+        grid = TimeGrid(1.0, cfg.n_steps)
+        for row in rows:
+            path = simulate_path(signal, 0.5, row["epsilon"], grid,
+                                 rng=replication_rng(cfg.master_seed, row["replication"]))
+            result = bayes(path, signal, prior_from_config(prior), target=0.5)
+            assert (row["estimate"], row["normalized_error"], row["boundary_flag"],
+                    row["boundary_mass"]) == (result.estimate, result.normalized_error,
+                                              result.boundary, result.boundary_mass)
+        assert len(rows) == 2 * cfg.replications
+
 
 class TestRunExperimentScenarios:
     def test_zero_noise_recovers_target(self):
@@ -288,6 +312,21 @@ class TestRunExperimentScenarios:
         assert set(report.moment_comparison) >= {
             "p", "mean_mle", "mean_bayes", "pooled_se", "significant",
         }
+
+    def test_summaries_carry_search_counters(self):
+        # the counters the estimators report per call, reduced per cell
+        report = run_experiment(_tiny(scenario="cusp-bayes"))
+        by_name = {s["estimator"]: s for s in report.summaries}
+        bayes_rows = [r for r in report.rows if r["estimator"] == "bayes"]
+        mle_, bayes_ = by_name["mle"], by_name["bayes"]
+        assert 1 <= mle_["refinement_levels_mean"] <= mle_["refinement_levels_max"]
+        assert isinstance(mle_["refinement_levels_max"], int)
+        assert 0.0 < mle_["step_over_rate_max"] <= 1.0 / 50.0
+        assert mle_["boundary_mass_max"] == 0.0
+        assert (bayes_["refinement_levels_mean"], bayes_["refinement_levels_max"]) == (1.0, 1)
+        assert 0.0 < bayes_["step_over_rate_max"] <= 1.0 / 10.0
+        assert bayes_["boundary_mass_max"] == max(r["boundary_mass"] for r in bayes_rows)
+        assert 0.0 <= bayes_["boundary_mass_max"] <= 1.0
 
     def test_multi_cusp_uses_smallest_exponent_rate(self):
         report = run_experiment(_tiny(scenario="multi-cusp"))
