@@ -44,9 +44,8 @@ from .errors import (
 )
 from .estimators import bayes, mle, prior_from_config
 from .experiments import (
-    _SIGNAL_DEFAULTS,
-    _check_type,
     SCHEMA_VERSION,
+    SIGNAL_DEFAULTS,
     experiment_config_from_dict,
     misspec_problem,
     run_and_write,
@@ -59,10 +58,10 @@ from .limit_laws import (
     sample_zeta_batch,
     zeta_scale,
 )
-from .misspec_analysis import MisspecProblem, solve_theta_hat
+from .misspec_analysis import solve_theta_hat
 from .path_sim import DEFAULT_N_STEPS, TimeGrid, replication_rng, simulate_path
 from .path_sim import write_path_csv
-from .signal_models import signal_from_config
+from .signal_models import check_config, signal_from_config
 
 __all__ = ["main"]
 
@@ -111,8 +110,8 @@ _FLAGS = {
     "joint": _SWEEP_FLAGS,
 }
 
-_CUSP = _SIGNAL_DEFAULTS["cusp-mle"]
-_MISSPEC = _SIGNAL_DEFAULTS["misspec"]
+_CUSP = SIGNAL_DEFAULTS["cusp-mle"]
+_MISSPEC = SIGNAL_DEFAULTS["misspec"]
 _PATH_KEYS = {
     "signal": {"family": "cusp",
                **{k: _CUSP[k] for k in ("a", "kappa", "T", "theta_bounds")}},
@@ -127,9 +126,9 @@ _KEYS = {
     "simulate": {**_PATH_KEYS, "replications": 1, "out_dir": "."},
     "estimate": {**_PATH_KEYS, "estimator": "mle", "prior": {"name": "uniform"}},
     "limit-law": {"law": "xi", "count": 2000, "master_seed": 0, "out_dir": ".",
-                  **_MISSPEC, "rho": _SIGNAL_DEFAULTS["kappa"]["rho"],
+                  **_MISSPEC, "rho": SIGNAL_DEFAULTS["kappa"]["rho"],
                   "curvature": None},
-    "misspec": {**_MISSPEC, "quad_order": MisspecProblem.quad_order, "out_dir": "."},
+    "misspec": {**_MISSPEC, "out_dir": "."},
 }
 
 
@@ -153,7 +152,7 @@ def _settings(args) -> dict:
     configs are checked later), with each flag given overriding its key.
 
     A key outside ``_KEYS`` or a value not of its default's type
-    (``_check_type``) is a ``ConfigError``."""
+    (``signal_models.check_config``) is a ``ConfigError``."""
     config = _load_config(args.config)
     defaults = _KEYS.get(args.command)
     if defaults is not None:
@@ -163,7 +162,7 @@ def _settings(args) -> dict:
                 f"unknown {args.command} config keys: {sorted(unknown)}; "
                 f"valid: {sorted(defaults)}"
             )
-        _check_type(config, defaults)
+        check_config(config, defaults)
         config = {**defaults, **config}
     for key in filter(None, _FLAGS[args.command].values()):
         if getattr(args, key) is not None:
@@ -226,10 +225,8 @@ def _cmd_simulate(args) -> int:
     signal = signal_from_config(config["signal"])
     epsilon = config["epsilon"]
     count = _count(config, "replications")
-    out = _out_dir(config)
     grid = TimeGrid(signal.T, config["n_steps"])
-    files = []
-    finals = []
+    finals, dumped = [], []
     for rep in range(count):
         rng = replication_rng(config["master_seed"], rep)
         path = simulate_path(
@@ -238,10 +235,14 @@ def _cmd_simulate(args) -> int:
         )
         finals.append(float(path.cumulative()[-1]))
         if args.dump_paths:
-            name = os.path.join(out, f"path_{rep:05d}.csv")
-            with open(name, "w", encoding="utf-8", newline="\n") as handle:
-                write_path_csv(path, handle)
-            files.append(name)
+            dumped.append(path)
+    # As for limit-law, the output directory is made only once the paths
+    # are simulated, so a run that fails a domain check leaves nothing.
+    out = _out_dir(config)
+    files = [os.path.join(out, f"path_{rep:05d}.csv") for rep in range(len(dumped))]
+    for name, path in zip(files, dumped):
+        with open(name, "w", encoding="utf-8", newline="\n") as handle:
+            write_path_csv(path, handle)
     log.info("simulated %d path(s) at epsilon=%g", count, epsilon)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -349,7 +350,7 @@ def _cmd_limit_law(args) -> int:
 
 def _cmd_misspec(args) -> int:
     config = _settings(args)
-    problem, _ = misspec_problem(config, quad_order=config["quad_order"])
+    problem, _ = misspec_problem(config)
     cusp, real = problem.theoretical, problem.real
     record = {
         "schema_version": SCHEMA_VERSION,

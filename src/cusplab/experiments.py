@@ -88,10 +88,12 @@ from .path_sim import (
     simulate_path,
     warn_if_coarse,
 )
-from .signal_models import CuspSignal, SmoothedCuspSignal, cusp_term, signal_from_config
+from .signal_models import CuspSignal, SmoothedCuspSignal, check_config, cusp_term
+from .signal_models import signal_from_config
 
 __all__ = [
     "SCENARIOS",
+    "SIGNAL_DEFAULTS",
     "ExperimentConfig",
     "ExperimentReport",
     "RateFit",
@@ -128,7 +130,7 @@ _CUSP_DEFAULTS = {
     "a": 1.0, "kappa": 0.25, "T": 1.0, "theta0": 0.5, "theta_bounds": (0.35, 0.65),
 }
 
-_SIGNAL_DEFAULTS = {
+SIGNAL_DEFAULTS = {
     "cusp-mle": _CUSP_DEFAULTS,
     "cusp-bayes": _CUSP_DEFAULTS,
     "multi-cusp": {
@@ -203,7 +205,7 @@ class ExperimentConfig:
         if self.limit_samples < 10:
             raise ConfigError(f"limit_samples must be >= 10, got {self.limit_samples!r}")
         prior_from_config(self.prior)  # checked even where no estimator reads it
-        defaults = _SIGNAL_DEFAULTS[self.scenario]
+        defaults = SIGNAL_DEFAULTS[self.scenario]
         unknown = set(self.signal) - set(defaults)
         if unknown:
             raise ConfigError(
@@ -241,46 +243,10 @@ _CONFIG_DEFAULTS = {
 }
 
 
-def _check_type(value, default, name: str = "config") -> None:
-    """Raise ``ConfigError`` unless ``value`` has the type of ``default``.
-
-    An int default takes an int but not a bool, a float default an int or
-    a float, a ``None`` default a number or ``None``, a list default a list
-    or tuple of any length, a tuple default (a pair of bounds) one of its
-    length, each element checked against the default's first, and a
-    mapping default a mapping (each key that has a default checked
-    against it); any other default takes its own type.
-    """
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, float):
-        ok = number
-    elif default is None:
-        ok = number or value is None
-    elif isinstance(default, (list, tuple)):
-        ok = isinstance(value, (list, tuple)) and (
-            isinstance(default, list) or len(value) == len(default)
-        )
-    else:
-        ok = isinstance(value, type(default)) and (
-            isinstance(value, bool) == isinstance(default, bool)
-        )
-    if not ok:
-        raise ConfigError(
-            f"{name}={value!r} does not match the type of its default {default!r}"
-        )
-    if isinstance(default, dict):
-        for key, item in value.items():
-            if key in default:
-                _check_type(item, default[key], f"{name}.{key}")
-    elif isinstance(default, (list, tuple)) and default:
-        for i, item in enumerate(value):
-            _check_type(item, default[0], f"{name}[{i}]")
-
-
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from a plain mapping (parsed JSON).
 
-    Each value must have the type of its default (``_check_type``); the
+    Each value must have the type of its default (``check_config``); the
     signal block's defaults are the scenario's.
     """
     if "scenario" not in data:
@@ -297,8 +263,8 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
         )
     epsilons = _DEFAULT_EPSILONS.get(scenario, [0.05, 0.02, 0.01, 0.005])
-    _check_type(data, {**_CONFIG_DEFAULTS, "epsilons": epsilons,
-                       "signal": _SIGNAL_DEFAULTS[scenario]})
+    check_config(data, {**_CONFIG_DEFAULTS, "epsilons": epsilons,
+                        "signal": SIGNAL_DEFAULTS[scenario]})
     kwargs = dict(data)
     kwargs["epsilons"] = tuple(kwargs.get("epsilons", epsilons))
     return ExperimentConfig(**kwargs)
@@ -445,9 +411,7 @@ _TRUTH_BOUNDS = {
 }
 
 
-def misspec_problem(
-    params: dict, quad_order: int = 200
-) -> tuple[MisspecProblem, float]:
+def misspec_problem(params: dict) -> tuple[MisspecProblem, float]:
     """Misspecification problem and noise scale for signal parameters.
 
     ``params`` overrides the ``misspec`` scenario defaults; other keys are
@@ -457,7 +421,7 @@ def misspec_problem(
     ``int [M(theta_hat + phi*u, t) - M(theta_hat, t)] dW`` has standard
     deviation ``Gamma * phi**H * |u|**H``.
     """
-    p = {**_SIGNAL_DEFAULTS["misspec"], **params}
+    p = {**SIGNAL_DEFAULTS["misspec"], **params}
     theoretical = CuspSignal(
         a=p["a"], kappa=p["kappa"], T=p["T"], theta_bounds=tuple(p["theta_bounds"]),
     )
@@ -465,7 +429,7 @@ def misspec_problem(
         a=p["a"], kappa=p["kappa"], center=p["center"], delta=p["delta"], T=p["T"],
     )
     noise_scale = math.sqrt(gamma_squared(p["a"], p["kappa"]))
-    problem = MisspecProblem(theoretical=theoretical, real=real, quad_order=quad_order)
+    problem = MisspecProblem(theoretical=theoretical, real=real)
     return problem, noise_scale
 
 

@@ -264,29 +264,32 @@ def _fbm_paths(scale: np.ndarray, half_count: int, normals: np.ndarray) -> np.nd
     return paths
 
 
-def _fbm_blocks(
-    hurst: float, window: WindowConfig, count: int, rng: np.random.Generator
-):
-    """Iterator of ``(slice, FbmPath)`` over ``count`` paths, ``FBM_BLOCK`` at a time.
+def _reduce_fbm(
+    hurst: float, window: WindowConfig, count: int, rng: np.random.Generator, reduce
+) -> tuple:
+    """``reduce`` over ``count`` paths drawn ``FBM_BLOCK`` at a time.
 
-    The arguments are checked when the call is made, before anything is
-    drawn.  A block of odd size drops the imaginary-part path of its
-    last complex row.
+    ``reduce(FbmPath)`` maps a block of paths to a tuple of arrays with
+    one row per path; the result holds those arrays for all ``count``
+    paths.  The arguments are checked before anything is drawn.  A block
+    of odd size drops the imaginary-part path of its last complex row.
     """
     if not (0.5 <= hurst < 1.0):
         raise DomainError(f"hurst must lie in [1/2, 1), got {hurst!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     scale = _embedding_scale(hurst, window)
-
-    def blocks():
-        for start in range(0, count, FBM_BLOCK):
-            size = min(FBM_BLOCK, count - start)
-            normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
-            paths = _fbm_paths(scale, window.half_count, normals)
-            yield slice(start, start + size), FbmPath(hurst, window, paths[:size])
-
-    return blocks()
+    outputs = None
+    for start in range(0, count, FBM_BLOCK):
+        size = min(FBM_BLOCK, count - start)
+        normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
+        paths = _fbm_paths(scale, window.half_count, normals)
+        parts = reduce(FbmPath(hurst, window, paths[:size]))
+        if outputs is None:
+            outputs = tuple(np.empty((count, *p.shape[1:]), p.dtype) for p in parts)
+        for out, part in zip(outputs, parts):
+            out[start : start + size] = part
+    return outputs
 
 
 def sample_fbm(
@@ -298,10 +301,7 @@ def sample_fbm(
     ``W^H(0)`` is exactly 0 on every path.
     """
     window = WindowConfig(U=U, du=du)
-    blocks = _fbm_blocks(hurst, window, count, rng)
-    values = np.empty((count, window.node_count))
-    for block, paths in blocks:
-        values[block] = paths.values
+    (values,) = _reduce_fbm(hurst, window, count, rng, lambda p: (p.values,))
     return FbmPath(hurst, window, values)
 
 
@@ -367,6 +367,12 @@ def zeta_from_fbm(path: FbmPath, noise_scale: float, curvature: float):
     return zeta, np.abs(zeta) > EDGE_FRACTION * path.window.U
 
 
+def _scaled_window(scale: float) -> WindowConfig:
+    """The default window: 30 scales either side, 2000 steps per side."""
+    U = 30.0 * scale
+    return WindowConfig(U=U, du=U / 2000.0)
+
+
 def default_xi_window(gamma_sq: float, hurst: float) -> WindowConfig:
     """Window for xi sampling: U = 30 * Gamma^(-1/H), du = U/2000.
 
@@ -376,8 +382,7 @@ def default_xi_window(gamma_sq: float, hurst: float) -> WindowConfig:
     """
     if not gamma_sq > 0.0:
         raise DomainError(f"gamma_sq must be positive, got {gamma_sq!r}")
-    U = 30.0 * gamma_sq ** (-0.5 / hurst)
-    return WindowConfig(U=U, du=U / 2000.0)
+    return _scaled_window(gamma_sq ** (-0.5 / hurst))
 
 
 def zeta_scale(noise_scale: float, curvature: float, hurst: float) -> float:
@@ -394,8 +399,8 @@ def zeta_scale(noise_scale: float, curvature: float, hurst: float) -> float:
 
 
 def default_zeta_window(noise_scale: float, curvature: float, hurst: float) -> WindowConfig:
-    U = 30.0 * zeta_scale(noise_scale, curvature, hurst)
-    return WindowConfig(U=U, du=U / 2000.0)
+    """Window for zeta sampling: U = 30 * ``zeta_scale``, du = U/2000."""
+    return _scaled_window(zeta_scale(noise_scale, curvature, hurst))
 
 
 def sample_xi_batch(
@@ -412,12 +417,7 @@ def sample_xi_batch(
     """
     if window is None:
         window = default_xi_window(gamma_sq, hurst)
-    blocks = _fbm_blocks(hurst, window, count, rng)
-    xi_hat, xi_tilde = np.empty(count), np.empty(count)
-    flags = np.empty(count, dtype=bool)
-    for block, paths in blocks:
-        xi_hat[block], xi_tilde[block], flags[block] = xi_from_fbm(paths, gamma_sq)
-    return xi_hat, xi_tilde, flags
+    return _reduce_fbm(hurst, window, count, rng, lambda p: xi_from_fbm(p, gamma_sq))
 
 
 def sample_zeta_batch(
@@ -431,11 +431,9 @@ def sample_zeta_batch(
     """Draw ``count`` zeta_hat values: ``(zeta_hat, edge_flags)`` arrays."""
     if window is None:
         window = default_zeta_window(noise_scale, curvature, hurst)
-    blocks = _fbm_blocks(hurst, window, count, rng)
-    zeta, flags = np.empty(count), np.empty(count, dtype=bool)
-    for block, paths in blocks:
-        zeta[block], flags[block] = zeta_from_fbm(paths, noise_scale, curvature)
-    return zeta, flags
+    return _reduce_fbm(
+        hurst, window, count, rng, lambda p: zeta_from_fbm(p, noise_scale, curvature)
+    )
 
 
 def sample_kappa_limit(fisher: float, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -40,6 +40,10 @@ __all__ = [
     "curvature",
 ]
 
+#: Order of the Gauss-Jacobi rules of the kinked cross term and of the
+#: Gauss-Legendre rule of the smooth square term.
+QUAD_ORDER = 200
+
 #: Central-difference step for the finite-difference curvature route.
 FD_STEP = 1e-4
 
@@ -50,15 +54,10 @@ UNIQUENESS_THRESHOLD = 1e-10
 
 @dataclass(frozen=True)
 class MisspecProblem:
-    """A pure-cusp fitted family against a fixed smooth real signal.
-
-    ``quad_order`` controls both the Gauss-Jacobi rules of the kinked
-    cross term and the Gauss-Legendre rule of the smooth square term.
-    """
+    """A pure-cusp fitted family against a fixed smooth real signal."""
 
     theoretical: CuspSignal
     real: object
-    quad_order: int = 200
 
     def __post_init__(self) -> None:
         if not isinstance(self.theoretical, CuspSignal):
@@ -78,8 +77,6 @@ class MisspecProblem:
                 f"real and theoretical horizons differ: {self.real.T!r} vs "
                 f"{self.theoretical.T!r}"
             )
-        if self.quad_order < 8:
-            raise DomainError(f"quad_order must be >= 8, got {self.quad_order!r}")
 
 
 @dataclass(frozen=True)
@@ -101,21 +98,21 @@ class MisspecSolution:
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(order: int, kappa: float):
+def _jacobi_rule(kappa: float):
     # Nodes/weights for integral_{-1}^{1} (1+x)^kappa f(x) dx.
-    return roots_jacobi(order, 0.0, kappa)
+    return roots_jacobi(QUAD_ORDER, 0.0, kappa)
 
 
-@lru_cache(maxsize=64)
-def _legendre_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    return np.polynomial.legendre.leggauss(QUAD_ORDER)
 
 
-def _kink_weighted_integral(g, length: float, order: int, kappa: float) -> float:
+def _kink_weighted_integral(g, length: float, kappa: float) -> float:
     """``integral_0^length s**kappa * g(s) ds`` with the weight exact."""
     if length <= 0.0:
         return 0.0
-    x, w = _jacobi_rule(order, kappa)
+    x, w = _jacobi_rule(kappa)
     s = 0.5 * length * (x + 1.0)
     return (0.5 * length) ** (kappa + 1.0) * float(w @ g(s))
 
@@ -124,19 +121,15 @@ def _cross_integral(problem: MisspecProblem, theta: float, fn) -> float:
     """``integral_0^T |t-theta|**kappa * fn(t) dt`` split at the kink."""
     kappa = problem.theoretical.kappa
     T = problem.theoretical.T
-    left = _kink_weighted_integral(
-        lambda s: fn(theta - s), theta, problem.quad_order, kappa
-    )
-    right = _kink_weighted_integral(
-        lambda s: fn(theta + s), T - theta, problem.quad_order, kappa
-    )
+    left = _kink_weighted_integral(lambda s: fn(theta - s), theta, kappa)
+    right = _kink_weighted_integral(lambda s: fn(theta + s), T - theta, kappa)
     return left + right
 
 
 @lru_cache(maxsize=32)
 def _square_integral(problem: MisspecProblem) -> float:
     # integral of S(t)^2 over [0, T]; theta-independent, cached.
-    x, w = _legendre_rule(problem.quad_order)
+    x, w = _legendre_rule()
     T = problem.theoretical.T
     t = 0.5 * T * (x + 1.0)
     s = np.asarray(problem.real.value(t), dtype=float)

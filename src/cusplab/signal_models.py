@@ -412,42 +412,66 @@ def eval_signal(signal: Signal, theta: Optional[float], t: ArrayLike) -> np.ndar
 # construction from configuration dictionaries
 # ---------------------------------------------------------------------------
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}={value!r} must be a number")
+_KINDS = {bool: "a boolean", int: "an integer", str: "a string", dict: "a mapping"}
+
+
+def check_config(value, default, name: str = "config") -> None:
+    """Raise ``ConfigError`` unless ``value`` has the type of ``default``.
+
+    A float default takes a number (an int or a float, not a bool), a
+    ``None`` default a number or ``None``, a list default a list or tuple
+    of any length and a tuple default one of its length, each element
+    checked against the default's first, and a mapping default a mapping,
+    each key that has a default checked against it; any other default
+    (str, int, bool) takes its own type, an int not a bool.  The message
+    reads ``name=value must be <kind>``, ``name`` the dotted key with
+    ``[i]`` for list elements, e.g. ``config.signal.kappa='0.25' must be
+    a number``.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, float):
+        ok, kind = number, "a number"
+    elif default is None:
+        ok, kind = number or value is None, "a number or null"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and len(value) == len(default)
+        kind = f"a list of {len(default)} values"
+    elif isinstance(default, list):
+        ok, kind = isinstance(value, (list, tuple)), "a list"
+    else:
+        ok = isinstance(value, type(default)) and (
+            isinstance(value, bool) == isinstance(default, bool)
+        )
+        kind = _KINDS[type(default)]
+    if not ok:
+        raise ConfigError(f"{name}={value!r} must be {kind}")
+    if isinstance(default, dict):
+        for key, item in value.items():
+            if key in default:
+                check_config(item, default[key], f"{name}.{key}")
+    elif isinstance(default, (list, tuple)) and default:
+        for i, item in enumerate(value):
+            check_config(item, default[0], f"{name}[{i}]")
+
+
+def _floats(value):
+    """A checked number as a float, a checked list as a tuple of them."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_floats, value))
     return float(value)
-
-
-def _pair(value, where: str) -> tuple[float, float]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{where}={value!r} must be a pair of numbers")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-def _pairs(value, where: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where}={value!r} must be a list of number pairs")
-    return tuple(_pair(v, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-#: How a parameter of each name is checked and converted; any other
-#: parameter is a number.
-_PARAMETERS = {
-    "theta_bounds": _pair,
-    "terms": _pairs,
-    "nuisance": lambda value, where: from_config(_NUISANCES, value, "nuisance"),
-}
 
 
 def from_config(table: dict, block, kind: str, key: str = "name", default=None):
     """Build ``table[block[key]]`` from the block's other keys.
 
     The keys must be the constructor's parameter names, all but those
-    with a default required.  ``theta_bounds`` is a pair of numbers,
-    ``terms`` a list of number pairs, ``nuisance`` a nuisance block, and
-    every other parameter a number (not a bool), passed on as a float.
-    An unknown name, or an unknown, missing or mistyped parameter, raises
-    ``ConfigError`` naming it.
+    with a default required.  Each parameter is checked by
+    ``check_config`` against an example default: a pair for
+    ``theta_bounds``, a list of pairs for ``terms`` and ``0.0`` (a
+    number, not a bool) for any other, and passed on with its numbers as
+    floats and its lists as tuples; a ``nuisance`` is a nuisance block,
+    built by this function.  An unknown name, or an unknown, missing or
+    mistyped parameter, raises ``ConfigError`` naming it.
     """
     if not isinstance(block, dict):
         raise ConfigError(
@@ -466,10 +490,14 @@ def from_config(table: dict, block, kind: str, key: str = "name", default=None):
             f"{kind} {name!r} takes parameters {list(names)}; "
             f"got unknown {unknown}, missing {missing}"
         )
-    where = f"{kind} {name!r} parameter "
-    return make(**{
-        n: _PARAMETERS.get(n, _number)(v, where + n) for n, v in params.items()
-    })
+    for n, value in params.items():
+        if n == "nuisance":
+            params[n] = from_config(_NUISANCES, value, "nuisance")
+            continue
+        example = {"theta_bounds": (0.0, 0.0), "terms": [(0.0, 0.0)]}.get(n, 0.0)
+        check_config(value, example, f"{kind} {name!r} parameter {n}")
+        params[n] = _floats(value)
+    return make(**params)
 
 
 _NUISANCES = {

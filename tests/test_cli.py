@@ -111,6 +111,16 @@ class TestSimulate:
         assert code_a == code_b == 0
         assert payload_a["final_values"] == payload_b["final_values"]
 
+    def test_domain_error_leaves_no_output_directory(self, capsys, caplog, tmp_path):
+        config = _write_config(tmp_path, {"theta_true": 0.9, "epsilon": 0.05,
+                                          "n_steps": 300})
+        code, payload = _run(capsys, ["simulate", "--config", config,
+                                      "--out", str(tmp_path / "o1")])
+        assert code == 1
+        assert payload is None
+        assert "theta=0.9 outside theta_bounds [0.35, 0.65]" in caplog.text
+        assert not (tmp_path / "o1").exists()
+
     def test_seeds_differ(self, capsys, tmp_path):
         config = _write_config(tmp_path, {"n_steps": 300, "epsilon": 0.05})
         base = ["simulate", "--config", config, "--out", str(tmp_path)]

@@ -92,3 +92,16 @@ def test_readme_block_tables_match_constructors(header, table):
     documented = {name: params for (name,), params in _readme_table(header)}
     assert documented == {name: list(inspect.signature(make).parameters)
                           for name, make in table.items()}
+
+
+def test_no_private_imports_across_modules():
+    # a name another cusplab module needs is public in the module defining it
+    found = []
+    for path in sorted((ROOT / "src" / "cusplab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "cusplab"
+            ):
+                found += [f"{path.name}: {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -64,10 +64,6 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             MisspecProblem(theoretical=THEORETICAL, real=real)
 
-    def test_rejects_low_quadrature_order(self):
-        with pytest.raises(DomainError):
-            MisspecProblem(theoretical=THEORETICAL, real=REAL, quad_order=4)
-
     def test_rejects_real_signal_without_value(self):
         with pytest.raises(DomainError):
             MisspecProblem(theoretical=THEORETICAL, real=3.14)

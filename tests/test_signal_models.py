@@ -17,6 +17,7 @@ from cusplab.signal_models import (
     SmoothedCuspSignal,
     ThetaRampNuisance,
     TwoSidedCuspSignal,
+    check_config,
     eval_signal,
     is_location_signal,
     signal_from_config,
@@ -354,6 +355,31 @@ class TestSignalFromConfig:
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
             signal_from_config(["cusp"])
+
+
+class TestCheckConfig:
+    """One row per kind of default: a value it takes, one it rejects, and
+    the dotted name and kind the rejection must state."""
+
+    @pytest.mark.parametrize("default,accepted,rejected,message", [
+        (0.5, 2, True, "config=True must be a number"),
+        (None, 0.3, "x", "config='x' must be a number or null"),
+        ([0.05, 0.02], (0.05, 0.02, 1), [0.05, "0.02"],
+         "config[1]='0.02' must be a number"),
+        ((0.35, 0.65), [0, 1.0], [0.35], "config=[0.35] must be a list of 2 values"),
+        ({"signal": {"terms": [(1.0, 0.2)]}},
+         {"signal": {"terms": [[1, 0.2], (2, 0.4)], "other": "x"}, "extra": None},
+         {"signal": {"terms": [[1.0, 0.2], [1.0, "0.4"]]}},
+         "config.signal.terms[1][1]='0.4' must be a number"),
+        ("xi", "zeta", 3, "config=3 must be a string"),
+        (2000, 5, 2.5, "config=2.5 must be an integer"),
+        (False, True, 1, "config=1 must be a boolean"),
+    ], ids=["float", "None", "list", "pair", "mapping", "str", "int", "bool"])
+    def test_rules(self, default, accepted, rejected, message):
+        check_config(accepted, default)
+        with pytest.raises(ConfigError) as info:
+            check_config(rejected, default)
+        assert str(info.value) == message
 
 
 class TestNuisanceTerms:
