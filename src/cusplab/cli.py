@@ -46,6 +46,7 @@ from .estimators import bayes, mle, prior_from_config
 from .experiments import (
     SCHEMA_VERSION,
     SIGNAL_DEFAULTS,
+    check_experiment_config,
     experiment_config_from_dict,
     misspec_problem,
     run_and_write,
@@ -148,14 +149,22 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _settings(args) -> dict:
-    """The config file, checked against and filled from ``_KEYS`` (sweep
-    configs are checked later), with each flag given overriding its key.
+    """The config file, checked before each flag given overrides its key.
 
-    A key outside ``_KEYS`` or a value not of its default's type
-    (``signal_models.check_config``) is a ``ConfigError``."""
+    A non-sweep config is checked against and filled from ``_KEYS``; a
+    sweep config gets the scenario ``kappa`` and ``joint`` pin, or
+    ``cusp-mle`` if it names none, and is checked by
+    ``experiments.check_experiment_config``.  A key outside them or a
+    value not of its default's type (``signal_models.check_config``) is a
+    ``ConfigError``, even for a key that a flag overrides."""
     config = _load_config(args.config)
     defaults = _KEYS.get(args.command)
-    if defaults is not None:
+    if defaults is None:
+        if args.command != "rate":
+            config["scenario"] = args.command
+        config.setdefault("scenario", "cusp-mle")
+        check_experiment_config(config)
+    else:
         unknown = set(config) - set(defaults)
         if unknown:
             raise ConfigError(
@@ -374,11 +383,7 @@ def _cmd_misspec(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """``rate`` runs the config's scenario; ``kappa`` and ``joint`` pin theirs."""
-    config = _settings(args)
-    if args.command != "rate":
-        config["scenario"] = args.command
-    config.setdefault("scenario", "cusp-mle")
-    experiment = experiment_config_from_dict(config)
+    experiment = experiment_config_from_dict(_settings(args))
     log.info(
         "running scenario %s: epsilons=%s, N=%d",
         experiment.scenario, list(experiment.epsilons), experiment.replications,

@@ -97,6 +97,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "RateFit",
+    "check_experiment_config",
     "experiment_config_from_dict",
     "misspec_problem",
     "run_experiment",
@@ -151,10 +152,9 @@ SIGNAL_DEFAULTS = {
     },
 }
 
-_DEFAULT_EPSILONS = {
-    "kappa": [0.01],
-    "joint": [0.01],
-}
+
+def _default_epsilons(scenario: str) -> list:
+    return [0.01] if scenario in ("kappa", "joint") else [0.05, 0.02, 0.01, 0.005]
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,12 @@ _CONFIG_DEFAULTS = {
 }
 
 
-def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from a plain mapping (parsed JSON).
+def check_experiment_config(data: dict) -> None:
+    """Raise ``ConfigError`` unless ``data`` could configure a sweep.
 
-    Each value must have the type of its default (``check_config``); the
-    signal block's defaults are the scenario's.
+    It must name a scenario and hold only ``ExperimentConfig`` fields,
+    each value of its default's type (``check_config``); the signal
+    block's defaults are the scenario's.
     """
     if "scenario" not in data:
         raise ConfigError("config must name a scenario")
@@ -262,12 +263,18 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
         )
-    epsilons = _DEFAULT_EPSILONS.get(scenario, [0.05, 0.02, 0.01, 0.005])
-    check_config(data, {**_CONFIG_DEFAULTS, "epsilons": epsilons,
+    check_config(data, {**_CONFIG_DEFAULTS, "epsilons": _default_epsilons(scenario),
                         "signal": SIGNAL_DEFAULTS[scenario]})
-    kwargs = dict(data)
-    kwargs["epsilons"] = tuple(kwargs.get("epsilons", epsilons))
-    return ExperimentConfig(**kwargs)
+
+
+def experiment_config_from_dict(data: dict) -> ExperimentConfig:
+    """Build a validated config from a plain mapping (parsed JSON).
+
+    The mapping is checked by ``check_experiment_config`` first.
+    """
+    check_experiment_config(data)
+    epsilons = data.get("epsilons", _default_epsilons(data["scenario"]))
+    return ExperimentConfig(**{**data, "epsilons": tuple(epsilons)})
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ embedding of their fractional-Gaussian-noise increments (Davies & Harte,
 Biometrika 74, 1987; Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997):
 one FFT gives the embedding eigenvalues, one FFT per pair of paths maps
 standard normals to increments, and a cumulative sum pinned at the
-origin gives the path.  The cost is O(m log m) per path on any grid size
-and nothing is cached.
+origin gives the path.  The embedding is padded to an FFT-friendly
+length, which keeps it exact (Wood & Chan, J. Comput. Graph. Statist. 3,
+1994), so the cost is O(m log m) per path with a small constant on any
+grid size, and nothing is cached.
 The exponents ``2H`` and ``2*kappa + 1`` are the same number and are
 used interchangeably.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import fft, integrate
 
 from .errors import DomainError, NumericalDegeneracyError
 
@@ -219,23 +221,25 @@ def fbm_covariance(u, v, hurst: float):
 
 
 def _embedding_scale(hurst: float, window: WindowConfig) -> np.ndarray:
-    """``sqrt(lambda / M)`` of the minimal circulant embedding of the increments.
+    """``sqrt(lambda / M)`` of a circulant embedding of the increments.
 
     The ``n = 2*half_count`` increments of ``W^H`` across the grid are
     fractional Gaussian noise with autocovariance
-    ``gamma(k) = du^2H/2 * (|k+1|^2H - 2|k|^2H + |k-1|^2H)``.  Their
-    minimal embedding is the symmetric circulant of size ``M = 2(n-1)``
-    with first row ``gamma(0..n-1), gamma(n-2..1)``; its eigenvalues
-    ``lambda`` are one FFT of that row.  They are nonnegative for fGn;
-    a value negative beyond round-off raises instead of being clipped.
+    ``gamma(k) = du^2H/2 * (|k+1|^2H - 2|k|^2H + |k-1|^2H)``.  They are
+    the first ``n`` of ``n' = next_fast_len(n-1) + 1 >= n`` increments,
+    whose minimal embedding is the symmetric circulant of size
+    ``M = 2(n'-1)``, a fast FFT length, with first row
+    ``gamma(0..n'-1), gamma(n'-2..1)``; its eigenvalues ``lambda`` are one
+    FFT of that row.  They are nonnegative for fGn at any size; a value
+    negative beyond round-off raises instead of being clipped.
     """
     h2 = 2.0 * hurst
-    k = np.arange(2 * window.half_count, dtype=float)
+    k = np.arange(fft.next_fast_len(2 * window.half_count - 1) + 1, dtype=float)
     acov = 0.5 * window.du**h2 * (
         (k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2
     )
     row = np.concatenate([acov, acov[-2:0:-1]])
-    lam = np.fft.fft(row).real
+    lam = fft.fft(row).real
     if lam.min() < -EIGEN_RTOL * lam.max():
         raise NumericalDegeneracyError(
             f"circulant embedding of fGn has eigenvalue {lam.min():.3e} "
@@ -248,19 +252,25 @@ def _fbm_paths(scale: np.ndarray, half_count: int, normals: np.ndarray) -> np.nd
     """Map standard normals of shape ``(r, 2M)`` to ``2r`` fBm paths.
 
     Each row is read as ``M`` complex normals ``z``; the real and the
-    imaginary part of ``FFT(scale * z)`` are two independent fGn
-    sequences.  Returns an array of shape ``(2r, 2*half_count + 1)``
-    holding the real-part paths, then the imaginary-part paths, each
-    pinned so that the value at the origin is exactly 0.
+    imaginary part of the first ``n = 2*half_count`` entries of
+    ``FFT(scale * z)`` are two independent fGn sequences.  ``normals``
+    is consumed: ``z`` is scaled and transformed in place.  Returns an
+    array of shape ``(2r, n + 1)`` holding the real-part paths, then the
+    imaginary-part paths, each pinned so that the value at the origin is
+    exactly 0.
     """
     n = 2 * half_count
-    noise = np.fft.fft(scale * normals.view(np.complex128), axis=1)[:, :n]
+    z = normals.view(np.complex128)
+    z *= scale
+    noise = fft.fft(z, axis=1, overwrite_x=True)[:, :n]
     rows = noise.shape[0]
     paths = np.empty((2 * rows, n + 1))
     paths[:, 0] = 0.0
     np.cumsum(noise.real, axis=1, out=paths[:rows, 1:])
     np.cumsum(noise.imag, axis=1, out=paths[rows:, 1:])
-    paths -= paths[:, half_count : half_count + 1]
+    # a copy of the origin column: an operand that overlaps the output
+    # would make numpy buffer the whole subtraction
+    paths -= paths[:, half_count, None].copy()
     return paths
 
 
@@ -282,9 +292,13 @@ def _reduce_fbm(
     outputs = None
     for start in range(0, count, FBM_BLOCK):
         size = min(FBM_BLOCK, count - start)
+        # each array is dropped once used, so the arrays of two blocks
+        # are never held at once
         normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
-        paths = _fbm_paths(scale, window.half_count, normals)
-        parts = reduce(FbmPath(hurst, window, paths[:size]))
+        paths = _fbm_paths(scale, window.half_count, normals)[:size]
+        del normals
+        parts = reduce(FbmPath(hurst, window, paths))
+        del paths
         if outputs is None:
             outputs = tuple(np.empty((count, *p.shape[1:]), p.dtype) for p in parts)
         for out, part in zip(outputs, parts):
@@ -330,23 +344,29 @@ def xi_from_fbm(path: FbmPath, gamma_sq: float):
     """``(xi_hat, xi_tilde, edge_flags)`` arrays, one entry per path.
 
     ``ln Z(u) = Gamma*W^H(u) - Gamma^2/2*|u|^(2H)``; the argmax breaks
-    ties toward smaller u, the mean uses trapezoid weights on max-shifted
-    exponentials.  A flag marks a path whose ``xi_hat`` or ``xi_tilde``
-    lies beyond ``EDGE_FRACTION`` of the window, where truncation
-    visibly affects the law.
+    ties toward smaller u, the mean uses trapezoid weights
+    ``du*[1/2, 1, ..., 1, 1/2]`` on max-shifted exponentials, each sum a
+    row-by-row ``einsum`` rather than a BLAS product, so that a row
+    reduces alike in any block and at any thread count.  A flag marks a
+    path whose ``xi_hat`` or ``xi_tilde`` lies beyond ``EDGE_FRACTION``
+    of the window, where truncation visibly affects the law.
     """
     if not gamma_sq > 0.0:
         raise DomainError(f"gamma_sq must be positive, got {gamma_sq!r}")
     gamma = math.sqrt(gamma_sq)
     u = path.window.nodes()
-    ln_z = gamma * path.values - 0.5 * gamma_sq * np.abs(u) ** (2.0 * path.hurst)
+    ln_z = gamma * path.values
+    ln_z -= 0.5 * gamma_sq * np.abs(u) ** (2.0 * path.hurst)
     idx = np.argmax(ln_z, axis=1)
     xi_hat = u[idx]
-    z = np.exp(ln_z - ln_z[np.arange(idx.size), idx][:, None])
-    denom = np.trapezoid(z, u, axis=1)
+    ln_z -= ln_z[np.arange(idx.size), idx][:, None]
+    z = np.exp(ln_z, out=ln_z)
+    weights = np.full(u.size, path.window.du)
+    weights[[0, -1]] *= 0.5
+    denom = np.einsum("ij,j->i", z, weights)
     if not np.all(np.isfinite(denom) & (denom > 0.0)):
         raise NumericalDegeneracyError("degenerate limit-law normalization")
-    xi_tilde = np.trapezoid(u * z, u, axis=1) / denom
+    xi_tilde = np.einsum("ij,j->i", z, u * weights) / denom
     lim = EDGE_FRACTION * path.window.U
     return xi_hat, xi_tilde, (np.abs(xi_hat) > lim) | (np.abs(xi_tilde) > lim)
 
@@ -363,7 +383,9 @@ def zeta_from_fbm(path: FbmPath, noise_scale: float, curvature: float):
     if not curvature > 0.0:
         raise DomainError(f"curvature must be positive, got {curvature!r}")
     u = path.window.nodes()
-    zeta = u[np.argmax(noise_scale * path.values - 0.25 * curvature * u * u, axis=1)]
+    field = noise_scale * path.values
+    field -= 0.25 * curvature * u * u
+    zeta = u[np.argmax(field, axis=1)]
     return zeta, np.abs(zeta) > EDGE_FRACTION * path.window.U
 
 

@@ -605,6 +605,26 @@ class TestFlagsAndKeys:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert f"config.{key}=" in caplog.text
 
+    @pytest.mark.parametrize("command", [
+        "simulate", "limit-law", "misspec", "rate", "kappa", "joint",
+    ])
+    def test_mistyped_value_of_a_flagged_key_exits_1(
+        self, capsys, caplog, tmp_path, command
+    ):
+        # the file is checked before --out overrides its out_dir; the rest
+        # of the config keeps a sweep that got past the check small
+        config = {"out_dir": 5}
+        if command in ("rate", "kappa", "joint"):
+            config.update(replications=2, epsilons=[0.05], n_steps=200,
+                          limit_samples=10)
+        argv = [command, "--config", _write_config(tmp_path, config),
+                "--out", str(tmp_path / "out")]
+        code, payload = _run(capsys, argv)
+        assert code == 1
+        assert payload is None
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert "config.out_dir=5 must be a string" in caplog.text
+
     @pytest.mark.parametrize("command,config,named", [
         ("estimate", {"estimator": "bayes", "prior": {
             "name": "truncated_normal", "mean": "0.5", "std": 0.1}}, "mean='0.5'"),

@@ -1,11 +1,13 @@
 """Tests for the analytic constants and limit-law samplers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from cusplab import limit_laws
@@ -250,9 +252,12 @@ class TestSampleFbm:
 
 class TestCirculantEmbedding:
     HURSTS = [0.5, 0.6, 0.75, 0.9, 0.95]
+    # 7 and 12 are padded: their 14 and 24 increments are embedded as 15
+    # and 25 (M = 28 and 48, not 26 and 46; 13 and 23 are slow lengths)
+    COVARIANCE_HALF_COUNTS = [1, 2, 7, 12]
 
     @pytest.mark.parametrize("hurst", HURSTS)
-    @pytest.mark.parametrize("half_count", [1, 2, 7, 12])
+    @pytest.mark.parametrize("half_count", COVARIANCE_HALF_COUNTS)
     def test_implied_covariance_is_exact(self, hurst, half_count):
         # the sampler is linear in its normals: pushing the standard basis
         # through it gives the rows A with path = normals @ A, so A.T @ A
@@ -271,15 +276,28 @@ class TestCirculantEmbedding:
         np.testing.assert_allclose(real.T @ imag, 0.0, atol=atol)
 
     @pytest.mark.parametrize("hurst", HURSTS)
-    @pytest.mark.parametrize("half_count", [1, 2, 1000, 2047, 2048, 20000])
+    @pytest.mark.parametrize("half_count", [1, 2, 1000, 2000, 2047, 2048, 20000])
     def test_eigenvalues_positive_past_old_node_cap(self, hurst, half_count):
         # node counts 3 .. 40001, straddling 4096: no eigenvalue is
-        # clipped, since _embedding_scale raises on any beyond round-off
+        # clipped, since _embedding_scale raises on any beyond round-off;
+        # 2000 is the default window, embedded in 8000 = 2^6 * 5^3 rather
+        # than the minimal 7998 = 2 * 3 * 31 * 43
         window = WindowConfig(U=0.01 * half_count, du=0.01)
         assert window.half_count == half_count
         scale = _embedding_scale(hurst, window)
-        assert scale.size == 2 * (2 * half_count - 1)
+        assert scale.size == 2 * next_fast_len(2 * half_count - 1)
         assert np.all(scale > 0.0)
+
+    def test_covariance_cases_include_padded_embeddings(self):
+        # the exact-covariance test checks both minimal and padded sizes
+        padded = []
+        for half_count in self.COVARIANCE_HALF_COUNTS:
+            window = WindowConfig(U=0.25 * half_count, du=0.25)
+            minimal = 2 * (2 * half_count - 1)
+            size = _embedding_scale(0.75, window).size
+            assert size >= minimal
+            padded.append(size > minimal)
+        assert padded == [False, False, True, True]
 
     def test_negative_eigenvalue_raises_instead_of_clipping(self, monkeypatch):
         # a negative tolerance turns every eigenvalue below the max into
@@ -371,6 +389,16 @@ class TestXiFromFbm:
         with pytest.raises(NumericalDegeneracyError):
             xi_from_fbm(_path(values), gamma_sq=0.5)
 
+    @pytest.mark.parametrize("hurst", [0.5, 0.75, 0.95])
+    def test_mean_matches_trapezoid_reference(self, hurst):
+        paths = sample_fbm(hurst, 2.0, 0.125, 7, replication_rng(4, 1))
+        _, xi_tilde, _ = xi_from_fbm(paths, gamma_sq=0.5)
+        u = paths.window.nodes()
+        ln_z = math.sqrt(0.5) * paths.values - 0.25 * np.abs(u) ** (2.0 * hurst)
+        z = np.exp(ln_z - ln_z.max(axis=1, keepdims=True))
+        expected = np.trapezoid(u * z, u, axis=1) / np.trapezoid(z, u, axis=1)
+        np.testing.assert_allclose(xi_tilde, expected, rtol=1e-13, atol=0.0)
+
     def test_block_reduces_like_single_rows(self):
         paths = sample_fbm(0.75, 2.0, 0.125, 5, replication_rng(4, 0))
         block = xi_from_fbm(paths, gamma_sq=0.5)
@@ -420,6 +448,20 @@ class TestSamplers:
         monkeypatch.setattr(limit_laws, "_fbm_paths", nan_paths)
         with pytest.raises(NumericalDegeneracyError):
             sample_xi_batch(0.5, 0.75, 4, replication_rng(5, 3), window=self.WINDOW)
+
+    def test_default_window_batch_memory_is_bounded(self):
+        # 2000 draws on the 4001-node default window: one block of normals,
+        # transformed in place, and one block of paths live at a time
+        sample_xi_batch(GAMMA_SQ_REF, 0.75, 2, replication_rng(5, 6))
+        tracemalloc.start()
+        try:
+            xi_hat, _, _ = sample_xi_batch(GAMMA_SQ_REF, 0.75, 2000,
+                                           replication_rng(5, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xi_hat.shape == (2000,)
+        assert peak < 48 * 2**20
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected(self, count):

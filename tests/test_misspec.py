@@ -91,6 +91,19 @@ class TestL2Gap:
     def test_rejects_theta_outside_bounds(self, default_problem):
         with pytest.raises(DomainError):
             l2_gap(default_problem, 0.7)
+        with pytest.raises(DomainError):
+            l2_gap(default_problem, np.array([0.5, 0.7]))
+
+    def test_array_of_thetas_matches_scalar_calls(self, default_problem):
+        # the scan of solve_theta_hat; a vectorized power may differ from
+        # a scalar one in the last bit, and the gap of about 2e-3 is the
+        # difference of O(1) terms, so agreement is to 1e-12, not exact
+        thetas = np.linspace(0.35, 0.65, 2001)
+        gaps = l2_gap(default_problem, thetas)
+        assert gaps.shape == thetas.shape
+        scalar = np.array([l2_gap(default_problem, float(t)) for t in thetas])
+        np.testing.assert_allclose(gaps, scalar, rtol=1e-12, atol=0.0)
+        assert isinstance(l2_gap(default_problem, 0.5), float)
 
 
 class TestSolveThetaHat:
