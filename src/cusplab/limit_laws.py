@@ -9,6 +9,9 @@ Two constants drive all asymptotic statements:
 * ``fisher_info_kappa(a, rho, T, kappa)``, the Fisher information of the
   exponent parameter in the regular sub-problem.
 
+Both are closed forms: ``Gamma^2`` by Plancherel with the Fourier
+transform of ``|v|**kappa``, ``I(kappa)`` by integration by parts.
+
 The limit variables are functionals of a double-sided fractional
 Brownian motion :math:`W^H` with Hurst index ``H = kappa + 1/2``:
 
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft, special
 
 from .errors import DomainError, NumericalDegeneracyError
 
@@ -85,21 +88,7 @@ EDGE_FRACTION = 0.9
 # analytic constants
 # ---------------------------------------------------------------------------
 
-def _gamma_sq_tail(window: float, kappa: float) -> float:
-    # Tail of int (|v-1|^k - |v|^k)^2 dv beyond +-window.  The odd-order
-    # corrections cancel between the two sides; the series in 1/v leaves
-    #   2 k^2 [ V^{2k-1}/(1-2k) + c4 V^{2k-3}/(3-2k) ],
-    # and the second term is kept because the stated convergence budget
-    # (V=50 vs V=200 within 1e-6 relative) is tighter than the leading
-    # term alone can deliver.
-    k = kappa
-    c4 = (1.0 - k) ** 2 / 4.0 + (1.0 - k) * (2.0 - k) / 3.0
-    lead = window ** (2.0 * k - 1.0) / (1.0 - 2.0 * k)
-    nxt = c4 * window ** (2.0 * k - 3.0) / (3.0 - 2.0 * k)
-    return 2.0 * k * k * (lead + nxt)
-
-
-def gamma_squared(a: float, kappa: float, window: float = 100.0) -> float:
+def gamma_squared(a: float, kappa: float) -> float:
     """Squared noise scale of the cusp limit experiment.
 
     Parameters
@@ -109,15 +98,14 @@ def gamma_squared(a: float, kappa: float, window: float = 100.0) -> float:
     kappa : float
         Cusp exponent in ``(0, 1/2)``; at ``kappa = 1/2`` the integral
         diverges.
-    window : float
-        Half-width ``V >= 50`` of the numerically integrated interval;
-        the mass beyond it is added through an asymptotic tail
-        correction, accurate well past the 1e-6 relative target.
 
     Returns
     -------
     float
-        ``a**2 * integral((|v-1|**kappa - |v|**kappa)**2, v over R)``.
+        ``a**2 * integral((|v-1|**kappa - |v|**kappa)**2, v over R)``,
+        in the closed form
+        ``a**2 * 2*(1 - cos(pi*kappa)) * B(kappa+1, kappa+1) / cos(pi*kappa)``
+        (Plancherel with the Fourier transform of ``|v|**kappa``).
     """
     if not a > 0.0:
         raise DomainError(f"amplitude a must be positive, got {a!r}")
@@ -125,22 +113,9 @@ def gamma_squared(a: float, kappa: float, window: float = 100.0) -> float:
         raise DomainError(
             f"kappa must lie in (0, 1/2), got {kappa!r} (integral diverges at 1/2)"
         )
-    if not window >= 50.0:
-        raise DomainError(f"window must be >= 50, got {window!r}")
-
-    def integrand(v: float) -> float:
-        return (abs(v - 1.0) ** kappa - abs(v) ** kappa) ** 2
-
-    core, _ = integrate.quad(
-        integrand,
-        -window,
-        window,
-        points=[0.0, 1.0],
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-11,
-    )
-    return a * a * (core + _gamma_sq_tail(window, kappa))
+    c = math.cos(math.pi * kappa)
+    beta = float(special.beta(kappa + 1.0, kappa + 1.0))
+    return a * a * 2.0 * (1.0 - c) * beta / c
 
 
 def cusp_log_moment(x: float, kappa: float) -> float:

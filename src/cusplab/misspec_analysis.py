@@ -15,7 +15,10 @@ Quadrature notes: the integrand has a Holder-``kappa`` kink at
 ``t = theta``, so the cross term ``integral |t-theta|**kappa * g(t) dt``
 is split at ``theta`` and evaluated with Gauss-Jacobi rules that absorb
 the ``s**kappa`` endpoint weight exactly; naive uniform rules converge
-far too slowly for the 1e-8 relative target.
+far too slowly for the 1e-8 relative target.  The smooth square term
+``integral S(t)**2 dt`` uses the same rule at exponent 0, which is
+Gauss-Legendre.  Each basin of the gap is polished by scipy's bounded
+Brent minimizer.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 from .errors import ConditionViolationError, DomainError
@@ -40,8 +44,8 @@ __all__ = [
     "curvature",
 ]
 
-#: Order of the Gauss-Jacobi rules of the kinked cross term and of the
-#: Gauss-Legendre rule of the smooth square term.
+#: Order of the Gauss-Jacobi rules of the kinked cross term and, at
+#: exponent 0 (Gauss-Legendre), of the smooth square term.
 QUAD_ORDER = 200
 
 #: Central-difference step for the finite-difference curvature route.
@@ -70,8 +74,8 @@ class MisspecProblem:
             isinstance(nuis, ConstantNuisance) and nuis.level == 0.0
         ):
             raise DomainError("theoretical cusp must have zero nuisance term")
-        if not hasattr(self.real, "value"):
-            raise DomainError("real signal must expose value(t)")
+        if not (hasattr(self.real, "value") and hasattr(self.real, "T")):
+            raise DomainError("real signal must expose value(t) and a horizon T")
         if not math.isclose(self.real.T, self.theoretical.T, rel_tol=1e-12):
             raise DomainError(
                 f"real and theoretical horizons differ: {self.real.T!r} vs "
@@ -103,11 +107,6 @@ def _jacobi_rule(kappa: float):
     return roots_jacobi(QUAD_ORDER, 0.0, kappa)
 
 
-@lru_cache(maxsize=1)
-def _legendre_rule():
-    return np.polynomial.legendre.leggauss(QUAD_ORDER)
-
-
 def _kink_weighted_integral(g, length, kappa: float):
     """``integral_0^length s**kappa * g(s) ds`` with the weight exact.
 
@@ -136,12 +135,11 @@ def _cross_integral(problem: MisspecProblem, theta, fn):
 @lru_cache(maxsize=32)
 def _square_integral(problem: MisspecProblem) -> float:
     # integral of S(t)^2 over [0, T]; theta-independent, cached.
-    x, w = _legendre_rule()
-    T = problem.theoretical.T
-    t = 0.5 * T * (x + 1.0)
-    s = np.asarray(problem.real.value(t), dtype=float)
-    s = np.broadcast_to(s, t.shape)
-    return 0.5 * T * float(w @ (s * s))
+    def square(t):
+        s = np.asarray(problem.real.value(t), dtype=float)
+        return np.broadcast_to(s * s, t.shape)
+
+    return float(_kink_weighted_integral(square, problem.theoretical.T, 0.0))
 
 
 def _cusp_square(problem: MisspecProblem, theta):
@@ -158,8 +156,8 @@ def l2_gap(problem: MisspecProblem, theta):
 
     Expanded as ``int M^2 - 2*int M*S + int S^2``: the first term is an
     exact antiderivative, the cross term uses kink-splitting Gauss-Jacobi
-    quadrature, the last a cached Gauss-Legendre rule.  ``theta`` is a
-    number, with a float gap, or an array of locations, with one gap
+    quadrature, the last the same rule at exponent 0, cached.  ``theta``
+    is a number, with a float gap, or an array of locations, with one gap
     each.
     """
     alpha, beta = problem.theoretical.theta_bounds
@@ -179,37 +177,11 @@ def phi(problem: MisspecProblem, theta: float, solution: MisspecSolution) -> flo
     return l2_gap(problem, theta) - solution.min_distance**2
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to bracket width tol."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = fn(x2)
-    return 0.5 * (lo + hi)
-
-
 def _local_minima(values: np.ndarray) -> list[int]:
-    idx = []
-    last = len(values) - 1
-    for i in range(len(values)):
-        left_ok = i == 0 or values[i] <= values[i - 1]
-        right_ok = i == last or values[i] <= values[i + 1]
-        if left_ok and right_ok:
-            if i > 0 and values[i] == values[i - 1]:
-                continue  # collapse plateaus to their left edge
-            idx.append(i)
-    return idx
+    """Indices of the local minima of ``values``, plateaus at their left edge."""
+    below_left = np.r_[True, values[1:] < values[:-1]]
+    below_right = np.r_[values[:-1] <= values[1:], True]
+    return np.flatnonzero(below_left & below_right).tolist()
 
 
 def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
@@ -217,12 +189,12 @@ def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
 
     A 2001-node scan of the L2 gap over the parameter interval, one
     ``l2_gap`` call on the array of nodes, brackets every local minimum;
-    the two best basins are polished by golden-section search, with
-    scalar ``l2_gap`` calls, to a 1e-10 bracket.  The certificate is the
-    value gap between the runner-up and the winner; below 1e-10 the
-    minimizer is declared ambiguous.  When the real signal has ``d2``
-    the solution carries both curvatures, so a minimizer on the bound
-    raises ``DomainError`` (see ``curvature``).
+    the three best basins are polished by scipy's bounded Brent
+    minimizer, with scalar ``l2_gap`` calls, to ``xatol=1e-10``.  The
+    certificate is the value gap between the runner-up and the winner;
+    below 1e-10 the minimizer is declared ambiguous.  When the real
+    signal has ``d2`` the solution carries both curvatures, so a
+    minimizer on the bound raises ``DomainError`` (see ``curvature``).
     """
     alpha, beta = problem.theoretical.theta_bounds
     grid = np.linspace(alpha, beta, 2001)
@@ -235,8 +207,11 @@ def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
     for i in basins[:3]:
         lo = max(alpha, grid[i] - step)
         hi = min(beta, grid[i] + step)
-        theta = _golden_section(lambda t: l2_gap(problem, t), lo, hi)
-        refined.append((l2_gap(problem, theta), theta))
+        polished = minimize_scalar(
+            lambda t: l2_gap(problem, t), bounds=(lo, hi), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        refined.append((polished.fun, polished.x))
     refined.sort()
     best_val, theta_hat = refined[0]
 

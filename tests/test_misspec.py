@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cusplab.errors import DomainError
+from cusplab.errors import ConditionViolationError, DomainError
 from cusplab.misspec_analysis import (
     MisspecProblem,
     MisspecSolution,
@@ -14,9 +16,11 @@ from cusplab.misspec_analysis import (
     l2_gap,
     phi,
     solve_theta_hat,
+    _local_minima,
 )
 from cusplab.signal_models import (
     ConstantNuisance,
+    CosineSignal,
     CuspSignal,
     QuadraticSignal,
     SmoothedCuspSignal,
@@ -67,6 +71,13 @@ class TestProblemValidation:
     def test_rejects_real_signal_without_value(self):
         with pytest.raises(DomainError):
             MisspecProblem(theoretical=THEORETICAL, real=3.14)
+
+        class NoHorizon:
+            def value(self, t):
+                return np.full_like(np.asarray(t, dtype=float), 0.8)
+
+        with pytest.raises(DomainError, match="horizon"):
+            MisspecProblem(theoretical=THEORETICAL, real=NoHorizon())
 
 
 class TestL2Gap:
@@ -128,6 +139,48 @@ class TestSolveThetaHat:
         assert default_solution.min_distance**2 <= gaps.min() + 1e-12
 
 
+def _local_minima_loop(values):
+    # the scan's former Python loop, kept as the oracle
+    idx = []
+    last = len(values) - 1
+    for i in range(len(values)):
+        left_ok = i == 0 or values[i] <= values[i - 1]
+        right_ok = i == last or values[i] <= values[i + 1]
+        if left_ok and right_ok:
+            if i > 0 and values[i] == values[i - 1]:
+                continue  # collapse plateaus to their left edge
+            idx.append(i)
+    return idx
+
+
+class TestBasins:
+    COSINE_BOUNDS = (0.2, 0.8)
+
+    def _problem(self, omega):
+        theoretical = CuspSignal(
+            a=1.0, kappa=0.25, T=1.0, theta_bounds=self.COSINE_BOUNDS
+        )
+        real = CosineSignal(c0=0.5, c1=0.3, omega=omega, T=1.0)
+        return MisspecProblem(theoretical=theoretical, real=real)
+
+    def test_mirror_minima_are_ambiguous(self):
+        # the gap is symmetric about 1/2 with equal minima near 0.2933
+        # and 0.7067
+        with pytest.raises(ConditionViolationError, match="ambiguous"):
+            solve_theta_hat(self._problem(4.0 * math.pi))
+
+    def test_three_basins_pick_the_deepest(self):
+        # minima near 0.2153, 0.5 and 0.7847; the center one is deepest
+        solution = solve_theta_hat(self._problem(6.0 * math.pi))
+        assert solution.theta_hat == pytest.approx(0.5, abs=1e-6)
+        assert solution.uniqueness_certificate == pytest.approx(0.0269, abs=1e-4)
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    def test_local_minima_match_loop(self, values):
+        values = np.array(values, dtype=float)
+        assert _local_minima(values) == _local_minima_loop(values)
+
+
 class TestPhi:
     def test_zero_at_minimizer(self, default_problem, default_solution):
         assert phi(
@@ -180,7 +233,7 @@ class TestCurvature:
 
     @pytest.mark.parametrize("center", [0.6499, 0.66])
     def test_minimizer_within_stencil_of_bound_rejected(self, center):
-        # the golden section stops a hair inside the bound, where the
+        # the bounded minimizer stops a hair inside the bound, where the
         # finite-difference stencil would step outside it
         real = SmoothedCuspSignal(a=1.0, kappa=0.25, center=center, delta=0.05, T=1.0)
         problem = MisspecProblem(theoretical=THEORETICAL, real=real)
