@@ -30,7 +30,20 @@ coarse step of twice the rate (at most a quarter of the parameter
 range), refinement levels that shrink the step ``SHRINK``-fold and scan
 ``SPAN`` steps either side of the incumbent until it is at most
 rate/50, and ``STARTS`` separated coarse candidates refined each.
-Each scan window is a linspace grid.
+Each scan window is a linspace grid, and none is evaluated with one power
+per candidate and node:
+
+* a location window (``mle``, ``pseudo_mle`` and the ``joint_mle`` rho
+  windows, ``_window_loglik``) sums the nodes within ``FAR`` half-widths of
+  its centre directly; every other node is smooth in theta across the
+  window and enters through ``CHEB`` Chebyshev points, interpolated to the
+  window's thetas;
+* an exponent window (``kappa_mle`` and the ``joint_mle`` kappa windows,
+  ``_exponent_rows``) is arithmetic in kappa, so each drift row is the one
+  before times ``|t - rho|**step``.
+
+Both agree with direct rows to about 1e-14 relative; the coarse scans and
+the exponent polish use direct rows.
 
 The Bayes posterior is instead integrated over the whole of
 ``theta_bounds`` on the half-offset lattice ``(m + 1/2) * dt/q`` at a step
@@ -117,9 +130,75 @@ def _path_loglik(path: ObservationPath, drift_rows: np.ndarray) -> np.ndarray:
     return ito_loglik(drift_rows, path.increments, path.grid.dt, path.epsilon)
 
 
-def _location_loglik(path: ObservationPath, signal, thetas: np.ndarray) -> np.ndarray:
-    t = path.grid.left_nodes
-    return _path_loglik(path, signal.value(thetas[:, None], t[None, :]))
+#: A location window sums the nodes within ``FAR`` half-widths of its centre
+#: directly; every other node enters through ``CHEB`` Chebyshev points.
+FAR = 8
+CHEB = 12
+
+# Chebyshev points of the first kind on [-1, 1] and their barycentric weights.
+_CHEB_ANGLES = (2 * np.arange(CHEB) + 1) * np.pi / (2 * CHEB)
+_CHEB_X = np.cos(_CHEB_ANGLES)
+_CHEB_WEIGHTS = (-1.0) ** np.arange(CHEB) * np.sin(_CHEB_ANGLES)
+
+
+def _barycentric(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Matrix taking values at the Chebyshev ``nodes`` to their interpolant at ``x``.
+
+    A point on a node takes that node's value (the first, if the nodes
+    coincide in a window of zero width).
+    """
+    diff = x[:, None] - nodes
+    hit = diff == 0.0
+    first_hit = hit & (np.cumsum(hit, axis=1) == 1)
+    terms = np.where(hit.any(axis=1, keepdims=True), first_hit,
+                     _CHEB_WEIGHTS / np.where(hit, 1.0, diff))
+    return terms / terms.sum(axis=1, keepdims=True)
+
+
+def _window_loglik(path: ObservationPath, rows, thetas: np.ndarray) -> np.ndarray:
+    """Field at the ascending window ``thetas``; ``rows(theta_column, t)`` gives drifts.
+
+    With centre ``c`` and half-width ``w`` of the window, the nodes with
+    ``|t_i - c| <= FAR*w`` (one slice of the sorted nodes) are summed
+    directly for every theta.  For each other node, ``theta -> S(theta,
+    t_i)`` is analytic on a Bernstein ellipse of the window with parameter
+    at least ``FAR + sqrt(FAR**2 - 1)``: the cusp tip ``t_i`` lies outside
+    it, and the nuisances are affine in theta.  So the sum over those
+    nodes is evaluated at ``CHEB`` Chebyshev points of the window and
+    interpolated (barycentric formula, Berrut & Trefethen 2004), with a
+    relative error of order ``(8 + sqrt 63)**-12``, about 4e-15.  An empty
+    far set adds zero.
+    """
+    t, dx = path.grid.left_nodes, path.increments
+    dt, eps = path.grid.dt, path.epsilon
+    c = 0.5 * (thetas[0] + thetas[-1])
+    w = 0.5 * (thetas[-1] - thetas[0])
+    i0 = int(np.searchsorted(t, c - FAR * w, side="left"))
+    i1 = int(np.searchsorted(t, c + FAR * w, side="right"))
+    near = ito_loglik(rows(thetas[:, None], t[i0:i1]), dx[i0:i1], dt, eps)
+    nodes = c + w * _CHEB_X
+    far_t = np.concatenate((t[:i0], t[i1:]))
+    far_dx = np.concatenate((dx[:i0], dx[i1:]))
+    far = ito_loglik(rows(nodes[:, None], far_t), far_dx, dt, eps)
+    return near + _barycentric(thetas, nodes) @ far
+
+
+def _exponent_rows(a: float, rho: float, kappas: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows ``cusp_term(a, rho, kappas[:, None], t)`` of an arithmetic ``kappas``.
+
+    The first row is ``a*|t - rho|**kappas[0]``; each next row is the one
+    before times ``|t - rho|**step``, with the step ``(kappas[-1] -
+    kappas[0]) / (m - 1)`` of ``np.linspace``.  Two powers per node
+    instead of one per row; a node at ``rho`` stays 0.
+    """
+    x = np.abs(t - rho)
+    out = np.empty((kappas.size, t.size))
+    out[0] = a * x ** kappas[0]
+    if kappas.size > 1:
+        ratio = x ** ((kappas[-1] - kappas[0]) / (kappas.size - 1))
+        for j in range(1, kappas.size):
+            np.multiply(out[j - 1], ratio, out=out[j])
+    return out
 
 
 def _check_horizon(path: ObservationPath, signal) -> None:
@@ -353,7 +432,7 @@ def _location_mle(path, signal, rate, estimator, target, coarse=None):
     _check_horizon(path, signal)
     if coarse is None:
         coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
-    eval_fn = lambda thetas: _location_loglik(path, signal, thetas)
+    eval_fn = lambda thetas: _window_loglik(path, signal.value, thetas)
     theta, _, levels, step, boundary = _nested_argmax(
         eval_fn, signal.theta_bounds, rate, coarse
     )
@@ -477,8 +556,8 @@ def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
       of theta.
 
     A window narrower than ``dt`` would make the kernel longer than the
-    rows themselves; the rows are then evaluated directly at the same
-    thetas.
+    rows themselves; the field is then the window field of
+    ``_window_loglik`` at the same thetas.
     """
     dt, t, n = path.grid.dt, path.grid.left_nodes, path.grid.n
     q, p = math.ceil(dt / h), max(1, math.floor(h / dt))
@@ -489,7 +568,7 @@ def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
     width = q * (n - 1) + 1
     span = int(ms[-1] - m_min)
     if width + span > thetas.size * n:
-        return thetas, _location_loglik(path, signal, thetas)
+        return thetas, _window_loglik(path, signal.value, thetas)
     nuisance = getattr(signal, "nuisance", None)
     if nuisance is None:
         kernel, h0, h1 = signal, np.zeros(n), np.zeros(n)
@@ -611,11 +690,12 @@ def kappa_mle(
     if coarse is None:
         coarse = kappa_coarse(a, rho, kappa_bounds, path.grid, path.increments, rate)
     t = path.grid.left_nodes
-    eval_fn = lambda kappas: _path_loglik(path, cusp_term(a, rho, kappas[:, None], t))
+    eval_fn = lambda kappas: _path_loglik(path, _exponent_rows(a, rho, kappas, t))
     kappa, _, levels, step, boundary = _nested_argmax(eval_fn, kappa_bounds, rate, coarse)
     inner = np.clip([kappa - step, kappa, kappa + step], lo, hi)
     if inner[0] < inner[1] < inner[2]:
-        polished = _parabolic_step(inner, eval_fn(np.asarray(inner)))
+        rows = cusp_term(a, rho, inner[:, None], t)
+        polished = _parabolic_step(inner, _path_loglik(path, rows))
         if polished is not None:
             kappa = polished
     return EstimationResult(
@@ -641,9 +721,10 @@ def joint_mle(
     """Joint MLE of (location, exponent) with known amplitude.
 
     A coarse two-dimensional scan seeds alternating per-axis nested
-    refinements.  Each scan window, location or exponent, is one product
-    over the drift rows ``cusp_term(a, rho, kappa, t)`` with that axis as
-    a column.  The location error is normalized by ``eps**(1/H)`` at
+    refinements of the field of ``cusp_term(a, rho, kappa, t)``.  A
+    location window takes its far nodes through Chebyshev points
+    (``_window_loglik``), an exponent window builds its rows by recurrence
+    (``_exponent_rows``).  The location error is normalized by ``eps**(1/H)`` at
     the estimated exponent, the exponent error by ``eps``.  The exponent
     bounds must lie in ``(0, 1/2)``, where the location rate is defined.
     ``coarse`` optionally supplies this path's ``joint_coarse`` scan.
@@ -661,8 +742,11 @@ def joint_mle(
     eps = path.epsilon
     t = path.grid.left_nodes
 
-    def field(rho, kappa) -> np.ndarray:
-        return _path_loglik(path, cusp_term(a, rho, kappa, t))
+    def rho_field(rhos, kappa) -> np.ndarray:
+        return _window_loglik(path, lambda r, nodes: cusp_term(a, r, kappa, nodes), rhos)
+
+    def kappa_field(rho, kappas) -> np.ndarray:
+        return _path_loglik(path, _exponent_rows(a, rho, kappas, t))
 
     if coarse is None:
         coarse = joint_coarse(
@@ -691,18 +775,18 @@ def joint_mle(
             # and the second pass lets the scan windows follow it.
             for _ in range(2):
                 rho, _ = _scan_best(
-                    lambda g: field(g[:, None], kappa),
+                    lambda g: rho_field(g, kappa),
                     _window(theta_bounds, rho, rho_step, SPAN),
                 )
                 kappa, value = _scan_best(
-                    lambda g: field(rho, g[:, None]),
+                    lambda g: kappa_field(rho, g),
                     _window(kappa_bounds, kappa, kappa_step, SPAN),
                 )
             levels += 1
             if levels > 12:
                 break
         if not np.isfinite(value):
-            value = float(field(np.array([[rho]]), kappa)[0])
+            value = float(kappa_field(rho, np.array([kappa]))[0])
         return rho, kappa, value, levels, rho_step, kappa_step
 
     # Multi-start: descend from the best few coarse cells that do not sit

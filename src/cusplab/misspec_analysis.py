@@ -191,7 +191,9 @@ def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
     ``l2_gap`` call on the array of nodes, brackets every local minimum;
     the three best basins are polished by scipy's bounded Brent
     minimizer, with scalar ``l2_gap`` calls, to ``xatol=1e-10``.  The
-    certificate is the value gap between the runner-up and the winner;
+    certificate is the value gap between the runner-up and the winner:
+    the best other polished basin more than two scan nodes from the
+    winner's, else the lowest scan node more than two nodes from it;
     below 1e-10 the minimizer is declared ambiguous.  When the real
     signal has ``d2`` the solution carries both curvatures, so a
     minimizer on the bound raises ``DomainError`` (see ``curvature``).
@@ -203,7 +205,7 @@ def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
     basins.sort(key=lambda i: gap[i])
     step = grid[1] - grid[0]
 
-    refined: list[tuple[float, float]] = []
+    refined: list[tuple[float, float, int]] = []
     for i in basins[:3]:
         lo = max(alpha, grid[i] - step)
         hi = min(beta, grid[i] + step)
@@ -211,18 +213,20 @@ def solve_theta_hat(problem: MisspecProblem) -> MisspecSolution:
             lambda t: l2_gap(problem, t), bounds=(lo, hi), method="bounded",
             options={"xatol": 1e-10},
         )
-        refined.append((polished.fun, polished.x))
+        refined.append((polished.fun, polished.x, i))
     refined.sort()
-    best_val, theta_hat = refined[0]
+    best_val, theta_hat, winner = refined[0]
 
-    # Scan-grid dips within two steps of the winner refine into the same
+    # Scan-grid dips within two nodes of the winner's refine into the same
     # basin; only a genuinely distinct runner-up can contest uniqueness.
-    distinct = [v for v, t in refined[1:] if abs(t - theta_hat) > 2.0 * step]
+    # Basins are told apart by scan index, not by the distance of polished
+    # points, so the certificate does not hinge on the last bits of theta_hat.
+    distinct = [v for v, _, i in refined[1:] if abs(i - winner) > 2]
     if distinct:
         certificate = min(distinct) - best_val
     else:
-        # single basin: measure the climb to everywhere outside it
-        outside = np.abs(grid - theta_hat) > 2.0 * step
+        # single basin: measure the climb to every node outside it
+        outside = np.abs(np.arange(grid.size) - winner) > 2
         certificate = float(gap[outside].min() - best_val) if outside.any() else math.inf
     if certificate < UNIQUENESS_THRESHOLD:
         raise ConditionViolationError(

@@ -486,7 +486,7 @@ class TestFineLattice:
             h = dt / (1.0 + ratio)
         elif branch == "p":  # step p*dt with p > 1, the kernel path
             h = dt * (1.0 + ratio)
-        else:  # a window below dt: the same lattice, rows evaluated directly
+        else:  # a window below dt: the same lattice, through _window_loglik
             width, h = dt * ratio / 8.0, dt * ratio / 400.0
         hi = lo + width
         thetas, field = estimators._fine_field(path, signal, lo, hi, h)
@@ -538,6 +538,137 @@ class TestFineLattice:
         scale = 1.0 + np.abs(h0).max() + np.abs(h1).max()
         np.testing.assert_allclose(nuisance.value(theta, t), h0 + theta * h1,
                                    rtol=0, atol=1e-14 * scale)
+
+
+def _direct_window_loglik(path, rows, thetas):
+    """``estimators._window_loglik`` with every node summed directly."""
+    return estimators._path_loglik(path, rows(thetas[:, None], path.grid.left_nodes))
+
+
+def _direct_exponent_rows(a, rho, kappas, t):
+    """``estimators._exponent_rows`` with one power per row."""
+    return cusp_term(a, rho, kappas[:, None], t)
+
+
+class TestWindowFastPaths:
+    """The two fast window fields equal ``ito_loglik`` over direct rows."""
+
+    @pytest.mark.parametrize("family,nuisance", [
+        (family, nuisance)
+        for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
+    ] + [("multi_cusp", "none")])
+    @pytest.mark.parametrize("window", ["inside", "clipped", "wider", "narrow", "one"])
+    @given(
+        n=st.integers(300, 10_000),
+        eps=st.floats(1e-3, 0.2),
+        center=st.floats(0.2, 0.8),
+        step=st.floats(1e-6, 1e-2),
+        on_node=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_location_window_matches_direct_rows(
+        self, family, nuisance, window, n, eps, center, step, on_node, seed
+    ):
+        bounds = (0.2, 0.8)
+        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
+        if family == "cusp":
+            signal = CuspSignal(1.3, 0.25, 1.0, bounds, **extra)
+        elif family == "two_sided_cusp":
+            signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, bounds, **extra)
+        else:
+            signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, bounds)
+        grid = TimeGrid(1.0, n)
+        noise = np.random.default_rng(seed).normal(0.0, eps * grid.dt**0.5, n)
+        path = ObservationPath(grid, signal.value(0.5, grid.left_nodes) * grid.dt + noise, eps)
+        if on_node:  # centre on a time node inside the bounds, on a cusp tip
+            inside = grid.left_nodes[(grid.left_nodes >= 0.2) & (grid.left_nodes <= 0.8)]
+            center = inside[int((center - 0.2) / 0.6 * (inside.size - 1))]
+        if window == "clipped":  # the window runs into a bound
+            center = bounds[0] + 7.0 * step
+        elif window == "wider":  # the window holds the bounds: no far node
+            step = 0.1
+        elif window == "narrow":  # the whole window inside one cell
+            step = grid.dt / 400.0
+        thetas = estimators._window(bounds, center, step, estimators.SPAN)
+        if window == "one":
+            thetas = thetas[[thetas.size // 2]]
+        if window == "wider":
+            half_width = (thetas[-1] - thetas[0]) / 2
+            assert estimators.FAR * half_width > 1.0
+        got = estimators._window_loglik(path, signal.value, thetas)
+        want = _direct_window_loglik(path, signal.value, thetas)
+        assert got.shape == thetas.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @given(
+        n=st.integers(2, 5000),
+        a=st.floats(0.1, 3.0),
+        lo=st.floats(0.05, 0.45),
+        width=st.floats(1e-6, 0.4),
+        m=st.integers(1, 41),
+        rho=st.floats(0.01, 0.99),
+        on_node=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exponent_rows_match_cusp_term(self, n, a, lo, width, m, rho, on_node):
+        t = np.arange(n) / n
+        if on_node:  # one node exactly at rho: its entries are 0 in every row
+            rho = t[int(rho * (n - 1))]
+        kappas = np.linspace(lo, min(lo + width, 0.45), m)
+        got = estimators._exponent_rows(a, rho, kappas, t)
+        want = _direct_exponent_rows(a, rho, kappas, t)
+        assert np.array_equal(got[0], want[0])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+class TestSearchDecisions:
+    """The searches decide alike on the fast window fields and on direct
+    rows: the same searches, run once more with the fast paths replaced by
+    ``ito_loglik`` over directly evaluated rows, reach the same points.
+
+    For ``mle``, ``pseudo_mle`` and ``kappa_mle`` the point compared is the
+    nested search's argmax; ``kappa_mle`` then polishes it by a parabola
+    through three direct rows, whose vertex carries ~1e-12 of field noise.
+    """
+
+    REAL = SmoothedCuspSignal(a=1.0, kappa=0.25, center=0.5, delta=0.05, T=1.0)
+
+    @staticmethod
+    def _decisions(patch, path, real_path):
+        found = []
+        search = estimators._nested_argmax
+
+        def spy(eval_fn, bounds, rate, coarse):
+            result = search(eval_fn, bounds, rate, coarse)
+            found.append((result[0], rate))
+            return result
+
+        patch.setattr(estimators, "_nested_argmax", spy)
+        mle(path, SIG)
+        pseudo_mle(real_path, SIG)
+        kappa_mle(path, 1.0, 0.5)
+        joint = joint_mle(path, 1.0, BOUNDS)
+        return found + [(joint.rho_hat, joint.rho_rate), (joint.kappa_hat, joint.kappa_rate)]
+
+    @pytest.mark.parametrize("eps", [0.01, 0.005])
+    def test_decisions_match_direct_rows(self, monkeypatch, eps):
+        grid = TimeGrid(1.0, 4000)
+        for rep in range(20):
+            path = simulate_path(SIG, 0.5, eps, grid, rng=replication_rng(17, rep))
+            real_path = simulate_path(self.REAL, None, eps, grid,
+                                      rng=replication_rng(18, rep))
+            with monkeypatch.context() as patch:
+                fast = self._decisions(patch, path, real_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_window_loglik", _direct_window_loglik)
+                patch.setattr(estimators, "_exponent_rows", _direct_exponent_rows)
+                direct = self._decisions(patch, path, real_path)
+            assert len(fast) == len(direct) == 5
+            for name, (got, rate), (want, _) in zip(
+                ("mle", "pseudo_mle", "kappa_mle", "joint_rho", "joint_kappa"), fast, direct
+            ):
+                assert abs(got - want) <= 1e-12 * rate, (rep, name, got, want)
 
 
 class TestPseudoMle:

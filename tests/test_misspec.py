@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cusplab import misspec_analysis
 from cusplab.errors import ConditionViolationError, DomainError
 from cusplab.misspec_analysis import (
     MisspecProblem,
@@ -174,6 +175,29 @@ class TestBasins:
         solution = solve_theta_hat(self._problem(6.0 * math.pi))
         assert solution.theta_hat == pytest.approx(0.5, abs=1e-6)
         assert solution.uniqueness_certificate == pytest.approx(0.0269, abs=1e-4)
+
+    @pytest.mark.parametrize("kappa,certificate", [(0.25, 1.985e-7), (0.35, 2.427e-7)])
+    def test_certificate_excludes_by_scan_index(self, monkeypatch, kappa, certificate):
+        # theta_hat lands within 1e-12 of the scan node 0.5, so a float
+        # distance of two steps counts node i-2 or i+2 by its last bits
+        # (8.82e-8 and 1.079e-7 with theta_hat = 0.5 + 4e-13 and 6.5e-13);
+        # by index both stay out whichever side theta_hat falls on
+        problem = MisspecProblem(
+            theoretical=CuspSignal(a=1.0, kappa=kappa, T=1.0, theta_bounds=BOUNDS),
+            real=SmoothedCuspSignal(a=1.0, kappa=kappa, center=0.5, delta=0.05, T=1.0),
+        )
+        minimize, found = misspec_analysis.minimize_scalar, []
+        for shift in (-1e-12, 0.0, 1e-12):
+            def shifted(*args, shift=shift, **kwargs):
+                result = minimize(*args, **kwargs)
+                result.x += shift
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(misspec_analysis, "minimize_scalar", shifted)
+                found.append(solve_theta_hat(problem).uniqueness_certificate)
+        assert found[0] == found[1] == found[2]
+        assert found[1] == pytest.approx(certificate, rel=1e-3)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
     def test_local_minima_match_loop(self, values):
