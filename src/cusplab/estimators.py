@@ -43,14 +43,19 @@ per candidate and node:
   before times ``|t - rho|**step``.
 
 Both agree with direct rows to about 1e-14 relative; the coarse scans and
-the exponent polish use direct rows.
+the exponent polish use direct rows.  Within one estimator call each
+window is scanned once: starts that converge, and the joint search's
+passes that leave the other coordinate where it was, reuse the stored
+scan (``_scan_window``).
 
 The Bayes posterior is instead integrated over the whole of
 ``theta_bounds`` on the half-offset lattice ``(m + 1/2) * dt/q`` at a step
 of at most rate/10.  The three cusp families are a kernel of ``t - theta``
 plus a nuisance affine in theta, so the field on that lattice is one FFT
-correlation of one kernel vector plus prefix sums of its square
-(``_fine_field``); no drift row is formed.
+correlation of one kernel vector plus prefix sums of its square; no drift
+row is formed.  Everything but the correlation with the increments is
+path-independent and held by a ``FineLattice``, which a sweep cell builds
+once (``bayes_lattice``) and a stand-alone ``bayes`` call builds for itself.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import ConfigError, DomainError, NumericalDegeneracyError
-from .path_sim import ObservationPath
+from .path_sim import ObservationPath, TimeGrid
 from .signal_models import cusp_term, from_config, is_location_signal
 
 __all__ = [
@@ -75,6 +80,8 @@ __all__ = [
     "location_rate",
     "misspec_rate",
     "ito_loglik",
+    "FineLattice",
+    "bayes_lattice",
     "refine_argmax",
     "coarse_grid",
     "location_coarse",
@@ -235,6 +242,20 @@ def _window(bounds, center: float, step: float, span: int) -> np.ndarray:
     return np.linspace(left, right, max(2, int(round((right - left) / step)) + 1))
 
 
+def _scan_window(memo: dict, eval_fn, bounds, center: float, step: float, *fixed):
+    """``_scan_best`` over ``_window(bounds, center, step, SPAN)``, once per window.
+
+    ``memo`` belongs to one estimator call and maps ``(center, step,
+    *fixed)`` to the scan's ``(argmax, value)``; ``fixed`` is whatever else
+    ``eval_fn`` depends on (the other coordinate of the joint search).  A
+    repeated window returns the stored result without building its grid.
+    """
+    key = (center, step, *fixed)
+    if key not in memo:
+        memo[key] = _scan_best(eval_fn, _window(bounds, center, step, SPAN))
+    return memo[key]
+
+
 def _top_candidates(grid, values, count, separation):
     order = np.argsort(values, kind="stable")[::-1]
     picked: list[float] = []
@@ -261,12 +282,14 @@ def refine_argmax(
     steps either side of the incumbent, clipped to ``bounds``; ties
     resolve to the smallest theta.  When ``step`` is already at most
     ``target_step`` no level runs and each candidate keeps its own field
-    value.
+    value.  Starts that converge share their later windows, which are
+    scanned once (``_scan_window``).
     """
     best_theta = math.nan
     best_value = -math.inf
     levels = 0
     final_step = step
+    memo: dict = {}
     for start in candidates:
         theta, value = float(start), -math.inf
         cur = step
@@ -274,7 +297,7 @@ def refine_argmax(
         while cur > target_step:
             cur /= SHRINK
             depth += 1
-            theta, value = _scan_best(eval_fn, _window(bounds, theta, cur, SPAN))
+            theta, value = _scan_window(memo, eval_fn, bounds, theta, cur)
         if depth == 0:
             value = float(eval_fn(np.array([theta]))[0])
         if value > best_value or (value == best_value and theta < best_theta):
@@ -532,8 +555,13 @@ def prior_from_config(block: dict):
     return from_config(_PRIORS, block, "prior", default="uniform")
 
 
-def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
-    """``(thetas, field)`` on the half-offset lattice ``(m + 1/2)*dt/q`` in ``[lo, hi]``.
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+class FineLattice:
+    """Half-offset lattice ``(m + 1/2)*dt/q`` in ``[lo, hi]``, path-free half of its field.
 
     ``q = ceil(dt/h)`` and every ``p``-th node is kept, ``p = max(1,
     floor(h/dt))``, so one of ``p``, ``q`` is 1 and the step ``p*dt/q`` is
@@ -548,53 +576,104 @@ def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
     ``c = m_max - m``, and no row is formed:
 
     * ``sum_i K[c + i*q] v_i`` for ``v`` = the increments, ``h0`` and
-      ``h1`` is one real-FFT correlation of ``K`` with the three vectors
-      upsampled by ``q``, every ``c`` at once;
+      ``h1`` is a real-FFT correlation of ``K`` with ``v`` upsampled by
+      ``q``, every ``c`` at once;
     * ``sum_i K[c + i*q]**2`` is a difference of prefix sums of ``K**2``
       along the residue class of ``c`` mod ``q``;
     * the rest of the dot and energy terms are scalar sums times powers
       of theta.
 
+    Only the first sum over the increments depends on the path.  The
+    constructor does the rest once (the thetas, the spectrum of ``K``, the
+    nuisance correlations, the prefix sums and the whole energy term), so
+    that ``field`` costs one rfft and one irfft per path.  Its arrays are
+    read-only, so pool threads may share one lattice.
+
     A window narrower than ``dt`` would make the kernel longer than the
-    rows themselves; the field is then the window field of
+    rows themselves; ``field`` is then the window field of
     ``_window_loglik`` at the same thetas.
     """
-    dt, t, n = path.grid.dt, path.grid.left_nodes, path.grid.n
-    q, p = math.ceil(dt / h), max(1, math.floor(h / dt))
-    u = dt / q
-    m_min = math.ceil(lo / u - 0.5)
-    ms = m_min + p * np.arange(math.floor((hi / u - 0.5 - m_min) / p) + 1)
-    thetas = (ms + 0.5) * u
-    width = q * (n - 1) + 1
-    span = int(ms[-1] - m_min)
-    if width + span > thetas.size * n:
-        return thetas, _window_loglik(path, signal.value, thetas)
-    nuisance = getattr(signal, "nuisance", None)
-    if nuisance is None:
-        kernel, h0, h1 = signal, np.zeros(n), np.zeros(n)
-    else:  # every nuisance class is affine in theta
-        kernel, h0 = replace(signal, nuisance=None), nuisance.value(0.0, t)
-        h1 = nuisance.value(1.0, t) - h0
-    K = kernel.value(0.0, (np.arange(width + span) - ms[-1] - 0.5) * u)
 
-    dx = path.increments
-    upsampled = np.zeros((3, width))
-    upsampled[:, ::q] = (dx, h0, h1)
-    size = next_fast_len(K.size, real=True)  # >= K.size: no wrap-around
-    spectrum = np.fft.rfft(K, size) * np.fft.rfft(upsampled, size).conj()
-    offsets = span - p * np.arange(thetas.size)  # c = m_max - m of each theta
-    k_dx, k_h0, k_h1 = np.fft.irfft(spectrum, size)[:, offsets]
+    def __init__(self, signal, grid: TimeGrid, lo: float, hi: float, h: float) -> None:
+        dt, t, n = grid.dt, grid.left_nodes, grid.n
+        q, p = math.ceil(dt / h), max(1, math.floor(h / dt))
+        u = dt / q
+        m_min = math.ceil(lo / u - 0.5)
+        ms = m_min + p * np.arange(math.floor((hi / u - 0.5 - m_min) / p) + 1)
+        self.signal, self.grid, self.bounds, self.max_step = signal, grid, (lo, hi), h
+        self.thetas = thetas = (ms + 0.5) * u
+        _read_only(thetas)
+        width = q * (n - 1) + 1
+        span = int(ms[-1] - m_min)
+        self._spectrum = None
+        if width + span > thetas.size * n:
+            return
+        nuisance = getattr(signal, "nuisance", None)
+        if nuisance is None:
+            kernel, h0, h1 = signal, np.zeros(n), np.zeros(n)
+        else:  # every nuisance class is affine in theta
+            kernel, h0 = replace(signal, nuisance=None), nuisance.value(0.0, t)
+            h1 = nuisance.value(1.0, t) - h0
+        K = kernel.value(0.0, (np.arange(width + span) - ms[-1] - 0.5) * u)
 
-    classes = np.zeros((n + span // q + 1, q))
-    classes.flat[q:q + K.size] = K * K
-    prefix = np.cumsum(classes, axis=0)
-    start, residue = np.divmod(offsets, q)
-    k_sq = prefix[start + n, residue] - prefix[start, residue]
+        upsampled = np.zeros((2, width))
+        upsampled[:, ::q] = (h0, h1)
+        size = next_fast_len(K.size, real=True)  # >= K.size: no wrap-around
+        spectrum = np.fft.rfft(K, size)
+        offsets = span - p * np.arange(thetas.size)  # c = m_max - m of each theta
+        k_h0, k_h1 = np.fft.irfft(
+            spectrum * np.fft.rfft(upsampled, size).conj(), size)[:, offsets]
 
-    dot = k_dx + h0 @ dx + thetas * (h1 @ dx)
-    energy = (k_sq + 2.0 * (k_h0 + thetas * k_h1) + h0 @ h0
-              + thetas * (2.0 * (h0 @ h1) + thetas * (h1 @ h1)))
-    return thetas, (dot - 0.5 * dt * energy) / (path.epsilon * path.epsilon)
+        classes = np.zeros((n + span // q + 1, q))
+        classes.flat[q:q + K.size] = K * K
+        prefix = np.cumsum(classes, axis=0)
+        start, residue = np.divmod(offsets, q)
+        k_sq = prefix[start + n, residue] - prefix[start, residue]
+
+        energy = (k_sq + 2.0 * (k_h0 + thetas * k_h1) + h0 @ h0
+                  + thetas * (2.0 * (h0 @ h1) + thetas * (h1 @ h1)))
+        self._q, self._width, self._size, self._offsets = q, width, size, offsets
+        self._spectrum, self._h0, self._h1 = spectrum, h0, h1
+        self._half_energy = 0.5 * dt * energy
+        _read_only(offsets, spectrum, h0, h1, self._half_energy)
+
+    def field(self, path: ObservationPath) -> np.ndarray:
+        """Log-likelihood of ``path`` at ``thetas``; the path must be on this grid."""
+        if path.grid != self.grid:
+            raise DomainError(f"path grid {path.grid!r} is not the lattice grid {self.grid!r}")
+        if self._spectrum is None:
+            return _window_loglik(path, self.signal.value, self.thetas)
+        dx = path.increments
+        upsampled = np.zeros(self._width)
+        upsampled[::self._q] = dx
+        # np.multiply, not ``*``: numpy would reuse the temporary conjugate as
+        # the output, whose in-place loop rounds differently.
+        product = np.multiply(self._spectrum, np.fft.rfft(upsampled, self._size).conj())
+        k_dx = np.fft.irfft(product, self._size)[self._offsets]
+        dot = k_dx + self._h0 @ dx + self.thetas * (self._h1 @ dx)
+        return (dot - self._half_energy) / (path.epsilon * path.epsilon)
+
+
+def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
+    """``(thetas, field)`` of ``path`` on ``FineLattice(signal, path.grid, lo, hi, h)``."""
+    lattice = FineLattice(signal, path.grid, lo, hi, h)
+    return lattice.thetas, lattice.field(path)
+
+
+def _bayes_step(signal, epsilon: float) -> float:
+    """Lattice step bound of ``bayes``: rate/10, and at most 1/51 of the bounds."""
+    alpha, beta = signal.theta_bounds
+    return min(location_rate(epsilon, signal.hurst) / 10.0, (beta - alpha) / 51.0)
+
+
+def bayes_lattice(signal, grid: TimeGrid, epsilon: float) -> FineLattice:
+    """The lattice ``bayes`` integrates on for paths on ``grid`` at ``epsilon``.
+
+    A sweep cell builds it once and passes it to every ``bayes`` call of
+    the cell; the estimates are those of the calls without it.
+    """
+    _require_cusp(signal, "bayes")
+    return FineLattice(signal, grid, *signal.theta_bounds, _bayes_step(signal, epsilon))
 
 
 def bayes(
@@ -602,6 +681,7 @@ def bayes(
     signal,
     prior=None,
     target: Optional[float] = None,
+    lattice: Optional[FineLattice] = None,
 ) -> EstimationResult:
     """Posterior-mean location estimate under quadratic loss.
 
@@ -610,7 +690,9 @@ def bayes(
     stability.  The grid is the half-offset lattice ``(m + 1/2) * dt/q`` at
     a step of at most rate/10 and at most 1/51 of the bounds, so at least
     50 intervals span them; its field is one FFT correlation plus prefix
-    sums (``_fine_field``), with no coarse scan and no search.
+    sums (``FineLattice``), with no coarse scan and no search.  ``lattice``
+    optionally supplies ``bayes_lattice(signal, path.grid, path.epsilon)``,
+    built once for many paths.
     """
     _require_cusp(signal, "bayes")
     _check_horizon(path, signal)
@@ -619,9 +701,13 @@ def bayes(
         target = path.theta_true
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    grid, log_vals = _fine_field(
-        path, signal, alpha, beta, min(rate / 10.0, (beta - alpha) / 51.0)
-    )
+    h = _bayes_step(signal, path.epsilon)
+    if lattice is None:
+        grid, log_vals = _fine_field(path, signal, alpha, beta, h)
+    elif (lattice.signal, lattice.bounds, lattice.max_step) != (signal, (alpha, beta), h):
+        raise DomainError("the lattice was built for another signal or noise level")
+    else:
+        grid, log_vals = lattice.thetas, lattice.field(path)
     step = grid[1] - grid[0]
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())
     denom = np.trapezoid(weights, grid)
@@ -717,14 +803,16 @@ def joint_mle(
     rho_true: Optional[float] = None,
     kappa_true: Optional[float] = None,
     coarse=None,
-) -> EstimationResult | JointEstimationResult:
-    """Joint MLE of (location, exponent) with known amplitude.
+) -> JointEstimationResult:
+    """Joint MLE of (location, exponent) with known amplitude, as a ``JointEstimationResult``.
 
     A coarse two-dimensional scan seeds alternating per-axis nested
     refinements of the field of ``cusp_term(a, rho, kappa, t)``.  A
     location window takes its far nodes through Chebyshev points
     (``_window_loglik``), an exponent window builds its rows by recurrence
-    (``_exponent_rows``).  The location error is normalized by ``eps**(1/H)`` at
+    (``_exponent_rows``); a window already scanned in this call, with the
+    same centre, step and other coordinate, is not scanned again.  The
+    location error is normalized by ``eps**(1/H)`` at
     the estimated exponent, the exponent error by ``eps``.  The exponent
     bounds must lie in ``(0, 1/2)``, where the location rate is defined.
     ``coarse`` optionally supplies this path's ``joint_coarse`` scan.
@@ -756,6 +844,9 @@ def joint_mle(
     coarse_rho_step = rho_nodes[1] - rho_nodes[0]
     coarse_kappa_step = kappa_nodes[1] - kappa_nodes[0]
     kappa_target = eps / 50.0
+    # A window that a descent or an earlier seed has scanned is not scanned again.
+    rho_memo: dict = {}
+    kappa_memo: dict = {}
 
     def descend(rho: float, kappa: float):
         rho_step, kappa_step = coarse_rho_step, coarse_kappa_step
@@ -774,13 +865,13 @@ def joint_mle(
             # along one axis shifts the conditional optimum of the other,
             # and the second pass lets the scan windows follow it.
             for _ in range(2):
-                rho, _ = _scan_best(
-                    lambda g: rho_field(g, kappa),
-                    _window(theta_bounds, rho, rho_step, SPAN),
+                rho, _ = _scan_window(
+                    rho_memo, lambda g: rho_field(g, kappa),
+                    theta_bounds, rho, rho_step, kappa,
                 )
-                kappa, value = _scan_best(
-                    lambda g: kappa_field(rho, g),
-                    _window(kappa_bounds, kappa, kappa_step, SPAN),
+                kappa, value = _scan_window(
+                    kappa_memo, lambda g: kappa_field(rho, g),
+                    kappa_bounds, kappa, kappa_step, rho,
                 )
             levels += 1
             if levels > 12:

@@ -5,8 +5,9 @@ that binds its parameters into a spec: constants, true values, drift,
 coarse scan, per-path estimator calls and limit-law comparison.  One
 cell runner serves every spec at each noise level: Euler increments for
 ``N`` paths, one coarse likelihood scan over all of them (the
-estimators' own, ``estimators.location_coarse`` and its kin), per-path
-refinement and the guards.  Errors are normalized by the theoretical
+estimators' own, ``estimators.location_coarse`` and its kin), the
+path-independent Bayes lattice built once (``estimators.bayes_lattice``),
+per-path refinement and the guards.  Errors are normalized by the theoretical
 rate; the report holds rate fits, Kolmogorov-Smirnov comparisons
 against limit-law samples, and moment orderings.
 
@@ -58,6 +59,7 @@ from .errors import (
 from .estimators import (
     JointEstimationResult,
     bayes,
+    bayes_lattice,
     ito_loglik,
     joint_coarse,
     joint_mle,
@@ -394,8 +396,10 @@ class _Spec:
     drift on the left nodes and ``kappa`` the exponent of the resolution
     warning.  ``coarse(eps, increments)`` is the estimators' coarse scan
     ``(*axes, field)`` of a cell's ``(paths, n)`` increments, the path the
-    last axis of the field.  ``estimators`` maps the row names of each
-    per-path call ``(path, coarse) -> result`` to the call, in run order.
+    last axis of the field.  ``lattice(eps)`` is the path-independent
+    ``bayes_lattice`` of a cell, or ``None`` where no estimator takes one.
+    ``estimators`` maps the row names of each per-path call ``(path,
+    coarse, lattice) -> result`` to the call, in run order.
     ``compare(errors, count, rng)`` returns ``(ks_results,
     moment_comparison)`` against a sample of the limit law.
     """
@@ -406,6 +410,7 @@ class _Spec:
     kappa: float
     coarse: Callable[[float, np.ndarray], tuple]
     estimators: dict
+    lattice: Callable[[float], object] = lambda eps: None
     compare: Optional[Callable] = None
     notes: tuple = ()
 
@@ -449,10 +454,12 @@ def _location(config, grid, signal, truth, drift, rate, names, **rest) -> _Spec:
     (target,) = truth.values()
     prior = prior_from_config(config.prior)
     calls = {
-        "mle": lambda path, c: mle(path, signal, target=target, coarse=c),
-        "bayes": lambda path, c: bayes(path, signal, prior, target=target),
-        "pseudo_mle": lambda path, c: pseudo_mle(path, signal, target=target, coarse=c),
+        "mle": lambda path, c, _: mle(path, signal, target=target, coarse=c),
+        "bayes": lambda path, _, lat: bayes(path, signal, prior, target=target, lattice=lat),
+        "pseudo_mle": lambda path, c, _: pseudo_mle(path, signal, target=target, coarse=c),
     }
+    if "bayes" in names:
+        rest["lattice"] = lambda eps: bayes_lattice(signal, grid, eps)
     return _Spec(
         truth=truth, drift=drift, kappa=signal.kappa_eff,
         coarse=lambda eps, dx: location_coarse(signal, rate(eps), grid, dx, eps),
@@ -537,7 +544,7 @@ def _kappa(p, config, grid) -> _Spec:
         truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, grid.left_nodes),
         kappa=kappa0, compare=compare,
         coarse=lambda eps, dx: kappa_coarse(a, rho, bounds, grid, dx, eps),
-        estimators={("kappa_mle",): lambda path, c: kappa_mle(
+        estimators={("kappa_mle",): lambda path, c, _: kappa_mle(
             path, a, rho, bounds, target=kappa0, coarse=c)},
     )
 
@@ -566,7 +573,7 @@ def _joint(p, config, grid) -> _Spec:
         truth={"rho0": rho0, "kappa0": kappa0},
         drift=cusp_term(a, rho0, kappa0, grid.left_nodes), kappa=kappa0, compare=compare,
         coarse=lambda eps, dx: joint_coarse(a, tbounds, kbounds, grid, dx, eps),
-        estimators={("joint_rho", "joint_kappa"): lambda path, c: joint_mle(
+        estimators={("joint_rho", "joint_kappa"): lambda path, c, _: joint_mle(
             path, a, tbounds, kbounds, rho_true=rho0, kappa_true=kappa0, coarse=c)},
     )
 
@@ -641,8 +648,9 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
     """All replications at one noise level, with the cell's guards.
 
     The coarse scan over all paths is the estimators' own, one matrix
-    product per drift matrix; each replication then refines from its
-    column through the ordinary estimator entry points, so results are
+    product per drift matrix, and the Bayes lattice is built once; each
+    replication then refines from its column and integrates on the shared
+    lattice through the ordinary estimator entry points, so results are
     identical to calling them stand-alone.
     """
     warn_if_coarse(spec.kappa, eps, grid)
@@ -652,6 +660,7 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
         rng = None if config.zero_noise else replication_rng(config.master_seed, rep)
         increments[i] = euler_increments(spec.drift, eps, grid, rng)
     *axes, values = spec.coarse(eps, increments)
+    lattice = spec.lattice(eps)
 
     def worker(i: int) -> list:
         path = ObservationPath(
@@ -661,7 +670,7 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
         out = []
         for names, call in spec.estimators.items():
             try:
-                result = call(path, coarse)
+                result = call(path, coarse, lattice)
             except (NumericalDegeneracyError, ConditionViolationError):
                 result = None
             out += _rows(rep_ids[i], eps, names, result, spec.truth.values())

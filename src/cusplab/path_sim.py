@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -68,10 +69,15 @@ class TimeGrid:
         """All n+1 grid nodes including both endpoints."""
         return np.linspace(0.0, self.T, self.n + 1)
 
-    @property
+    @cached_property
     def left_nodes(self) -> np.ndarray:
-        """Left cell endpoints ``t_0 .. t_{n-1}`` used by the Ito sums."""
-        return self.dt * np.arange(self.n)
+        """Left cell endpoints ``t_0 .. t_{n-1}`` used by the Ito sums.
+
+        Computed once per grid and read-only, since every caller shares it.
+        """
+        nodes = self.dt * np.arange(self.n)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclass(frozen=True)

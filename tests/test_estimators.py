@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ from cusplab.signal_models import (
 BOUNDS = (0.35, 0.65)
 SIG = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=BOUNDS)
 GRID = TimeGrid(1.0, 2000)
+
+_NUISANCE_CHOICES = {
+    "none": None,
+    "constant": ConstantNuisance(level=0.7),
+    "cosine": CosineNuisance(amplitude=0.5, frequency=9.0),
+    "theta_ramp": ThetaRampNuisance(gain=1.5),
+}
 
 
 def _zero_noise_path(theta=0.5, eps=0.01, grid=GRID, signal=SIG):
@@ -421,6 +429,37 @@ class TestBayes:
         assert np.isfinite(result.estimate)
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("nuisance", sorted(_NUISANCE_CHOICES))
+    @pytest.mark.parametrize("bounds", [BOUNDS, (0.4999, 0.5001)], ids=["fft", "narrow"])
+    def test_shared_lattice_matches_standalone(self, nuisance, bounds):
+        # a sweep cell builds the lattice once and hands it to every path
+        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
+        signal = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=bounds, **extra)
+        paths = [simulate_path(signal, 0.5, 0.02, GRID, rng=replication_rng(2, rep))
+                 for rep in (6, 7, 8)]
+        lattice = estimators.bayes_lattice(signal, GRID, 0.02)
+        for path in paths:
+            assert bayes(path, signal, lattice=lattice) == bayes(path, signal)
+
+    def test_shared_lattice_is_read_only(self):
+        lattice = estimators.bayes_lattice(SIG, GRID, 0.02)
+        arrays = [value for value in vars(lattice).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) >= 6
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("built", [
+        lambda: estimators.bayes_lattice(SIG, GRID, 0.01),
+        lambda: estimators.bayes_lattice(SIG, TimeGrid(1.0, 1000), 0.02),
+        lambda: estimators.bayes_lattice(
+            CuspSignal(a=2.0, kappa=0.25, T=1.0, theta_bounds=BOUNDS), GRID, 0.02),
+    ], ids=["epsilon", "grid", "signal"])
+    def test_lattice_of_another_cell_rejected(self, built):
+        path = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 6))
+        with pytest.raises(DomainError, match="lattice"):
+            bayes(path, SIG, lattice=built())
+
     def test_lattice_does_not_alias_the_cusp_tips(self):
         # a theta lattice through the time nodes puts a tip of every
         # |t_i - theta|**kappa on a node; on this path that moves the
@@ -439,14 +478,6 @@ class TestBayes:
         weights = np.exp(values - values.max())
         reference = np.trapezoid(fine * weights, fine) / np.trapezoid(weights, fine)
         assert abs(result.estimate - reference) <= 0.02 * rate
-
-
-_NUISANCE_CHOICES = {
-    "none": None,
-    "constant": ConstantNuisance(level=0.7),
-    "cosine": CosineNuisance(amplitude=0.5, frequency=9.0),
-    "theta_ramp": ThetaRampNuisance(gain=1.5),
-}
 
 
 class TestFineLattice:
@@ -671,6 +702,56 @@ class TestSearchDecisions:
                 assert abs(got - want) <= 1e-12 * rate, (rep, name, got, want)
 
 
+def _scan_every_window(memo, eval_fn, bounds, center, step, *fixed):
+    """``estimators._scan_window`` with a lookup that always misses."""
+    return estimators._scan_best(
+        eval_fn, estimators._window(bounds, center, step, estimators.SPAN))
+
+
+class TestWindowMemo:
+    """A window scanned once per estimator call gives the results of scanning
+    every window requested."""
+
+    REAL = SmoothedCuspSignal(a=1.0, kappa=0.25, center=0.5, delta=0.05, T=1.0)
+
+    @staticmethod
+    def _results(path, real_path):
+        return [mle(path, SIG), pseudo_mle(real_path, SIG), kappa_mle(path, 1.0, 0.5),
+                joint_mle(path, 1.0, BOUNDS)]
+
+    @pytest.mark.parametrize("eps", [0.02, 0.005])
+    def test_results_match_every_window_scanned(self, monkeypatch, eps):
+        for rep in range(6):
+            path = simulate_path(SIG, 0.5, eps, GRID, rng=replication_rng(19, rep))
+            real_path = simulate_path(self.REAL, None, eps, GRID,
+                                      rng=replication_rng(20, rep))
+            memo = self._results(path, real_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_scan_window", _scan_every_window)
+                every = self._results(path, real_path)
+            assert memo == every, rep
+
+    def test_converging_starts_scan_shared_windows_once(self, monkeypatch):
+        # on this path the first level takes all three starts to 0.5, so the
+        # second-level window of the last two is the one the first scanned
+        path = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 8))
+        counts = {"requested": 0, "evaluated": 0}
+        scan, window = estimators._scan_window, estimators._window_loglik
+
+        def counting_scan(*args):
+            counts["requested"] += 1
+            return scan(*args)
+
+        def counting_window(*args):
+            counts["evaluated"] += 1
+            return window(*args)
+
+        monkeypatch.setattr(estimators, "_scan_window", counting_scan)
+        monkeypatch.setattr(estimators, "_window_loglik", counting_window)
+        mle(path, SIG)
+        assert counts["evaluated"] < counts["requested"]
+
+
 class TestPseudoMle:
     def test_degenerate_case_recovers_truth(self):
         # real model equals the theoretical model: zero-noise path at theta0
@@ -778,6 +859,9 @@ class TestJointMle:
                              rng=replication_rng(1, 0))
         with pytest.raises(DomainError, match=named):
             joint_mle(path, 1.0, theta_bounds, kappa_bounds)
+
+    def test_annotated_return_type(self):
+        assert typing.get_type_hints(joint_mle)["return"] is JointEstimationResult
 
     def test_joint_coarse_axes_cover_bounds(self):
         path = _zero_noise_path()

@@ -29,6 +29,15 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
         np.testing.assert_allclose(grid.left_nodes, [0.0, 0.5, 1.0, 1.5])
 
+    def test_left_nodes_built_once_read_only(self):
+        grid = TimeGrid(1.0, 7)
+        nodes = grid.left_nodes
+        assert grid.left_nodes is nodes
+        assert np.array_equal(nodes, grid.dt * np.arange(7))
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 1.0
+        assert grid == TimeGrid(1.0, 7)
+
     def test_default_step_count(self):
         assert DEFAULT_N_STEPS == 10_000
 
