@@ -27,25 +27,28 @@ Brownian motion :math:`W^H` with Hurst index ``H = kappa + 1/2``:
 Paths are sampled exactly on a symmetric truncated grid by circulant
 embedding of their fractional-Gaussian-noise increments (Davies & Harte,
 Biometrika 74, 1987; Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997):
-one FFT gives the embedding eigenvalues, one FFT per pair of paths maps
-standard normals to increments, and a cumulative sum pinned at the
-origin gives the path.  The embedding is padded to an FFT-friendly
-length, which keeps it exact (Wood & Chan, J. Comput. Graph. Statist. 3,
-1994), so the cost is O(m log m) per path with a small constant on any
-grid size, and nothing is cached.
+one FFT gives the embedding eigenvalues, one FFT per row of complex
+normals maps it to the increments of two paths, and a cumulative sum
+pinned at the origin gives each path.  The embedding is padded to an
+FFT-friendly length, which keeps it exact (Wood & Chan, J. Comput.
+Graph. Statist. 3, 1994), so the cost is O(m log m) per path with a
+small constant on any grid size.  Nothing is cached: each batch builds
+its eigenvalues and two reused buffers of normals, one filled by a
+helper thread while the other is transformed (``_reduce_fbm``).
 The exponents ``2H`` and ``2*kappa + 1`` are the same number and are
 used interchangeably.
 
 Each limit law has one reduction of a block of paths, ``xi_from_fbm``
-and ``zeta_from_fbm``; ``sample_fbm`` and the batch samplers draw paths
-``FBM_BLOCK`` at a time from the same generator, so a batch sampler
-gives exactly the reduction of ``sample_fbm`` paths drawn with the same
-generator state.
+and ``zeta_from_fbm``; ``sample_fbm`` and the batch samplers generate
+paths ``FBM_BLOCK`` at a time from the same serial stream of normals,
+so a batch sampler gives exactly the reduction of ``sample_fbm`` paths
+drawn with the same generator state, whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,8 +77,9 @@ __all__ = [
 ]
 
 #: Paths generated and reduced together by the batch samplers; peak
-#: memory is O(FBM_BLOCK * nodes) whatever the number of draws.
-FBM_BLOCK = 256
+#: memory is O(FBM_BLOCK * nodes) whatever the number of draws, and the
+#: draws themselves do not depend on it.
+FBM_BLOCK = 128
 
 #: Embedding eigenvalues below ``-EIGEN_RTOL * max`` are not round-off.
 EIGEN_RTOL = 1e-12
@@ -230,19 +234,18 @@ def _fbm_paths(scale: np.ndarray, half_count: int, normals: np.ndarray) -> np.nd
     imaginary part of the first ``n = 2*half_count`` entries of
     ``FFT(scale * z)`` are two independent fGn sequences.  ``normals``
     is consumed: ``z`` is scaled and transformed in place.  Returns an
-    array of shape ``(2r, n + 1)`` holding the real-part paths, then the
-    imaginary-part paths, each pinned so that the value at the origin is
-    exactly 0.
+    array of shape ``(2r, n + 1)`` whose paths ``2i`` and ``2i+1`` are
+    the real-part and the imaginary-part path of row ``i``, each pinned
+    so that the value at the origin is exactly 0.
     """
     n = 2 * half_count
     z = normals.view(np.complex128)
     z *= scale
     noise = fft.fft(z, axis=1, overwrite_x=True)[:, :n]
-    rows = noise.shape[0]
-    paths = np.empty((2 * rows, n + 1))
+    paths = np.empty((2 * noise.shape[0], n + 1))
     paths[:, 0] = 0.0
-    np.cumsum(noise.real, axis=1, out=paths[:rows, 1:])
-    np.cumsum(noise.imag, axis=1, out=paths[rows:, 1:])
+    np.cumsum(noise.real, axis=1, out=paths[0::2, 1:])
+    np.cumsum(noise.imag, axis=1, out=paths[1::2, 1:])
     # a copy of the origin column: an operand that overlaps the output
     # would make numpy buffer the whole subtraction
     paths -= paths[:, half_count, None].copy()
@@ -252,32 +255,52 @@ def _fbm_paths(scale: np.ndarray, half_count: int, normals: np.ndarray) -> np.nd
 def _reduce_fbm(
     hurst: float, window: WindowConfig, count: int, rng: np.random.Generator, reduce
 ) -> tuple:
-    """``reduce`` over ``count`` paths drawn ``FBM_BLOCK`` at a time.
+    """``reduce`` over ``count`` paths, generated ``FBM_BLOCK`` at a time.
 
     ``reduce(FbmPath)`` maps a block of paths to a tuple of arrays with
     one row per path; the result holds those arrays for all ``count``
-    paths.  The arguments are checked before anything is drawn.  A block
-    of odd size drops the imaginary-part path of its last complex row.
+    paths.  The arguments are checked before anything is drawn.
+
+    The batch runs as a two-stage pipeline: one helper thread draws the
+    normals of block ``k+1`` into one of two reused buffers while the
+    calling thread transforms and reduces block ``k`` from the other.
+    Only the helper touches ``rng``, one block after another and nothing
+    past the last, so the batch consumes the ``ceil(count/2)`` rows of
+    normals a serial draw would and leaves ``rng`` where that draw does.
+    Paths ``2r`` and ``2r+1`` are the two paths of row ``r`` (see
+    ``_fbm_paths``), so the result does not depend on ``FBM_BLOCK``; an
+    odd ``count`` drops the imaginary-part path of the last row.  The
+    helper is joined before the call returns or raises; after a raise
+    the state of ``rng`` is unspecified.
     """
     if not (0.5 <= hurst < 1.0):
         raise DomainError(f"hurst must lie in [1/2, 1), got {hurst!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     scale = _embedding_scale(hurst, window)
+    starts = range(0, count, FBM_BLOCK)
+    sizes = [min(FBM_BLOCK, count - start) for start in starts]
+    buffers = [np.empty(((sizes[0] + 1) // 2, 2 * scale.size)) for _ in sizes[:2]]
+
+    def draw(k: int) -> np.ndarray:
+        return rng.standard_normal(out=buffers[k % 2][: (sizes[k] + 1) // 2])
+
     outputs = None
-    for start in range(0, count, FBM_BLOCK):
-        size = min(FBM_BLOCK, count - start)
-        # each array is dropped once used, so the arrays of two blocks
-        # are never held at once
-        normals = rng.standard_normal(((size + 1) // 2, 2 * scale.size))
-        paths = _fbm_paths(scale, window.half_count, normals)[:size]
-        del normals
-        parts = reduce(FbmPath(hurst, window, paths))
-        del paths
-        if outputs is None:
-            outputs = tuple(np.empty((count, *p.shape[1:]), p.dtype) for p in parts)
-        for out, part in zip(outputs, parts):
-            out[start : start + size] = part
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(draw, 0)
+        for k, (start, size) in enumerate(zip(starts, sizes)):
+            normals = drawn.result()
+            if k + 1 < len(sizes):
+                # the other buffer held block k-1, which is consumed
+                drawn = helper.submit(draw, k + 1)
+            paths = _fbm_paths(scale, window.half_count, normals)[:size]
+            parts = reduce(FbmPath(hurst, window, paths))
+            # dropped once used, so two blocks of paths are never held at once
+            del paths
+            if outputs is None:
+                outputs = tuple(np.empty((count, *p.shape[1:]), p.dtype) for p in parts)
+            for out, part in zip(outputs, parts):
+                out[start : start + size] = part
     return outputs
 
 
@@ -412,7 +435,8 @@ def sample_xi_batch(
     """Draw ``count`` xi pairs: ``(xi_hat, xi_tilde, edge_flags)`` arrays.
 
     One generator drives the whole batch, so a fixed seed reproduces it
-    bit for bit; paths are generated and reduced ``FBM_BLOCK`` at a time.
+    bit for bit; paths are generated and reduced ``FBM_BLOCK`` at a time
+    (``_reduce_fbm``).
     """
     if window is None:
         window = default_xi_window(gamma_sq, hurst)

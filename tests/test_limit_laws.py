@@ -1,12 +1,16 @@
 """Tests for the analytic constants and limit-law samplers."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
@@ -279,7 +283,7 @@ class TestCirculantEmbedding:
         scale = _embedding_scale(hurst, window)
         basis = np.eye(2 * scale.size)
         paths = _fbm_paths(scale, half_count, basis)
-        real, imag = paths[: basis.shape[0]], paths[basis.shape[0]:]
+        real, imag = paths[0::2], paths[1::2]
         grid = window.nodes()
         exact = fbm_covariance(grid[:, None], grid[None, :], hurst)
         atol = 1e-10 * np.abs(exact).max()
@@ -435,6 +439,20 @@ class TestZetaFromFbm:
             zeta_from_fbm(_flat_path(), noise_scale=1.0, curvature=-1.0)
 
 
+def _serial_paths(window, count, seed):
+    """Reference for the batch samplers at H = 0.75, drawn serially.
+
+    Returns the ``count`` paths ``_fbm_paths`` makes of one draw of all
+    ``ceil(count/2)`` rows from ``default_rng(seed)``, and the next three
+    normals of that generator.
+    """
+    rng = np.random.default_rng(seed)
+    scale = _embedding_scale(0.75, window)
+    normals = rng.standard_normal(((count + 1) // 2, 2 * scale.size))
+    paths = _fbm_paths(scale, window.half_count, normals)[:count]
+    return FbmPath(0.75, window, paths), rng.standard_normal(3)
+
+
 class TestSamplers:
     WINDOW = WindowConfig(U=10.0, du=0.05)
 
@@ -454,17 +472,73 @@ class TestSamplers:
         for a, b in zip(batch, direct):
             np.testing.assert_array_equal(a, b)
 
-    def test_batch_normalization_checked(self, monkeypatch):
+    @pytest.mark.parametrize("block", [FBM_BLOCK, 2])
+    def test_batch_normalization_checked(self, monkeypatch, block):
+        # at block 2 the helper is drawing the next block when the first
+        # reduction raises; it is joined before the error propagates
         def nan_paths(scale, half_count, normals):
             return np.full((2 * normals.shape[0], 2 * half_count + 1), np.nan)
 
         monkeypatch.setattr(limit_laws, "_fbm_paths", nan_paths)
+        monkeypatch.setattr(limit_laws, "FBM_BLOCK", block)
+        threads = threading.active_count()
         with pytest.raises(NumericalDegeneracyError):
-            sample_xi_batch(0.5, 0.75, 4, replication_rng(5, 3), window=self.WINDOW)
+            sample_xi_batch(0.5, 0.75, 8, replication_rng(5, 3), window=self.WINDOW)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("block", [FBM_BLOCK, 2, 6])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (0, 3), (1, 1), (2, 1)])
+    def test_pipeline_matches_serial_reference(self, monkeypatch, block, blocks, extra):
+        # counts 1, 3, block + 1 and 2*block + 1: one serial draw of every
+        # row, transformed at once, gives the batch bit for bit and leaves
+        # the generator in the same state
+        count = blocks * block + extra
+        monkeypatch.setattr(limit_laws, "FBM_BLOCK", block)
+        w = self.WINDOW
+        ref, ref_next = _serial_paths(w, count, 12)
+        draws = [
+            (lambda rng: (sample_fbm(0.75, w.U, w.du, count, rng).values,),
+             (ref.values,)),
+            (lambda rng: sample_xi_batch(0.5, 0.75, count, rng, window=w),
+             xi_from_fbm(ref, 0.5)),
+            (lambda rng: sample_zeta_batch(0.7, 2.0, 0.75, count, rng, window=w),
+             zeta_from_fbm(ref, 0.7, 2.0)),
+        ]
+        for draw, expected in draws:
+            rng = np.random.default_rng(12)
+            for got, want in zip(draw(rng), expected, strict=True):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(rng.standard_normal(3), ref_next)
+
+    def test_concurrent_batches_under_fast_switching(self, monkeypatch):
+        # eight batches of eleven two-path blocks at once, each with its
+        # own helper, switching threads every microsecond: a block read
+        # before its helper filled it, or refilled while in use, would
+        # differ from the serial reference
+        monkeypatch.setattr(limit_laws, "FBM_BLOCK", 2)
+        w, count = self.WINDOW, 21
+
+        def batch(seed):
+            rng = np.random.default_rng(seed)
+            return sample_fbm(0.75, w.U, w.du, count, rng).values, rng.standard_normal(3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = {seed: pool.submit(batch, seed) for seed in range(8)}
+                results = {seed: f.result(timeout=60) for seed, f in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, (values, after) in results.items():
+            ref, ref_next = _serial_paths(w, count, seed)
+            np.testing.assert_array_equal(values, ref.values)
+            np.testing.assert_array_equal(after, ref_next)
 
     def test_default_window_batch_memory_is_bounded(self):
-        # 2000 draws on the 4001-node default window: one block of normals,
-        # transformed in place, and one block of paths live at a time
+        # 2000 draws on the 4001-node default window: two buffers of
+        # normals (one filled by the helper while the other is transformed
+        # in place) and one block of paths live at a time
         sample_xi_batch(GAMMA_SQ_REF, 0.75, 2, replication_rng(5, 6))
         tracemalloc.start()
         try:
@@ -474,7 +548,7 @@ class TestSamplers:
         finally:
             tracemalloc.stop()
         assert xi_hat.shape == (2000,)
-        assert peak < 48 * 2**20
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_rejected(self, count):
@@ -543,3 +617,60 @@ class TestSamplers:
     def test_sample_kappa_limit_rejects_bad_fisher(self):
         with pytest.raises(DomainError):
             sample_kappa_limit(0.0, 10, replication_rng(9, 1))
+
+
+def _yao_density(x):
+    """Density of the argmax of ``W(u) - |u|/2``, two-sided Wiener ``W``.
+
+    ``(3/2) e^|x| Phi(-3 sqrt|x| / 2) - (1/2) Phi(-sqrt|x| / 2)`` (Yao,
+    Ann. Statist. 15, 1987); the first term in logs, where it is 0 * inf.
+    """
+    a = abs(x)
+    s = math.sqrt(a)
+    return 1.5 * math.exp(a + special.log_ndtr(-1.5 * s)) - 0.5 * special.ndtr(-0.5 * s)
+
+
+def _yao_cdf(x):
+    """CDF of ``_yao_density``, from its antiderivative in closed form.
+
+    For ``x >= 0`` the upper tail is ``(5 + x)/2 Phi(-sqrt(x)/2) -
+    sqrt(x) phi(sqrt(x)/2) - (3/2) e^x Phi(-3 sqrt(x)/2)``; the law is
+    symmetric.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    s = np.sqrt(a)
+    tail = (0.5 * (5.0 + a) * special.ndtr(-0.5 * s)
+            - s * np.exp(-a / 8.0) / math.sqrt(2.0 * math.pi)
+            - 1.5 * np.exp(a + special.log_ndtr(-1.5 * s)))
+    return np.where(x >= 0.0, 1.0 - tail, tail)
+
+
+class TestWienerAnchor:
+    """At H = 1/2 and Gamma = 1 the xi laws are known in closed form."""
+
+    # the default window (U = 30, du = 0.015) truncates the law
+    WINDOW = WindowConfig(U=60.0, du=0.015)
+    XI_HAT_M2 = 26.0  # Terent'yev 1968; Ibragimov & Has'minskii 1981
+    XI_TILDE_M2 = 16.0 * special.zeta(3)  # Rubin & Song, Ann. Statist. 23, 1995
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 20.0])
+    def test_cdf_integrates_density(self, x):
+        mass, _ = quad(_yao_density, 0.0, x, epsabs=1e-13)
+        assert _yao_cdf(x) == pytest.approx(0.5 + mass, abs=1e-11)
+        assert _yao_cdf(-x) == pytest.approx(0.5 - mass, abs=1e-11)
+
+    def test_density_second_moment(self):
+        m2, _ = quad(lambda x: x * x * _yao_density(x), 0.0, np.inf, epsabs=1e-10)
+        assert 2.0 * m2 == pytest.approx(self.XI_HAT_M2, rel=1e-9)
+
+    def test_xi_batch_matches_closed_forms(self):
+        count = 20_000
+        xi_hat, xi_tilde, _ = sample_xi_batch(
+            1.0, 0.5, count, np.random.default_rng(1), window=self.WINDOW
+        )
+        assert stats.kstest(xi_hat, _yao_cdf).pvalue > 1e-3
+        for draws, m2 in ((xi_hat, self.XI_HAT_M2), (xi_tilde, self.XI_TILDE_M2)):
+            sq = draws * draws
+            se = sq.std(ddof=1) / math.sqrt(count)
+            assert abs(sq.mean() - m2) < 4.0 * se
