@@ -81,7 +81,6 @@ from .signal_models import (
     CuspSignal,
     MultiCuspSignal,
     QuadraticSignal,
-    SignumSignal,
     SmoothedCuspSignal,
     ThetaRampNuisance,
     TwoSidedCuspSignal,

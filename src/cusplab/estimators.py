@@ -50,18 +50,19 @@ scan (``_scan_window``).
 
 The Bayes posterior is instead integrated over the whole of
 ``theta_bounds`` on the half-offset lattice ``(m + 1/2) * dt/q`` at a step
-of at most rate/10.  The three cusp families are a kernel of ``t - theta``
-plus a nuisance affine in theta, so the field on that lattice is one FFT
-correlation of one kernel vector plus prefix sums of its square; no drift
-row is formed.  Everything but the correlation with the increments is
-path-independent and held by a ``FineLattice``, which a sweep cell builds
-once (``bayes_lattice``) and a stand-alone ``bayes`` call builds for itself.
+of at most rate/10.  Every location family is a ``kernel`` of ``t - theta``
+plus a nuisance affine in theta (``signal_models.LocationSignal``), so the
+field on that lattice is one FFT correlation of one kernel vector plus
+prefix sums of its square; no drift row is formed.  Everything but the
+correlation with the increments is path-independent and held by a
+``FineLattice``, which a sweep cell builds once (``bayes_lattice``) and a
+stand-alone ``bayes`` call builds for itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -443,8 +444,8 @@ def _normalized(estimate: float, target: Optional[float], rate: float):
 # ---------------------------------------------------------------------------
 
 def _require_cusp(signal, estimator: str) -> None:
-    """Reject a signal without a cusp exponent before any of its attributes is read."""
-    if not (is_location_signal(signal) and hasattr(signal, "hurst")):
+    """Reject a signal that is not a location family before any of its attributes is read."""
+    if not is_location_signal(signal):
         raise DomainError(
             f"{estimator} needs a location-parametric cusp signal, got "
             f"{type(signal).__name__}"
@@ -569,11 +570,11 @@ class FineLattice:
     ``dt/(2q)`` from the time nodes, off the tips of the cusps
     ``|t_i - theta|**kappa``.
 
-    The three cusp families are ``K(t - theta) + h(theta, t)`` with an
+    Every location family is ``kernel(theta, t) = K(t - theta)`` plus an
     affine nuisance ``h = h0(t) + theta*h1(t)``, and ``t_i - theta_m =
-    (i*q - m - 1/2) * dt/q``.  So with one kernel vector ``K[k] = S(0, (k -
-    m_max - 1/2) * dt/q)`` the drift row of ``theta_m`` is ``K[c + i*q]`` at
-    ``c = m_max - m``, and no row is formed:
+    (i*q - m - 1/2) * dt/q``.  So with one kernel vector ``K[k] =
+    signal.kernel(0, (k - m_max - 1/2) * dt/q)`` the drift row of
+    ``theta_m`` is ``K[c + i*q]`` at ``c = m_max - m``, and no row is formed:
 
     * ``sum_i K[c + i*q] v_i`` for ``v`` = the increments, ``h0`` and
       ``h1`` is a real-FFT correlation of ``K`` with ``v`` upsampled by
@@ -608,13 +609,13 @@ class FineLattice:
         self._spectrum = None
         if width + span > thetas.size * n:
             return
-        nuisance = getattr(signal, "nuisance", None)
+        nuisance = signal.nuisance
         if nuisance is None:
-            kernel, h0, h1 = signal, np.zeros(n), np.zeros(n)
+            h0, h1 = np.zeros(n), np.zeros(n)
         else:  # every nuisance class is affine in theta
-            kernel, h0 = replace(signal, nuisance=None), nuisance.value(0.0, t)
+            h0 = nuisance.value(0.0, t)
             h1 = nuisance.value(1.0, t) - h0
-        K = kernel.value(0.0, (np.arange(width + span) - ms[-1] - 0.5) * u)
+        K = signal.kernel(0.0, (np.arange(width + span) - ms[-1] - 0.5) * u)
 
         upsampled = np.zeros((2, width))
         upsampled[:, ::q] = (h0, h1)
@@ -652,12 +653,6 @@ class FineLattice:
         k_dx = np.fft.irfft(product, self._size)[self._offsets]
         dot = k_dx + self._h0 @ dx + self.thetas * (self._h1 @ dx)
         return (dot - self._half_energy) / (path.epsilon * path.epsilon)
-
-
-def _fine_field(path: ObservationPath, signal, lo: float, hi: float, h: float):
-    """``(thetas, field)`` of ``path`` on ``FineLattice(signal, path.grid, lo, hi, h)``."""
-    lattice = FineLattice(signal, path.grid, lo, hi, h)
-    return lattice.thetas, lattice.field(path)
 
 
 def _bayes_step(signal, epsilon: float) -> float:
@@ -701,13 +696,13 @@ def bayes(
         target = path.theta_true
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    h = _bayes_step(signal, path.epsilon)
     if lattice is None:
-        grid, log_vals = _fine_field(path, signal, alpha, beta, h)
-    elif (lattice.signal, lattice.bounds, lattice.max_step) != (signal, (alpha, beta), h):
+        lattice = bayes_lattice(signal, path.grid, path.epsilon)
+    elif (lattice.signal, lattice.bounds, lattice.max_step) != (
+        signal, (alpha, beta), _bayes_step(signal, path.epsilon)
+    ):
         raise DomainError("the lattice was built for another signal or noise level")
-    else:
-        grid, log_vals = lattice.thetas, lattice.field(path)
+    grid, log_vals = lattice.thetas, lattice.field(path)
     step = grid[1] - grid[0]
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())
     denom = np.trapezoid(weights, grid)

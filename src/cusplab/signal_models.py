@@ -14,9 +14,10 @@ signals:
 
 * location families, parametrized by :math:`\\vartheta`: a single cusp
   :math:`a|t-\\vartheta|^\\kappa + h(\\vartheta, t)` with
-  :math:`\\kappa \\in (0, 1/2)`, sums of cusps sharing one location, a
-  two-sided cusp with distinct amplitudes, and a signum step (evaluation
-  only);
+  :math:`\\kappa \\in (0, 1/2)`, sums of cusps sharing one location and
+  a two-sided cusp with distinct amplitudes.  Each is a kernel of
+  :math:`t - \\vartheta` plus a nuisance affine in :math:`\\vartheta`
+  (``LocationSignal``);
 * fixed smooth signals of the time variable alone, used as the "real"
   model in misspecification studies.  These expose first and second
   time derivatives analytically.
@@ -86,17 +87,21 @@ def _check_horizon(T: float) -> None:
         raise DomainError(f"horizon T must be positive and finite, got {T!r}")
 
 
-def _check_bounds(bounds: tuple[float, float], T: float) -> None:
-    alpha, beta = bounds
-    if not (0.0 < alpha < beta < T):
-        raise DomainError(
-            f"theta_bounds must satisfy 0 < alpha < beta < T, got {bounds!r} with T={T}"
-        )
-
-
 def _check_kappa(kappa: float) -> None:
     if not (0.0 < kappa < 0.5):
         raise DomainError(f"cusp exponent kappa must lie in (0, 1/2), got {kappa!r}")
+
+
+def _check_location(signal: LocationSignal) -> None:
+    """Check the horizon and ``0 < alpha < beta < T``; store the bounds as a tuple."""
+    _check_horizon(signal.T)
+    bounds = tuple(signal.theta_bounds)
+    alpha, beta = bounds
+    if not (0.0 < alpha < beta < signal.T):
+        raise DomainError(
+            f"theta_bounds must satisfy 0 < alpha < beta < T, got {bounds!r} with T={signal.T}"
+        )
+    object.__setattr__(signal, "theta_bounds", bounds)
 
 
 def cusp_term(a: ArrayLike, theta: ArrayLike, kappa: ArrayLike, t: np.ndarray) -> np.ndarray:
@@ -108,8 +113,34 @@ def cusp_term(a: ArrayLike, theta: ArrayLike, kappa: ArrayLike, t: np.ndarray) -
 # location families
 # ---------------------------------------------------------------------------
 
+class LocationSignal:
+    """A location family ``S(theta, t) = kernel(theta, t) + h(theta, t)``.
+
+    The kernel depends on ``t - theta`` alone and the nuisance ``h`` is
+    affine in theta (absent when ``nuisance`` is None); the likelihood
+    fields of ``estimators`` rely on both.  A family is a frozen
+    dataclass with a horizon ``T`` and ``theta_bounds`` (checked by
+    ``_check_location``), an effective cusp exponent ``kappa_eff`` and
+    its ``kernel``.
+    """
+
+    nuisance: Optional[Nuisance] = None
+
+    @property
+    def hurst(self) -> float:
+        """Self-similarity index H = kappa_eff + 1/2 of the limit experiment."""
+        return self.kappa_eff + 0.5
+
+    def value(self, theta: ArrayLike, t: ArrayLike) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = self.kernel(theta, t)
+        if self.nuisance is not None:
+            out = out + self.nuisance.value(theta, t)
+        return out
+
+
 @dataclass(frozen=True)
-class CuspSignal:
+class CuspSignal(LocationSignal):
     """Single cusp ``S(theta, t) = a*|t-theta|**kappa + h(theta, t)``.
 
     Parameters
@@ -139,29 +170,18 @@ class CuspSignal:
         if not self.a > 0.0:
             raise DomainError(f"amplitude a must be positive, got {self.a!r}")
         _check_kappa(self.kappa)
-        _check_horizon(self.T)
-        _check_bounds(tuple(self.theta_bounds), self.T)
-        object.__setattr__(self, "theta_bounds", tuple(self.theta_bounds))
+        _check_location(self)
 
     @property
     def kappa_eff(self) -> float:
         return self.kappa
 
-    @property
-    def hurst(self) -> float:
-        """Self-similarity index H = kappa + 1/2 of the limit experiment."""
-        return self.kappa + 0.5
-
-    def value(self, theta: float, t: ArrayLike) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = cusp_term(self.a, theta, self.kappa, t)
-        if self.nuisance is not None:
-            out = out + self.nuisance.value(theta, t)
-        return out
+    def kernel(self, theta: ArrayLike, t: np.ndarray) -> np.ndarray:
+        return cusp_term(self.a, theta, self.kappa, t)
 
 
 @dataclass(frozen=True)
-class MultiCuspSignal:
+class MultiCuspSignal(LocationSignal):
     """Sum of cusps sharing one location, ``sum_l a_l*|t-theta|**kappa_l``.
 
     The smallest exponent dominates the local behaviour, so the
@@ -181,25 +201,18 @@ class MultiCuspSignal:
                 raise DomainError(f"all amplitudes must be positive, got {a!r}")
             _check_kappa(k)
         object.__setattr__(self, "terms", terms)
-        _check_horizon(self.T)
-        _check_bounds(tuple(self.theta_bounds), self.T)
-        object.__setattr__(self, "theta_bounds", tuple(self.theta_bounds))
+        _check_location(self)
 
     @property
     def kappa_eff(self) -> float:
         return min(k for _, k in self.terms)
 
-    @property
-    def hurst(self) -> float:
-        return self.kappa_eff + 0.5
-
-    def value(self, theta: float, t: ArrayLike) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def kernel(self, theta: ArrayLike, t: np.ndarray) -> np.ndarray:
         return sum(cusp_term(a, theta, k, t) for a, k in self.terms)
 
 
 @dataclass(frozen=True)
-class TwoSidedCuspSignal:
+class TwoSidedCuspSignal(LocationSignal):
     """Cusp with side-dependent amplitudes.
 
     ``S(theta, t) = a*|t-theta|**kappa`` for ``t < theta`` and
@@ -220,50 +233,14 @@ class TwoSidedCuspSignal:
                 f"both amplitudes must be positive, got a={self.a!r}, b={self.b!r}"
             )
         _check_kappa(self.kappa)
-        _check_horizon(self.T)
-        _check_bounds(tuple(self.theta_bounds), self.T)
-        object.__setattr__(self, "theta_bounds", tuple(self.theta_bounds))
+        _check_location(self)
 
     @property
     def kappa_eff(self) -> float:
         return self.kappa
 
-    @property
-    def hurst(self) -> float:
-        return self.kappa + 0.5
-
-    def value(self, theta: float, t: ArrayLike) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = cusp_term(np.where(t < theta, self.a, self.b), theta, self.kappa, t)
-        if self.nuisance is not None:
-            out = out + self.nuisance.value(theta, t)
-        return out
-
-
-@dataclass(frozen=True)
-class SignumSignal:
-    """Discontinuous step ``S(theta, t) = a*sign(t-theta)``.
-
-    Included for evaluation only; the estimation machinery in this
-    package targets the continuous cusp regime.
-    """
-
-    a: float
-    T: float
-    theta_bounds: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise DomainError(f"amplitude a must be positive, got {self.a!r}")
-        _check_horizon(self.T)
-        _check_bounds(tuple(self.theta_bounds), self.T)
-        object.__setattr__(self, "theta_bounds", tuple(self.theta_bounds))
-
-    def value(self, theta: float, t: ArrayLike) -> np.ndarray:
-        return self.a * np.sign(np.asarray(t, dtype=float) - theta)
-
-
-LocationSignal = Union[CuspSignal, MultiCuspSignal, TwoSidedCuspSignal, SignumSignal]
+    def kernel(self, theta: ArrayLike, t: np.ndarray) -> np.ndarray:
+        return cusp_term(np.where(t < theta, self.a, self.b), theta, self.kappa, t)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +343,7 @@ Signal = Union[LocationSignal, SmoothSignal]
 
 def is_location_signal(signal: Signal) -> bool:
     """True when the signal depends on a location parameter theta."""
-    return isinstance(
-        signal, (CuspSignal, MultiCuspSignal, TwoSidedCuspSignal, SignumSignal)
-    )
+    return isinstance(signal, LocationSignal)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +485,6 @@ SIGNAL_FAMILIES = {
     "cusp": CuspSignal,
     "multi_cusp": MultiCuspSignal,
     "two_sided_cusp": TwoSidedCuspSignal,
-    "signum": SignumSignal,
     "constant": lambda c, T: QuadraticSignal(c0=c, c1=0.0, c2=0.0, T=T),
     "quadratic": QuadraticSignal,
     "cosine": CosineSignal,

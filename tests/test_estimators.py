@@ -38,12 +38,14 @@ from cusplab.signal_models import (
     CuspSignal,
     MultiCuspSignal,
     QuadraticSignal,
-    SignumSignal,
     SmoothedCuspSignal,
     ThetaRampNuisance,
     TwoSidedCuspSignal,
+    SIGNAL_FAMILIES,
     _NUISANCES,
     cusp_term,
+    is_location_signal,
+    signal_from_config,
 )
 
 BOUNDS = (0.35, 0.65)
@@ -323,21 +325,45 @@ class TestMle:
         assert result.grid_step == grid[1] - grid[0]
 
     def test_horizon_mismatch_rejected(self):
-        path = simulate_path(SIG, 0.5, 0.01, TimeGrid(1.0, 50), zero_noise=True)
+        path = simulate_path(SIG, 0.5, 0.01, TimeGrid(1.0, 1000), zero_noise=True)
         other = CuspSignal(a=1.0, kappa=0.25, T=0.9, theta_bounds=(0.3, 0.6))
         with pytest.raises(DomainError):
             mle(path, other)
 
     @pytest.mark.parametrize("estimator", [mle, bayes, pseudo_mle])
-    @pytest.mark.parametrize("signal", [
-        SignumSignal(a=1.0, T=1.0, theta_bounds=BOUNDS),
-        QuadraticSignal(c0=0.0, c1=1.0, c2=0.5, T=1.0),
-    ])
-    def test_signal_without_cusp_exponent_rejected(self, estimator, signal):
+    def test_signal_without_cusp_exponent_rejected(self, estimator):
         # the family is named before any cusp attribute (hurst) is read
+        signal = QuadraticSignal(c0=0.0, c1=1.0, c2=0.5, T=1.0)
         path = _zero_noise_path()
         with pytest.raises(DomainError, match=type(signal).__name__):
             estimator(path, signal)
+
+    # one parameter block per catalog family: a family added without one fails
+    _FAMILY_PARAMS = {
+        "cusp": {"a": 1.0, "kappa": 0.25, "T": 1.0, "theta_bounds": BOUNDS},
+        "multi_cusp": {"terms": [[1.0, 0.2], [0.6, 0.4]], "T": 1.0,
+                       "theta_bounds": BOUNDS},
+        "two_sided_cusp": {"a": 0.8, "b": 1.6, "kappa": 0.3, "T": 1.0,
+                           "theta_bounds": BOUNDS},
+        "constant": {"c": 1.0, "T": 1.0},
+        "quadratic": {"c0": 0.0, "c1": 1.0, "c2": 0.5, "T": 1.0},
+        "cosine": {"c0": 0.0, "c1": 1.0, "omega": 3.0, "T": 1.0},
+        "smoothed_cusp": {"a": 1.0, "kappa": 0.25, "center": 0.5, "delta": 0.05,
+                          "T": 1.0},
+    }
+
+    @pytest.mark.parametrize("estimator", [mle, bayes, pseudo_mle])
+    @pytest.mark.parametrize("family", sorted(SIGNAL_FAMILIES))
+    def test_every_catalog_family_estimated_or_named(self, family, estimator):
+        # every location family runs through every location estimator;
+        # every other family is refused by its class name
+        signal = signal_from_config({"family": family, **self._FAMILY_PARAMS[family]})
+        if not is_location_signal(signal):
+            with pytest.raises(DomainError, match=type(signal).__name__):
+                estimator(_zero_noise_path(), signal)
+            return
+        result = estimator(_zero_noise_path(signal=signal), signal, target=0.5)
+        assert abs(result.normalized_error) <= 0.1
 
 
 class TestBayes:
@@ -395,24 +421,16 @@ class TestBayes:
         assert (prior.mean, prior.std) == (0.0, 1.0)
         assert type(prior.mean) is float and type(prior.std) is float
 
-    def test_bounds_hugging_the_truth(self, monkeypatch):
+    def test_bounds_hugging_the_truth(self):
         # bounds two time steps wide: the lattice step is a fraction of dt
         signal = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=(0.4999, 0.5001))
         grid = TimeGrid(1.0, 10_000)
         path = simulate_path(signal, 0.5, 0.01, grid, rng=replication_rng(2, 0))
-        sizes = []
-
-        def spy(*args):
-            thetas, field = fine_field(*args)
-            sizes.append(thetas.size)
-            return thetas, field
-
-        fine_field = estimators._fine_field
-        monkeypatch.setattr(estimators, "_fine_field", spy)
         result = bayes(path, signal)
         assert np.isfinite(result.estimate)
         assert 0.4999 <= result.estimate <= 0.5001
-        assert sizes[0] - 1 >= 50  # intervals of the fine grid
+        lattice = estimators.bayes_lattice(signal, grid, 0.01)
+        assert lattice.thetas.size - 1 >= 50  # intervals of the fine grid
         assert result.grid_step <= 0.0002 / 50
 
     def test_memory_stays_bounded_at_small_eps(self):
@@ -520,7 +538,8 @@ class TestFineLattice:
         else:  # a window below dt: the same lattice, through _window_loglik
             width, h = dt * ratio / 8.0, dt * ratio / 400.0
         hi = lo + width
-        thetas, field = estimators._fine_field(path, signal, lo, hi, h)
+        lattice = estimators.FineLattice(signal, grid, lo, hi, h)
+        thetas, field = lattice.thetas, lattice.field(path)
         # inside the window and at most h apart, up to rounding
         assert lo - 1e-12 <= thetas[0] and thetas[-1] <= hi + 1e-12
         steps = np.diff(thetas)
@@ -542,7 +561,8 @@ class TestFineLattice:
         path = simulate_path(SIG, 0.5, eps, grid, rng=replication_rng(5, 0))
         rate = location_rate(eps, SIG.hurst)
         h = min(rate / 10.0, (BOUNDS[1] - BOUNDS[0]) / 51.0)
-        thetas, field = estimators._fine_field(path, SIG, *BOUNDS, h)
+        lattice = estimators.FineLattice(SIG, grid, *BOUNDS, h)
+        thetas, field = lattice.thetas, lattice.field(path)
         step = p * grid.dt / q
         assert np.diff(thetas).mean() == pytest.approx(step)
         assert thetas[0] - BOUNDS[0] < step and BOUNDS[1] - thetas[-1] < step

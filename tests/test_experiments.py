@@ -487,7 +487,8 @@ class TestArtifacts:
         report, csv_path, report_path = run_and_write(cfg)
         assert csv_path.endswith("cusp_mle_samples.csv")
         assert report_path.endswith("cusp_mle_report.json")
-        payload = json.loads(open(report_path).read())
+        with open(report_path) as fh:
+            payload = json.load(fh)
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["effective_config"] == cfg.to_dict()
         assert "rows" not in payload
@@ -495,7 +496,8 @@ class TestArtifacts:
     def test_report_json_sorted_and_stable(self, tmp_path):
         cfg = _tiny(replications=6, out_dir=str(tmp_path))
         _, _, report_path = run_and_write(cfg)
-        text = open(report_path).read()
+        with open(report_path) as fh:
+            text = fh.read()
         assert json.dumps(
             json.loads(text), indent=2, sort_keys=True
         ) + "\n" == text

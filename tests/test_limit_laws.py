@@ -647,12 +647,14 @@ def _yao_cdf(x):
 
 
 class TestWienerAnchor:
-    """At H = 1/2 and Gamma = 1 the xi laws are known in closed form."""
+    """At H = 1/2 and Gamma = 1 the xi laws are known in closed form, and so
+    is the second moment of zeta_hat at curvature 4 (Chernoff's law)."""
 
     # the default window (U = 30, du = 0.015) truncates the law
     WINDOW = WindowConfig(U=60.0, du=0.015)
     XI_HAT_M2 = 26.0  # Terent'yev 1968; Ibragimov & Has'minskii 1981
     XI_TILDE_M2 = 16.0 * special.zeta(3)  # Rubin & Song, Ann. Statist. 23, 1995
+    CHERNOFF_VAR = 0.26355964  # Groeneboom & Wellner, J. Comput. Graph. Statist. 10, 2001
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 20.0])
     def test_cdf_integrates_density(self, x):
@@ -674,3 +676,14 @@ class TestWienerAnchor:
             sq = draws * draws
             se = sq.std(ddof=1) / math.sqrt(count)
             assert abs(sq.mean() - m2) < 4.0 * se
+
+    def test_zeta_batch_matches_chernoff(self):
+        # argmax of W(u) - u**2: mean 0 and variance CHERNOFF_VAR
+        count = 20_000
+        zeta, _ = sample_zeta_batch(
+            1.0, 4.0, 0.5, count, np.random.default_rng(0), window=WindowConfig(3.0, 0.0015)
+        )
+        assert abs(zeta.mean()) < 4.0 * zeta.std(ddof=1) / math.sqrt(count)
+        sq = zeta * zeta
+        se = sq.std(ddof=1) / math.sqrt(count)
+        assert abs(sq.mean() - self.CHERNOFF_VAR) < 4.0 * se

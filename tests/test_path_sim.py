@@ -109,13 +109,13 @@ class TestReplicationRng:
 
 class TestSimulatePath:
     def test_zero_noise_increments_are_drift_times_dt(self):
-        grid = TimeGrid(1.0, 100)
+        grid = TimeGrid(1.0, 1000)
         path = simulate_path(SIG, 0.5, 0.01, grid, zero_noise=True)
         expected = SIG.value(0.5, grid.left_nodes) * grid.dt
         np.testing.assert_array_equal(path.increments, expected)
 
     def test_reproducible_with_seeded_rng(self):
-        grid = TimeGrid(1.0, 50)
+        grid = TimeGrid(1.0, 1000)
         p1 = simulate_path(SIG, 0.5, 0.01, grid, rng=replication_rng(1, 2))
         p2 = simulate_path(SIG, 0.5, 0.01, grid, rng=replication_rng(1, 2))
         np.testing.assert_array_equal(p1.increments, p2.increments)
@@ -136,12 +136,12 @@ class TestSimulatePath:
             simulate_path(SIG, 0.5, 0.0, grid)
 
     def test_location_signal_requires_theta(self):
-        grid = TimeGrid(1.0, 10)
+        grid = TimeGrid(1.0, 100)
         with pytest.raises(DomainError):
             simulate_path(SIG, None, 0.1, grid)
 
     def test_theta_outside_bounds_rejected(self):
-        grid = TimeGrid(1.0, 10)
+        grid = TimeGrid(1.0, 100)
         with pytest.raises(DomainError):
             simulate_path(SIG, 0.9, 0.1, grid)
 
@@ -183,7 +183,7 @@ class TestSimulatePath:
 
 class TestWritePathCsv:
     def test_roundtrip_through_repr(self, tmp_path):
-        grid = TimeGrid(1.0, 8)
+        grid = TimeGrid(1.0, 32)
         path = simulate_path(SIG, 0.5, 0.1, grid, rng=replication_rng(0, 0))
         target = tmp_path / "path.csv"
         write_path_csv(path, str(target))

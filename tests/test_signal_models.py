@@ -13,7 +13,6 @@ from cusplab.signal_models import (
     CuspSignal,
     MultiCuspSignal,
     QuadraticSignal,
-    SignumSignal,
     SmoothedCuspSignal,
     ThetaRampNuisance,
     TwoSidedCuspSignal,
@@ -143,14 +142,6 @@ class TestTwoSidedCuspSignal:
             TwoSidedCuspSignal(a=1.0, b=0.0, kappa=0.25, T=1.0, theta_bounds=BOUNDS)
 
 
-class TestSignumSignal:
-    def test_values_are_plus_minus_a(self):
-        sig = SignumSignal(a=2.0, T=1.0, theta_bounds=BOUNDS)
-        np.testing.assert_allclose(
-            sig.value(0.5, np.array([0.2, 0.8])), np.array([-2.0, 2.0])
-        )
-
-
 class TestSmoothSignals:
     def test_quadratic_derivatives(self):
         sig = QuadraticSignal(c0=1.0, c1=-2.0, c2=3.0, T=1.0)
@@ -218,6 +209,21 @@ class TestEvalSignal:
         assert is_location_signal(cusp)
         assert not is_location_signal(quad)
 
+    @pytest.mark.parametrize("sig", [
+        CuspSignal(1.3, 0.25, 1.0, BOUNDS, CosineNuisance(0.5, 9.0)),
+        TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, BOUNDS, ThetaRampNuisance(1.5)),
+        MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, BOUNDS),
+    ], ids=["cusp", "two_sided_cusp", "multi_cusp"])
+    def test_value_is_kernel_of_offset_plus_nuisance(self, sig):
+        # the contract the Bayes lattice reads: one kernel vector at theta=0
+        t = np.linspace(0.0, 1.0, 11)
+        kernel = sig.kernel(0.45, t)
+        np.testing.assert_array_equal(kernel, sig.kernel(0.0, t - 0.45))
+        if sig.nuisance is not None:
+            kernel = kernel + sig.nuisance.value(0.45, t)
+        np.testing.assert_array_equal(sig.value(0.45, t), kernel)
+        assert is_location_signal(sig)
+
 
 class TestSignalFromConfig:
     def test_cusp_roundtrip(self):
@@ -239,7 +245,6 @@ class TestSignalFromConfig:
     @pytest.mark.parametrize("family,cls", [
         ("multi_cusp", MultiCuspSignal),
         ("two_sided_cusp", TwoSidedCuspSignal),
-        ("signum", SignumSignal),
         ("quadratic", QuadraticSignal),
         ("cosine", CosineSignal),
         ("smoothed_cusp", SmoothedCuspSignal),
@@ -250,7 +255,6 @@ class TestSignalFromConfig:
                            "T": 1.0, "theta_bounds": [0.35, 0.65]},
             "two_sided_cusp": {"a": 1.0, "b": 2.0, "kappa": 0.25, "T": 1.0,
                                "theta_bounds": [0.35, 0.65]},
-            "signum": {"a": 1.0, "T": 1.0, "theta_bounds": [0.35, 0.65]},
             "quadratic": {"c0": 0.0, "c1": 1.0, "c2": -1.0, "T": 1.0},
             "cosine": {"c0": 0.0, "c1": 1.0, "omega": 3.0, "T": 1.0},
             "smoothed_cusp": {"a": 1.0, "kappa": 0.25, "center": 0.5,
@@ -331,7 +335,7 @@ class TestSignalFromConfig:
 
     @pytest.mark.parametrize("family,key", [
         ("quadratic", "c0"), ("cosine", "omega"), ("smoothed_cusp", "delta"),
-        ("signum", "a"), ("constant", "c"),
+        ("constant", "c"),
     ])
     def test_string_number_rejected_in_every_family(self, family, key):
         params = {
@@ -339,7 +343,6 @@ class TestSignalFromConfig:
             "cosine": {"c0": 0.0, "c1": 1.0, "omega": 3.0, "T": 1.0},
             "smoothed_cusp": {"a": 1.0, "kappa": 0.25, "center": 0.5,
                               "delta": 0.05, "T": 1.0},
-            "signum": {"a": 1.0, "T": 1.0, "theta_bounds": [0.35, 0.65]},
             "constant": {"c": 1.0, "T": 1.0},
         }[family]
         with pytest.raises(ConfigError, match=f"{key}='1.5' must be a number"):
