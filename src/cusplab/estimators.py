@@ -25,11 +25,12 @@ rate: ``eps**(1/H)`` for the location under a correct model (with
 ``H = kappa + 1/2``), ``eps**(2/(3-2*kappa))`` under misspecification,
 and ``eps`` for the exponent.
 
-The nested grid search has fixed settings, all tied to that rate: a
-coarse step of twice the rate (at most a quarter of the parameter
-range), refinement levels that shrink the step ``SHRINK``-fold and scan
-``SPAN`` steps either side of the incumbent until it is at most
-rate/50, and ``STARTS`` separated coarse candidates refined each.
+Every MLE (``mle``, ``pseudo_mle``, ``kappa_mle``, ``joint_mle``) is one
+call of the same nested grid search, ``_search``, with fixed settings tied
+to the rate: ``STARTS`` separated points of a coarse scan (a step of twice
+the rate, at most a quarter of the range, on one axis), each refined by
+levels that shrink the step ``SHRINK``-fold and scan ``SPAN`` steps either
+side of the incumbent until it is at most rate/50.
 Each scan window is a linspace grid, and none is evaluated with one power
 per candidate and node:
 
@@ -43,9 +44,8 @@ per candidate and node:
   before times ``|t - rho|**step``.
 
 Both agree with direct rows to about 1e-14 relative; the coarse scans and
-the exponent polish use direct rows.  Within one estimator call each
-window is scanned once: starts that converge, and the joint search's
-passes that leave the other coordinate where it was, reuse the stored
+the exponent polish use direct rows.  Within one search each window is
+scanned once: converging starts and repeated joint passes reuse the stored
 scan (``_scan_window``).
 
 The Bayes posterior is instead integrated over the whole of
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -83,7 +83,6 @@ __all__ = [
     "ito_loglik",
     "FineLattice",
     "bayes_lattice",
-    "refine_argmax",
     "coarse_grid",
     "location_coarse",
     "kappa_coarse",
@@ -257,55 +256,66 @@ def _scan_window(memo: dict, eval_fn, bounds, center: float, step: float, *fixed
     return memo[key]
 
 
-def _top_candidates(grid, values, count, separation):
-    order = np.argsort(values, kind="stable")[::-1]
-    picked: list[float] = []
-    for idx in order:
-        theta = float(grid[idx])
-        if all(abs(theta - other) >= separation for other in picked):
-            picked.append(theta)
-        if len(picked) == count:
-            break
-    return picked
+def _seeds(nodes, values, close) -> list[tuple]:
+    """The ``STARTS`` best points of a coarse scan, skipping any ``close`` to one kept.
 
-
-def refine_argmax(
-    eval_fn: Callable[[np.ndarray], np.ndarray],
-    bounds: tuple[float, float],
-    candidates: Sequence[float],
-    step: float,
-    target_step: float,
-) -> tuple[float, float, int, float]:
-    """Refine each candidate by nested grid scans; keep the best.
-
-    Returns ``(theta, value, levels, final_step)``.  Within each level
-    the step shrinks ``SHRINK``-fold and the scan window is ``SPAN`` new
-    steps either side of the incumbent, clipped to ``bounds``; ties
-    resolve to the smallest theta.  When ``step`` is already at most
-    ``target_step`` no level runs and each candidate keeps its own field
-    value.  Starts that converge share their later windows, which are
-    scanned once (``_scan_window``).
+    ``values`` is the field on the product grid of the axes ``nodes``; a
+    point is a tuple with one coordinate per axis.
     """
-    best_theta = math.nan
-    best_value = -math.inf
-    levels = 0
-    final_step = step
-    memo: dict = {}
-    for start in candidates:
-        theta, value = float(start), -math.inf
-        cur = step
-        depth = 0
-        while cur > target_step:
-            cur /= SHRINK
-            depth += 1
-            theta, value = _scan_window(memo, eval_fn, bounds, theta, cur)
-        if depth == 0:
-            value = float(eval_fn(np.array([theta]))[0])
-        if value > best_value or (value == best_value and theta < best_theta):
-            best_theta, best_value = theta, value
-            levels = depth
-            final_step = cur
-    return best_theta, best_value, levels, final_step
+    kept: list[tuple] = []
+    for flat in np.argsort(values, axis=None, kind="stable")[::-1]:
+        index = np.unravel_index(flat, values.shape)
+        point = tuple(float(axis[i]) for axis, i in zip(nodes, index))
+        if not any(close(point, other) for other in kept):
+            kept.append(point)
+            if len(kept) == STARTS:
+                break
+    return kept
+
+
+def _search(coarse, bounds, fields, close, targets):
+    """Refine each of the ``_seeds`` of ``coarse = (*axes, values)``; keep the best.
+
+    ``fields[k](point, grid)`` is the field along axis ``k`` through
+    ``point``, and ``targets(point)`` gives each axis its target step.  From
+    the coarse steps, a level shrinks ``SHRINK``-fold each step above its
+    target, then makes one pass per axis, each pass a ``_scan_window`` of
+    every axis in turn (rho, kappa, rho, kappa jointly: a large move along
+    one axis shifts the other's optimum), with one memo per axis.  At most
+    12 levels run; when none does, the value is the field at the seed.
+
+    Returns ``(point, value, levels, steps, boundary)``, ties to the smallest
+    point: ``levels`` counts the coarse scan, ``steps`` are the final steps,
+    and ``boundary`` flags a coordinate within its final step of a bound.
+    """
+    *axes, values = coarse
+    dim = len(axes)
+    memos = [{} for _ in axes]
+    best = None
+    for seed in _seeds(axes, values, close):
+        point, value = list(seed), -math.inf
+        steps = [axis[1] - axis[0] for axis in axes]
+        levels = 1
+        while levels <= 12:
+            goals = targets(point)
+            if all(s <= g for s, g in zip(steps, goals)):
+                break
+            steps = [s / SHRINK if s > g else s for s, g in zip(steps, goals)]
+            for _ in range(dim):
+                for k, field in enumerate(fields):
+                    point[k], value = _scan_window(
+                        memos[k], lambda grid: field(point, grid), bounds[k],
+                        point[k], steps[k], *point[:k], *point[k + 1:],
+                    )
+            levels += 1
+        if levels == 1:
+            value = float(fields[-1](point, np.array([point[-1]]))[0])
+        if best is None or value > best[1] or (value == best[1] and point < best[0]):
+            best = (point, value, levels, steps)
+    point, value, levels, steps = best
+    boundary = any(p <= lo + s or p >= hi - s for p, s, (lo, hi) in zip(point, steps, bounds))
+    point = tuple(min(max(p, lo), hi) for p, (lo, hi) in zip(point, bounds))
+    return point, value, levels, tuple(steps), boundary
 
 
 def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
@@ -340,8 +350,8 @@ def kappa_coarse(a, rho, kappa_bounds, grid, increments, eps):
 def joint_coarse(a, theta_bounds, kappa_bounds, grid, increments, eps):
     """``(rho_nodes, kappa_nodes, field)``: 201 locations, 9 exponents.
 
-    ``field[i, j]`` is the log-likelihood at ``(kappa_nodes[i],
-    rho_nodes[j])``; one ``201 x n`` drift matrix is alive at a time.
+    ``field[i, j]`` is the log-likelihood at ``(rho_nodes[i],
+    kappa_nodes[j])``; one ``201 x n`` drift matrix is alive at a time.
     """
     rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
     kappa_nodes = np.linspace(kappa_bounds[0], kappa_bounds[1], 9)
@@ -349,20 +359,8 @@ def joint_coarse(a, theta_bounds, kappa_bounds, grid, increments, eps):
         ito_loglik(cusp_term(a, rho_nodes[:, None], float(k), grid.left_nodes),
                    increments, grid.dt, eps)
         for k in kappa_nodes
-    ])
+    ], axis=1)
     return rho_nodes, kappa_nodes, field
-
-
-def _nested_argmax(eval_fn, bounds, rate, coarse):
-    lo, hi = bounds
-    grid, values = coarse
-    actual_step = grid[1] - grid[0]
-    candidates = _top_candidates(grid, values, STARTS, 2.0 * actual_step)
-    theta, value, levels, final_step = refine_argmax(
-        eval_fn, bounds, candidates, actual_step, rate / 50.0
-    )
-    boundary = theta <= lo + final_step or theta >= hi - final_step
-    return float(np.clip(theta, lo, hi)), value, levels + 1, final_step, boundary
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +454,12 @@ def _location_mle(path, signal, rate, estimator, target, coarse=None):
     _check_horizon(path, signal)
     if coarse is None:
         coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
-    eval_fn = lambda thetas: _window_loglik(path, signal.value, thetas)
-    theta, _, levels, step, boundary = _nested_argmax(
-        eval_fn, signal.theta_bounds, rate, coarse
+    coarse_step = coarse[0][1] - coarse[0][0]
+    (theta,), _, levels, (step,), boundary = _search(
+        coarse, (signal.theta_bounds,),
+        (lambda point, thetas: _window_loglik(path, signal.value, thetas),),
+        lambda p, q: abs(p[0] - q[0]) < 2.0 * coarse_step,
+        lambda point: (rate / 50.0,),
     )
     return EstimationResult(
         estimator=estimator,
@@ -771,8 +772,13 @@ def kappa_mle(
     if coarse is None:
         coarse = kappa_coarse(a, rho, kappa_bounds, path.grid, path.increments, rate)
     t = path.grid.left_nodes
-    eval_fn = lambda kappas: _path_loglik(path, _exponent_rows(a, rho, kappas, t))
-    kappa, _, levels, step, boundary = _nested_argmax(eval_fn, kappa_bounds, rate, coarse)
+    coarse_step = coarse[0][1] - coarse[0][0]
+    (kappa,), _, levels, (step,), boundary = _search(
+        coarse, (kappa_bounds,),
+        (lambda point, kappas: _path_loglik(path, _exponent_rows(a, rho, kappas, t)),),
+        lambda p, q: abs(p[0] - q[0]) < 2.0 * coarse_step,
+        lambda point: (rate / 50.0,),
+    )
     inner = np.clip([kappa - step, kappa, kappa + step], lo, hi)
     if inner[0] < inner[1] < inner[2]:
         rows = cusp_term(a, rho, inner[:, None], t)
@@ -801,16 +807,13 @@ def joint_mle(
 ) -> JointEstimationResult:
     """Joint MLE of (location, exponent) with known amplitude, as a ``JointEstimationResult``.
 
-    A coarse two-dimensional scan seeds alternating per-axis nested
-    refinements of the field of ``cusp_term(a, rho, kappa, t)``.  A
-    location window takes its far nodes through Chebyshev points
-    (``_window_loglik``), an exponent window builds its rows by recurrence
-    (``_exponent_rows``); a window already scanned in this call, with the
-    same centre, step and other coordinate, is not scanned again.  The
-    location error is normalized by ``eps**(1/H)`` at
-    the estimated exponent, the exponent error by ``eps``.  The exponent
-    bounds must lie in ``(0, 1/2)``, where the location rate is defined.
-    ``coarse`` optionally supplies this path's ``joint_coarse`` scan.
+    The field of ``cusp_term(a, rho, kappa, t)`` is searched by ``_search``
+    on two axes from the ``joint_coarse`` scan, alternating location
+    windows (``_window_loglik``) and exponent windows (``_exponent_rows``).
+    The location error is normalized by ``eps**(1/H)`` at the estimated
+    exponent, the exponent error by ``eps``.  The exponent bounds must lie
+    in ``(0, 1/2)``, where the location rate is defined.  ``coarse``
+    optionally supplies this path's ``joint_coarse`` scan.
     """
     if not a > 0.0:
         raise DomainError(f"amplitude a must be positive, got {a!r}")
@@ -825,93 +828,31 @@ def joint_mle(
     eps = path.epsilon
     t = path.grid.left_nodes
 
-    def rho_field(rhos, kappa) -> np.ndarray:
-        return _window_loglik(path, lambda r, nodes: cusp_term(a, r, kappa, nodes), rhos)
+    def rho_field(point, rhos) -> np.ndarray:
+        return _window_loglik(path, lambda r, nodes: cusp_term(a, r, point[1], nodes), rhos)
 
-    def kappa_field(rho, kappas) -> np.ndarray:
-        return _path_loglik(path, _exponent_rows(a, rho, kappas, t))
+    def kappa_field(point, kappas) -> np.ndarray:
+        return _path_loglik(path, _exponent_rows(a, point[0], kappas, t))
+
+    def targets(point) -> tuple[float, float]:
+        hurst = min(khi, max(klo, point[1])) + 0.5
+        return location_rate(eps, hurst) / 50.0, eps / 50.0
 
     if coarse is None:
-        coarse = joint_coarse(
-            a, theta_bounds, kappa_bounds, path.grid, path.increments, eps
-        )
-    rho_nodes, kappa_nodes, values = coarse
-    coarse_rho_step = rho_nodes[1] - rho_nodes[0]
-    coarse_kappa_step = kappa_nodes[1] - kappa_nodes[0]
-    kappa_target = eps / 50.0
-    # A window that a descent or an earlier seed has scanned is not scanned again.
-    rho_memo: dict = {}
-    kappa_memo: dict = {}
-
-    def descend(rho: float, kappa: float):
-        rho_step, kappa_step = coarse_rho_step, coarse_kappa_step
-        value = -np.inf
-        levels = 1
-        while True:
-            hurst = min(khi, max(klo, kappa)) + 0.5
-            rho_target = location_rate(eps, hurst) / 50.0
-            if rho_step <= rho_target and kappa_step <= kappa_target:
-                break
-            if rho_step > rho_target:
-                rho_step /= SHRINK
-            if kappa_step > kappa_target:
-                kappa_step /= SHRINK
-            # Two alternation passes per resolution level: a large move
-            # along one axis shifts the conditional optimum of the other,
-            # and the second pass lets the scan windows follow it.
-            for _ in range(2):
-                rho, _ = _scan_window(
-                    rho_memo, lambda g: rho_field(g, kappa),
-                    theta_bounds, rho, rho_step, kappa,
-                )
-                kappa, value = _scan_window(
-                    kappa_memo, lambda g: kappa_field(rho, g),
-                    kappa_bounds, kappa, kappa_step, rho,
-                )
-            levels += 1
-            if levels > 12:
-                break
-        if not np.isfinite(value):
-            value = float(kappa_field(rho, np.array([kappa]))[0])
-        return rho, kappa, value, levels, rho_step, kappa_step
-
-    # Multi-start: descend from the best few coarse cells that do not sit
-    # in each other's basins, and keep the highest final log-likelihood.
-    order = np.argsort(values, axis=None, kind="stable")[::-1]
-    seeds: list[tuple[float, float]] = []
-    for flat in order:
-        ki, ri = np.unravel_index(int(flat), values.shape)
-        cand = (float(rho_nodes[ri]), float(kappa_nodes[ki]))
-        if any(
-            abs(cand[0] - r0) <= 2.0 * coarse_rho_step
-            and abs(cand[1] - k0) <= 2.0 * coarse_kappa_step
-            for r0, k0 in seeds
-        ):
-            continue
-        seeds.append(cand)
-        if len(seeds) >= STARTS:
-            break
-    best = None
-    for rho0, kappa0 in seeds:
-        run = descend(rho0, kappa0)
-        if (
-            best is None
-            or run[2] > best[2]
-            or (run[2] == best[2] and (run[0], run[1]) < (best[0], best[1]))
-        ):
-            best = run
-    rho, kappa, _, levels, rho_step, kappa_step = best
-
-    rho_rate = location_rate(eps, kappa + 0.5)
-    boundary = (
-        rho <= alo + rho_step
-        or rho >= ahi - rho_step
-        or kappa <= klo + kappa_step
-        or kappa >= khi - kappa_step
+        coarse = joint_coarse(a, theta_bounds, kappa_bounds, path.grid, path.increments, eps)
+    rho_nodes, kappa_nodes, _ = coarse
+    coarse_rho, coarse_kappa = rho_nodes[1] - rho_nodes[0], kappa_nodes[1] - kappa_nodes[0]
+    # A coarse cell within two steps of a better seed on both axes shares its basin.
+    (rho, kappa), _, levels, (rho_step, kappa_step), boundary = _search(
+        coarse, (theta_bounds, kappa_bounds), (rho_field, kappa_field),
+        lambda p, q: (abs(p[0] - q[0]) <= 2.0 * coarse_rho
+                      and abs(p[1] - q[1]) <= 2.0 * coarse_kappa),
+        targets,
     )
+    rho_rate = location_rate(eps, kappa + 0.5)
     return JointEstimationResult(
-        rho_hat=float(np.clip(rho, alo, ahi)),
-        kappa_hat=float(np.clip(kappa, klo, khi)),
+        rho_hat=rho,
+        kappa_hat=kappa,
         rho_rate=rho_rate,
         kappa_rate=eps,
         rho_normalized_error=_normalized(rho, rho_true, rho_rate),

@@ -597,14 +597,8 @@ SCENARIOS = tuple(_SCENARIOS)
 
 def _run_indexed(worker: Callable[[int], list], count: int, threads: int) -> list:
     """Run ``worker`` over 0..count-1, preserving index order in the output."""
-    results: list = [None] * count
-    if threads <= 1:
-        for i in range(count):
-            results[i] = worker(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(pool.map(worker, range(count))):
-                results[i] = res
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(worker, range(count)))
     return [row for chunk in results for row in chunk]
 
 
