@@ -333,10 +333,16 @@ def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
 # One coarse scan per estimator family: its axes, then its field over one path of
 # increments ``(n,)`` or, with a trailing path axis, over a ``(paths, n)`` matrix.
 # A sweep scans a cell's paths at once and passes each estimator its column.
+# The location and joint scans fill their drift matrix one candidate row at a
+# time, so a scan holds the matrix and one row's temporaries; each row has the
+# bits of the broadcast drift, and the field is still one product per matrix.
 def location_coarse(signal, rate, grid, increments, eps):
     """``(thetas, field)`` over ``coarse_grid(signal.theta_bounds, rate)``."""
     thetas = coarse_grid(signal.theta_bounds, rate)
-    rows = signal.value(thetas[:, None], grid.left_nodes[None, :])
+    t = grid.left_nodes
+    rows = np.empty((thetas.size, t.size))
+    for i, theta in enumerate(thetas):
+        rows[i] = signal.value(theta, t)
     return thetas, ito_loglik(rows, increments, grid.dt, eps)
 
 
@@ -351,15 +357,18 @@ def joint_coarse(a, theta_bounds, kappa_bounds, grid, increments, eps):
     """``(rho_nodes, kappa_nodes, field)``: 201 locations, 9 exponents.
 
     ``field[i, j]`` is the log-likelihood at ``(rho_nodes[i],
-    kappa_nodes[j])``; one ``201 x n`` drift matrix is alive at a time.
+    kappa_nodes[j])``; one ``201 x n`` drift matrix is refilled for each
+    exponent.
     """
     rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
     kappa_nodes = np.linspace(kappa_bounds[0], kappa_bounds[1], 9)
-    field = np.stack([
-        ito_loglik(cusp_term(a, rho_nodes[:, None], float(k), grid.left_nodes),
-                   increments, grid.dt, eps)
-        for k in kappa_nodes
-    ], axis=1)
+    t = grid.left_nodes
+    rows = np.empty((rho_nodes.size, t.size))
+    field = np.empty((rho_nodes.size, kappa_nodes.size, *increments.shape[:-1]))
+    for j, k in enumerate(kappa_nodes):
+        for i, rho in enumerate(rho_nodes):
+            rows[i] = cusp_term(a, rho, float(k), t)
+        field[:, j] = ito_loglik(rows, increments, grid.dt, eps)
     return rho_nodes, kappa_nodes, field
 
 

@@ -9,7 +9,9 @@ estimators' own, ``estimators.location_coarse`` and its kin), the
 path-independent Bayes lattice built once (``estimators.bayes_lattice``),
 per-path refinement and the guards.  Errors are normalized by the theoretical
 rate; the report holds rate fits, Kolmogorov-Smirnov comparisons
-against limit-law samples, and moment orderings.
+against limit-law samples, and moment orderings.  The limit-law sample
+depends on no replication, so one helper thread draws it beside the
+cells and the comparison takes it once the last cell is done.
 
 Scenarios
 ---------
@@ -32,17 +34,20 @@ Scenarios
     errors are asymptotically independent.
 
 Determinism: each replication owns generator ``SeedSequence([master,
-rep])`` where ``rep`` is a global replication index, and summaries
-reduce records in replication order, so identical configs produce
-bit-identical CSV and JSON outputs regardless of thread count.
+rep])`` where ``rep`` is a global replication index, the limit-law
+sample its own stream, and summaries reduce records in replication
+order, so identical configs produce bit-identical CSV and JSON outputs
+regardless of thread count and of how the draw and the cells interleave.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -114,6 +119,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 #: Replication index reserved for the limit-law comparison stream, far
 #: beyond any realistic path count so the streams never collide.
@@ -400,8 +407,11 @@ class _Spec:
     ``bayes_lattice`` of a cell, or ``None`` where no estimator takes one.
     ``estimators`` maps the row names of each per-path call ``(path,
     coarse, lattice) -> result`` to the call, in run order.
-    ``compare(errors, count, rng)`` returns ``(ks_results,
-    moment_comparison)`` against a sample of the limit law.
+    ``draw(count, rng)`` returns a sample of the limit law drawn from
+    ``rng`` alone, so ``run_experiment`` runs it beside the cells.
+    ``compare(errors, sample)`` returns ``(ks_results,
+    moment_comparison)`` of the errors at the smallest noise level
+    against it.  A spec without a limit law has neither.
     """
 
     constants: dict
@@ -411,7 +421,8 @@ class _Spec:
     coarse: Callable[[float, np.ndarray], tuple]
     estimators: dict
     lattice: Callable[[float], object] = lambda eps: None
-    compare: Optional[Callable] = None
+    draw: Optional[Callable[[int, np.random.Generator], object]] = None
+    compare: Optional[Callable[[dict, object], tuple]] = None
     notes: tuple = ()
 
 
@@ -473,8 +484,11 @@ def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
     names = ("mle", "bayes") if with_bayes else ("mle",)
 
-    def compare(errors, count, rng):
-        xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
+    def draw(count, rng):
+        return sample_xi_batch(gamma_sq, hurst, count, rng)
+
+    def compare(errors, sample):
+        xi_hat, xi_tilde, flags = sample
         extra = {"limit_edge_fraction": float(flags.mean())}
         ks = {"mle": _ks_entry(errors["mle"], xi_hat, extra)}
         if not with_bayes:
@@ -487,7 +501,7 @@ def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     return _location(
         config, grid, signal, {"theta0": p["theta0"]},
         np.asarray(signal.value(p["theta0"], grid.left_nodes), dtype=float),
-        lambda e: location_rate(e, hurst), names, compare=compare,
+        lambda e: location_rate(e, hurst), names, draw=draw, compare=compare,
         constants={"gamma_sq": gamma_sq, "hurst": hurst, "rate_target": 1.0 / hurst},
     )
 
@@ -512,15 +526,19 @@ def _misspec(p, config, grid) -> _Spec:
     solution = solve_theta_hat(problem)
     curv, hurst = solution.curvature_closed, problem.theoretical.hurst
 
-    def compare(errors, count, rng):
-        zeta, flags = sample_zeta_batch(noise_scale, curv, hurst, count, rng)
+    def draw(count, rng):
+        return sample_zeta_batch(noise_scale, curv, hurst, count, rng)
+
+    def compare(errors, sample):
+        zeta, flags = sample
         edge = {"limit_edge_fraction": float(flags.mean())}
         return {"pseudo_mle": _ks_entry(errors["pseudo_mle"], zeta, edge)}, None
 
     return _location(
         config, grid, problem.theoretical, {"theta_hat": solution.theta_hat},
         np.asarray(problem.real.value(grid.left_nodes), dtype=float),
-        lambda e: misspec_rate(e, p["kappa"]), ("pseudo_mle",), compare=compare,
+        lambda e: misspec_rate(e, p["kappa"]), ("pseudo_mle",),
+        draw=draw, compare=compare,
         constants={
             **dataclasses.asdict(solution),
             "noise_scale": noise_scale,
@@ -534,15 +552,17 @@ def _kappa(p, config, grid) -> _Spec:
     a, rho, kappa0, bounds = p["a"], p["rho"], p["kappa0"], p["kappa_bounds"]
     fisher = fisher_info_kappa(a, rho, p["T"], kappa0)
 
-    def compare(errors, count, rng):
-        limit = sample_kappa_limit(fisher, count, rng)
+    def draw(count, rng):
+        return sample_kappa_limit(fisher, count, rng)
+
+    def compare(errors, limit):
         return {"kappa_mle": _ks_entry(errors["kappa_mle"], limit)}, None
 
     return _Spec(
         constants={"fisher_kappa": fisher, "rate_target": 1.0,
                    "limit_variance": 1.0 / fisher},
         truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, grid.left_nodes),
-        kappa=kappa0, compare=compare,
+        kappa=kappa0, draw=draw, compare=compare,
         coarse=lambda eps, dx: kappa_coarse(a, rho, bounds, grid, dx, eps),
         estimators={("kappa_mle",): lambda path, c, _: kappa_mle(
             path, a, rho, bounds, target=kappa0, coarse=c)},
@@ -556,9 +576,13 @@ def _joint(p, config, grid) -> _Spec:
     fisher = fisher_info_kappa(a, rho0, p["T"], kappa0)
     hurst = kappa0 + 0.5
 
-    def compare(errors, count, rng):
-        xi_hat, _, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
-        kappa_limit = sample_kappa_limit(fisher, count, rng)
+    def draw(count, rng):
+        # one generator, xi first: the order of the streams is part of the draw
+        xi = sample_xi_batch(gamma_sq, hurst, count, rng)
+        return xi, sample_kappa_limit(fisher, count, rng)
+
+    def compare(errors, sample):
+        (xi_hat, _, flags), kappa_limit = sample
         rho_errs, kap_errs = errors["joint_rho"], errors["joint_kappa"]
         extra = {
             "component_correlation": float(np.corrcoef(rho_errs, kap_errs)[0, 1]),
@@ -571,7 +595,8 @@ def _joint(p, config, grid) -> _Spec:
         constants={"gamma_sq": gamma_sq, "fisher_kappa": fisher, "hurst": hurst,
                    "rho_rate_target": 1.0 / hurst, "kappa_rate_target": 1.0},
         truth={"rho0": rho0, "kappa0": kappa0},
-        drift=cusp_term(a, rho0, kappa0, grid.left_nodes), kappa=kappa0, compare=compare,
+        drift=cusp_term(a, rho0, kappa0, grid.left_nodes), kappa=kappa0,
+        draw=draw, compare=compare,
         coarse=lambda eps, dx: joint_coarse(a, tbounds, kbounds, grid, dx, eps),
         estimators={("joint_rho", "joint_kappa"): lambda path, c, _: joint_mle(
             path, a, tbounds, kbounds, rho_true=rho0, kappa_true=kappa0, coarse=c)},
@@ -756,7 +781,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Raises ``ConfigError`` when a true parameter lies outside its bounds,
     and ``ExperimentError`` when more than 1% of replications fail in a
     cell or when at the smallest noise level at least 1% of estimates
-    sit on the parameter boundary.
+    sit on the parameter boundary.  The limit-law sample is drawn on one
+    helper thread beside the cells (``config.threads`` bounds the cells'
+    pool alone); an error of the draw surfaces once the cells are done,
+    and an error of a cell once the draw has been joined.  With ``-v`` the
+    CLI logs the cells' wall time and the wait for the draw.
     """
     p = config.signal
     grid = TimeGrid(p["T"], config.n_steps)
@@ -767,21 +796,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if not (lo < value < hi if strict else lo <= value <= hi):
             where = "inside" if strict else "within"
             raise ConfigError(f"{name}={value!r} must lie {where} {key}={p[key]!r}")
-    rows = [
-        row for ei, eps in enumerate(config.epsilons)
-        for row in _run_cell(config, spec, grid, ei, eps)
-    ]
+    limit = spec.draw is not None and not config.zero_noise
+    # leaving the block joins the helper, on a raise too
+    with ThreadPoolExecutor(max_workers=1) as beside:
+        if limit:
+            rng = replication_rng(config.master_seed, _LIMIT_STREAM)
+            drawn = beside.submit(spec.draw, config.limit_samples, rng)
+        start = time.perf_counter()
+        rows = [
+            row for ei, eps in enumerate(config.epsilons)
+            for row in _run_cell(config, spec, grid, ei, eps)
+        ]
+        cells_done = time.perf_counter()
+        sample = drawn.result() if limit else None
+        waited = time.perf_counter() - cells_done
+    log.debug("%s: cells took %.3f s; compare waited %.3f s on the limit draw",
+              config.scenario, cells_done - start, waited)
     names = [name for names in spec.estimators for name in names]
 
     ks_results: dict = {}
     moment_comparison = None
-    if spec.compare is not None and not config.zero_noise:
+    if limit:
         errors = {name: _normalized_errors(rows, config.epsilons[-1], name)
                   for name in names}
-        rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-        ks_results, moment_comparison = spec.compare(
-            errors, config.limit_samples, rng
-        )
+        ks_results, moment_comparison = spec.compare(errors, sample)
 
     estimators = sorted(names)
     summaries = [

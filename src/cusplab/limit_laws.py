@@ -78,8 +78,9 @@ __all__ = [
 
 #: Paths generated and reduced together by the batch samplers; peak
 #: memory is O(FBM_BLOCK * nodes) whatever the number of draws, and the
-#: draws themselves do not depend on it.
-FBM_BLOCK = 128
+#: draws themselves do not depend on it.  64 keeps a default-window batch
+#: near 12 MiB (tracemalloc), small enough to run beside a sweep's cells.
+FBM_BLOCK = 64
 
 #: Embedding eigenvalues below ``-EIGEN_RTOL * max`` are not round-off.
 EIGEN_RTOL = 1e-12

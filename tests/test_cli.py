@@ -3,16 +3,21 @@
 Every test drives ``cusplab.cli.main`` directly with an argv list and
 inspects the JSON written to stdout plus any artifacts under a temporary
 output directory, so the full parse -> run -> emit pipeline is covered
-without spawning subprocesses.
+without spawning subprocesses.  Only ``TestVerbose`` runs the CLI in a
+child process, to read the standard error its logging writes to.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cusplab
 from cusplab.cli import main
 from cusplab.estimators import bayes
 from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
@@ -535,6 +540,35 @@ DEAD_FLAGS = [
 ]
 FLAG_VALUES = {"--threads": ["2"], "--epsilon": ["0.5"], "--out": ["out"],
                "--replications": ["3"], "--zero-noise": [], "--seed": ["1"]}
+
+
+class TestVerbose:
+    """``-v`` adds the sweep's wall times to stderr and changes no output."""
+
+    def test_sweep_timings_on_stderr_only(self, tmp_path):
+        config = _write_config(tmp_path, {
+            "scenario": "cusp-bayes", "epsilons": [0.05], "replications": 8,
+            "n_steps": 400, "limit_samples": 50,
+        })
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cusplab.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = []
+        for verbose in ([], ["-v"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from cusplab.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "rate", "--config", config,
+                 "--seed", "3", "--out", str(out), *verbose],
+                capture_output=True, text=True, env=env, timeout=300, check=True)
+            runs.append((proc, (out / "cusp_bayes_report.json").read_bytes()))
+        (quiet, quiet_report), (loud, loud_report) = runs
+        message = "cusp-bayes: cells took"
+        assert message in loud.stderr and "compare waited" in loud.stderr
+        assert message not in quiet.stderr
+        assert message not in loud.stdout
+        assert loud.stdout == quiet.stdout
+        assert loud_report == quiet_report
 
 
 class TestFlagsAndKeys:

@@ -193,6 +193,60 @@ class TestCoarseScans:
                 want = _direct_ito_sum(drift, increments[i], grid.dt, eps)
                 assert field[idx + (i,)] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
 
+    @pytest.mark.parametrize("family,nuisance", [
+        (family, nuisance)
+        for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
+    ] + [("multi_cusp", "none")])
+    def test_location_field_has_the_bits_of_broadcast_rows(self, family, nuisance):
+        # the rows are filled one theta at a time; the field must be the one
+        # product over the broadcast drift matrix, bit for bit
+        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
+        if family == "cusp":
+            signal = CuspSignal(1.3, 0.25, 1.0, BOUNDS, **extra)
+        elif family == "two_sided_cusp":
+            signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, BOUNDS, **extra)
+        else:
+            signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, BOUNDS)
+        eps, rate = 0.01, location_rate(0.01, signal.hurst)
+        increments = np.random.default_rng(9).normal(0.0, 0.03, size=(3, GRID.n))
+        thetas, field = location_coarse(signal, rate, GRID, increments, eps)
+        rows = signal.value(thetas[:, None], GRID.left_nodes[None, :])
+        np.testing.assert_array_equal(field, ito_loglik(rows, increments, GRID.dt, eps))
+
+    def test_joint_field_has_the_bits_of_broadcast_rows(self):
+        grid, eps = TimeGrid(1.0, 1000), 0.01
+        increments = np.random.default_rng(8).normal(0.0, 0.03, size=(3, grid.n))
+        rhos, kappas, field = joint_coarse(1.2, BOUNDS, (0.05, 0.45), grid, increments, eps)
+        for j, k in enumerate(kappas):
+            rows = cusp_term(1.2, rhos[:, None], float(k), grid.left_nodes)
+            np.testing.assert_array_equal(
+                field[:, j], ito_loglik(rows, increments, grid.dt, eps))
+
+    @pytest.mark.parametrize("scan", ["location", "joint"])
+    def test_scan_memory_is_bounded(self, scan):
+        # the sweep cells of the benchmark (location: eps 0.005, n 1e4, 40
+        # paths; joint: eps 0.01, n 4000, 100 paths) hold the field, one
+        # drift matrix and one row's temporaries, not a second matrix
+        if scan == "location":
+            grid, eps, paths = TimeGrid(1.0, 10_000), 0.005, 40
+            rate = location_rate(eps, SIG.hurst)
+            matrix_bytes = coarse_grid(BOUNDS, rate).size * grid.n * 8
+            run = lambda g, dx: location_coarse(SIG, rate, g, dx, eps)
+        else:
+            grid, eps, paths = TimeGrid(1.0, 4000), 0.01, 100
+            matrix_bytes = 201 * grid.n * 8
+            run = lambda g, dx: joint_coarse(1.0, BOUNDS, (0.05, 0.45), g, dx, eps)
+        increments = np.random.default_rng(4).normal(0.0, eps * 0.01, size=(paths, grid.n))
+        run(TimeGrid(1.0, 100), increments[:, :100])
+        tracemalloc.start()
+        try:
+            *_, field = run(grid, increments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.shape[-1] == paths
+        assert peak < 1.25 * matrix_bytes + field.nbytes
+
 
 class TestRates:
     def test_location_rate(self):

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cusplab import experiments
-from cusplab.cli import _load_config
+from cusplab.cli import _load_config, main
 from cusplab.errors import (
     ConfigError,
     DomainError,
@@ -40,6 +42,7 @@ from cusplab.experiments import (
     run_experiment,
     write_rows_csv,
 )
+from cusplab.limit_laws import sample_kappa_limit, sample_xi_batch
 from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
 from cusplab.signal_models import CuspSignal, MultiCuspSignal
 
@@ -465,6 +468,116 @@ class TestFailureGuard:
         cfg = _tiny(scenario, replications=100, zero_noise=True, **kwargs)
         with pytest.raises(ExperimentError, match="2/100 replications failed"):
             run_experiment(cfg)
+
+
+class TestLimitDrawBesideCells:
+    """The limit-law sample is drawn on a helper thread while the cells run.
+
+    The samplers and the cell runner are replaced through
+    ``cusplab.experiments``, where each spec's ``draw`` and
+    ``run_experiment`` look them up at call time.
+    """
+
+    SAMPLERS = ("sample_xi_batch", "sample_zeta_batch", "sample_kappa_limit")
+
+    def _before_samplers(self, monkeypatch, before):
+        """Call ``before()`` ahead of every limit-law sampler."""
+        for name in self.SAMPLERS:
+            def sampler(*args, _real=getattr(experiments, name), **kwargs):
+                before()
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, sampler)
+
+    def test_draw_starts_before_the_cells_finish(self, monkeypatch):
+        started = threading.Event()
+        self._before_samplers(monkeypatch, started.set)
+        real_cell = experiments._run_cell
+
+        def cell(*args):
+            # a draw made after the cells would leave this waiting
+            assert started.wait(timeout=30), "the limit draw did not start beside the cells"
+            return real_cell(*args)
+
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        report = run_experiment(_tiny("cusp-bayes", epsilons=(0.05, 0.02)))
+        assert set(report.ks_results) == {"mle", "bayes"}
+
+    @pytest.mark.parametrize("scenario", ["cusp-bayes", "misspec", "kappa", "joint"])
+    def test_report_equals_serial_reference(self, monkeypatch, scenario):
+        cfg = _tiny(scenario, threads=2, **SMALL[scenario])
+        beside = run_experiment(cfg)
+        cells_done = threading.Event()
+
+        def after_cells():
+            if not cells_done.wait(timeout=60):
+                raise AssertionError("the cells did not finish")
+
+        self._before_samplers(monkeypatch, after_cells)
+        real_cell = experiments._run_cell
+
+        def cell(config, spec, grid, ei, eps):
+            rows = real_cell(config, spec, grid, ei, eps)
+            if ei == len(config.epsilons) - 1:
+                cells_done.set()
+            return rows
+
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        serial = run_experiment(cfg)
+        assert beside.ks_results
+        assert json.dumps(beside.to_dict(), sort_keys=True) == json.dumps(
+            serial.to_dict(), sort_keys=True)
+        assert beside.rows == serial.rows
+
+    def test_joint_sample_is_xi_then_kappa_from_the_limit_stream(self):
+        cfg = _tiny("joint", **SMALL["joint"])
+        report = run_experiment(cfg)
+        rng = replication_rng(cfg.master_seed, experiments._LIMIT_STREAM)
+        c = report.constants
+        xi_hat, _, _ = sample_xi_batch(c["gamma_sq"], c["hurst"], cfg.limit_samples, rng)
+        kappa = sample_kappa_limit(c["fisher_kappa"], cfg.limit_samples, rng)
+        for name, limit in (("joint_rho", xi_hat), ("joint_kappa", kappa)):
+            errors = [r["normalized_error"] for r in report.rows if r["estimator"] == name]
+            assert report.ks_results[name]["statistic"] == ks_statistic(errors, limit)
+
+    def test_cell_error_surfaces_once_the_draw_is_joined(self, monkeypatch):
+        started = threading.Event()
+
+        def slow_start():
+            started.set()
+            time.sleep(0.2)
+
+        self._before_samplers(monkeypatch, slow_start)
+
+        def cell(*args):
+            assert started.wait(timeout=30), "the limit draw did not start beside the cells"
+            raise ExperimentError("forced cell failure")
+
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        before = threading.active_count()
+        with pytest.raises(ExperimentError, match="forced cell failure"):
+            run_experiment(_tiny("cusp-bayes"))
+        assert threading.active_count() == before
+
+    def test_draw_error_surfaces_after_the_cells(self, monkeypatch, tmp_path, capsys):
+        def degenerate(*args, **kwargs):
+            raise NumericalDegeneracyError("forced degenerate limit law")
+
+        monkeypatch.setattr(experiments, "sample_xi_batch", degenerate)
+        cells = []
+        real_cell = experiments._run_cell
+        monkeypatch.setattr(experiments, "_run_cell",
+                            lambda *args: cells.append(args[-1]) or real_cell(*args))
+        with pytest.raises(NumericalDegeneracyError, match="forced degenerate"):
+            run_experiment(_tiny("cusp-bayes", epsilons=(0.05, 0.02)))
+        assert cells == [0.05, 0.02]
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"scenario": "cusp-bayes", "epsilons": [0.05],
+                                      "replications": 8, "n_steps": 400,
+                                      "limit_samples": 50}))
+        out = tmp_path / "out"
+        assert main(["rate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 class TestArtifacts:
