@@ -25,38 +25,19 @@ rate: ``eps**(1/H)`` for the location under a correct model (with
 ``H = kappa + 1/2``), ``eps**(2/(3-2*kappa))`` under misspecification,
 and ``eps`` for the exponent.
 
-Every MLE (``mle``, ``pseudo_mle``, ``kappa_mle``, ``joint_mle``) is one
-call of the same nested grid search, ``_search``, with fixed settings tied
-to the rate: ``STARTS`` separated points of a coarse scan (a step of twice
-the rate, at most a quarter of the range, on one axis), each refined by
-levels that shrink the step ``SHRINK``-fold and scan ``SPAN`` steps either
-side of the incumbent until it is at most rate/50.
-Each scan window is a linspace grid, and none is evaluated with one power
-per candidate and node:
-
-* a location window (``mle``, ``pseudo_mle`` and the ``joint_mle`` rho
-  windows, ``_window_loglik``) sums the nodes within ``FAR`` half-widths of
-  its centre directly; every other node is smooth in theta across the
-  window and enters through ``CHEB`` Chebyshev points, interpolated to the
-  window's thetas;
-* an exponent window (``kappa_mle`` and the ``joint_mle`` kappa windows,
-  ``_exponent_rows``) is arithmetic in kappa, so each drift row is the one
-  before times ``|t - rho|**step``.
-
-Both agree with direct rows to about 1e-14 relative; the coarse scans and
-the exponent polish use direct rows.  Within one search each window is
-scanned once: converging starts and repeated joint passes reuse the stored
-scan (``_scan_window``).
+``mle``, ``pseudo_mle`` and ``joint_mle`` each make one call of the nested
+grid search ``_search``, which refines ``STARTS`` separated points of a
+coarse scan down to a step of rate/50; its windows (``_window_loglik``,
+``_exponent_rows``) take no power per candidate and node, and each is
+scanned once per search (``_scan_window``).  The exponent field is regular,
+so both exponent estimates end in Newton scoring on its exact score and
+Hessian (``_kappa_newton``): ``kappa_mle`` from the argmax of the 9-node
+exponent axis, ``joint_mle`` from its search's point at the location found.
 
 The Bayes posterior is instead integrated over the whole of
-``theta_bounds`` on the half-offset lattice ``(m + 1/2) * dt/q`` at a step
-of at most rate/10.  Every location family is a ``kernel`` of ``t - theta``
-plus a nuisance affine in theta (``signal_models.LocationSignal``), so the
-field on that lattice is one FFT correlation of one kernel vector plus
-prefix sums of its square; no drift row is formed.  Everything but the
-correlation with the increments is path-independent and held by a
-``FineLattice``, which a sweep cell builds once (``bayes_lattice``) and a
-stand-alone ``bayes`` call builds for itself.
+``theta_bounds`` on the half-offset lattice of a ``FineLattice``, whose
+field costs one FFT correlation per path; a sweep cell builds the lattice
+once (``bayes_lattice``), a stand-alone ``bayes`` call for itself.
 """
 
 from __future__ import annotations
@@ -229,12 +210,6 @@ SPAN = 20
 STARTS = 3
 
 
-def _scan_best(eval_fn, grid: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(eval_fn(grid), dtype=float)
-    idx = int(np.argmax(values))
-    return float(grid[idx]), float(values[idx])
-
-
 def _window(bounds, center: float, step: float, span: int) -> np.ndarray:
     """Scan grid of ``span`` steps either side of ``center``, clipped to ``bounds``."""
     left = max(bounds[0], center - span * step)
@@ -243,7 +218,7 @@ def _window(bounds, center: float, step: float, span: int) -> np.ndarray:
 
 
 def _scan_window(memo: dict, eval_fn, bounds, center: float, step: float, *fixed):
-    """``_scan_best`` over ``_window(bounds, center, step, SPAN)``, once per window.
+    """``(argmax, value)`` of ``eval_fn`` over ``_window(bounds, center, step, SPAN)``, once.
 
     ``memo`` belongs to one estimator call and maps ``(center, step,
     *fixed)`` to the scan's ``(argmax, value)``; ``fixed`` is whatever else
@@ -252,7 +227,9 @@ def _scan_window(memo: dict, eval_fn, bounds, center: float, step: float, *fixed
     """
     key = (center, step, *fixed)
     if key not in memo:
-        memo[key] = _scan_best(eval_fn, _window(bounds, center, step, SPAN))
+        grid = _window(bounds, center, step, SPAN)
+        values = np.asarray(eval_fn(grid), dtype=float)
+        memo[key] = float(grid[np.argmax(values)]), float(values.max())
     return memo[key]
 
 
@@ -289,7 +266,6 @@ def _search(coarse, bounds, fields, close, targets):
     and ``boundary`` flags a coordinate within its final step of a bound.
     """
     *axes, values = coarse
-    dim = len(axes)
     memos = [{} for _ in axes]
     best = None
     for seed in _seeds(axes, values, close):
@@ -301,7 +277,7 @@ def _search(coarse, bounds, fields, close, targets):
             if all(s <= g for s, g in zip(steps, goals)):
                 break
             steps = [s / SHRINK if s > g else s for s, g in zip(steps, goals)]
-            for _ in range(dim):
+            for _ in axes:
                 for k, field in enumerate(fields):
                     point[k], value = _scan_window(
                         memos[k], lambda grid: field(point, grid), bounds[k],
@@ -319,15 +295,14 @@ def _search(coarse, bounds, fields, close, targets):
 
 
 def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
-    """Coarse scan grid over ``bounds`` at twice the convergence rate.
+    """Coarse location grid over ``bounds`` at twice the convergence rate.
 
     The step is at most a quarter of the range, so the grid keeps at
-    least five nodes.  ``location_coarse`` and ``kappa_coarse`` scan it.
+    least five nodes.  Only ``location_coarse`` scans it.
     """
     lo, hi = bounds
     step = min(2.0 * rate, (hi - lo) / 4.0)
-    count = int(math.ceil((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
 
 
 # One coarse scan per estimator family: its axes, then its field over one path of
@@ -346,22 +321,27 @@ def location_coarse(signal, rate, grid, increments, eps):
     return thetas, ito_loglik(rows, increments, grid.dt, eps)
 
 
+def _kappa_axis(kappa_bounds) -> np.ndarray:
+    """The 9 exponents, bounds included, of both exponent scans at every eps."""
+    return np.linspace(*kappa_bounds, 9)
+
+
 def kappa_coarse(a, rho, kappa_bounds, grid, increments, eps):
-    """``(kappas, field)`` over ``coarse_grid(kappa_bounds, eps)``."""
-    kappas = coarse_grid(kappa_bounds, eps)
+    """``(kappas, field)`` over ``_kappa_axis(kappa_bounds)``."""
+    kappas = _kappa_axis(kappa_bounds)
     rows = cusp_term(a, rho, kappas[:, None], grid.left_nodes)
     return kappas, ito_loglik(rows, increments, grid.dt, eps)
 
 
 def joint_coarse(a, theta_bounds, kappa_bounds, grid, increments, eps):
-    """``(rho_nodes, kappa_nodes, field)``: 201 locations, 9 exponents.
+    """``(rho_nodes, kappa_nodes, field)``: 201 locations, the 9 of ``_kappa_axis``.
 
     ``field[i, j]`` is the log-likelihood at ``(rho_nodes[i],
     kappa_nodes[j])``; one ``201 x n`` drift matrix is refilled for each
     exponent.
     """
     rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
-    kappa_nodes = np.linspace(kappa_bounds[0], kappa_bounds[1], 9)
+    kappa_nodes = _kappa_axis(kappa_bounds)
     t = grid.left_nodes
     rows = np.empty((rho_nodes.size, t.size))
     field = np.empty((rho_nodes.size, kappa_nodes.size, *increments.shape[:-1]))
@@ -395,8 +375,8 @@ class EstimationResult:
 
     ``normalized_error`` is ``(estimate - target)/rate`` when the target
     parameter value is known (simulation studies), else ``None``.
-    ``boundary`` flags an estimate within one final grid step of the
-    parameter bounds, where the interior-optimum theory does not apply.
+    ``boundary`` flags an estimate within one final grid step (``kappa_mle``:
+    ``eps/50``) of the bounds, where the interior-optimum theory does not apply.
     """
 
     estimator: str
@@ -601,8 +581,7 @@ class FineLattice:
     read-only, so pool threads may share one lattice.
 
     A window narrower than ``dt`` would make the kernel longer than the
-    rows themselves; ``field`` is then the window field of
-    ``_window_loglik`` at the same thetas.
+    rows themselves; ``field`` then takes ``ito_loglik`` of those rows.
     """
 
     def __init__(self, signal, grid: TimeGrid, lo: float, hi: float, h: float) -> None:
@@ -653,7 +632,8 @@ class FineLattice:
         if path.grid != self.grid:
             raise DomainError(f"path grid {path.grid!r} is not the lattice grid {self.grid!r}")
         if self._spectrum is None:
-            return _window_loglik(path, self.signal.value, self.thetas)
+            rows = self.signal.value(self.thetas[:, None], path.grid.left_nodes)
+            return _path_loglik(path, rows)
         dx = path.increments
         upsampled = np.zeros(self._width)
         upsampled[::self._q] = dx
@@ -742,17 +722,42 @@ def bayes(
 # exponent estimators
 # ---------------------------------------------------------------------------
 
-def _parabolic_step(x: np.ndarray, f: np.ndarray) -> Optional[float]:
-    # Vertex of the parabola through three points with uniform spacing h:
-    # x1 + h/2 * (f0 - f2) / (f0 - 2 f1 + f2).
-    h = x[1] - x[0]
-    denom = f[0] - 2.0 * f[1] + f[2]
-    if denom >= 0.0 or not np.isfinite(denom):
-        return None
-    vertex = x[1] + 0.5 * h * (f[0] - f[2]) / denom
-    if not x[0] <= vertex <= x[2]:
-        return None
-    return float(vertex)
+#: Newton scoring stops before a step below ``NEWTON_TOL * eps`` or after ``NEWTON_ITERATIONS``.
+NEWTON_TOL = 1e-9
+NEWTON_ITERATIONS = 20
+
+
+def _kappa_newton(path, a, rho, kappa, lo, hi):
+    """Newton ascent of the exponent field at location ``rho`` from ``kappa``.
+
+    With ``S = a|t - rho|**kappa`` and ``L = log|t - rho|`` (0 where ``S``
+    is), the score is ``sum S*L*(dX - S*dt)/eps**2`` and the Hessian ``sum
+    S*L**2*(dX - 2*S*dt)/eps**2``.  A step goes to the Newton point, or
+    where the Hessian is not negative to the bound the score points to; it
+    is clipped to ``[lo, hi]`` and halved until the field does not drop.
+    Returns ``(kappa, iterations, last step, within eps/50 of a bound)``.
+    """
+    x = np.abs(path.grid.left_nodes - rho)
+    log_x = np.log(np.where(x > 0.0, x, 1.0))
+    dx, dt, eps = path.increments, path.grid.dt, path.epsilon
+    s = a * x**kappa
+
+    def gain(step):  # eps**2 times the field's change; keeps its digits at the maximum
+        change = s * np.expm1(step * log_x)
+        return change @ (dx - dt * (s + 0.5 * change))
+
+    for iterations in range(1, NEWTON_ITERATIONS + 1):
+        sl = s * log_x
+        score, hessian = sl @ (dx - dt * s), (sl * log_x) @ (dx - 2.0 * dt * s)
+        trial = kappa - score / hessian if hessian < 0.0 else (hi if score > 0.0 else lo)
+        trial = min(max(trial, lo), hi)
+        while abs(trial - kappa) >= NEWTON_TOL * eps and gain(trial - kappa) < 0.0:
+            trial = kappa + 0.5 * (trial - kappa)
+        step = abs(trial - kappa)
+        if step < NEWTON_TOL * eps:
+            break
+        kappa, s = trial, a * x**trial
+    return kappa, iterations, step, min(kappa - lo, hi - kappa) <= eps / 50.0
 
 
 def kappa_mle(
@@ -765,10 +770,10 @@ def kappa_mle(
 ) -> EstimationResult:
     """MLE of the cusp exponent with known amplitude and location.
 
-    This is a regular (smooth) problem, rate ``eps``; after the nested
-    grid search a three-point parabolic interpolation of the log-field
-    polishes the estimate below the final grid step.  ``coarse``
-    optionally supplies this path's ``kappa_coarse`` scan.
+    This is a regular (smooth) problem, rate ``eps``: Newton scoring
+    (``_kappa_newton``) from the argmax of the ``kappa_coarse`` scan, which
+    ``coarse`` optionally supplies.  ``refinement_levels`` is 1 plus the
+    Newton iterations, ``grid_step`` the last step.
     """
     lo, hi = kappa_bounds
     if not (0.0 < lo < hi):
@@ -780,28 +785,16 @@ def kappa_mle(
     rate = path.epsilon
     if coarse is None:
         coarse = kappa_coarse(a, rho, kappa_bounds, path.grid, path.increments, rate)
-    t = path.grid.left_nodes
-    coarse_step = coarse[0][1] - coarse[0][0]
-    (kappa,), _, levels, (step,), boundary = _search(
-        coarse, (kappa_bounds,),
-        (lambda point, kappas: _path_loglik(path, _exponent_rows(a, rho, kappas, t)),),
-        lambda p, q: abs(p[0] - q[0]) < 2.0 * coarse_step,
-        lambda point: (rate / 50.0,),
-    )
-    inner = np.clip([kappa - step, kappa, kappa + step], lo, hi)
-    if inner[0] < inner[1] < inner[2]:
-        rows = cusp_term(a, rho, inner[:, None], t)
-        polished = _parabolic_step(inner, _path_loglik(path, rows))
-        if polished is not None:
-            kappa = polished
+    start = float(coarse[0][np.argmax(coarse[1])])
+    kappa, iterations, step, boundary = _kappa_newton(path, a, rho, start, lo, hi)
     return EstimationResult(
         estimator="kappa_mle",
-        estimate=float(np.clip(kappa, lo, hi)),
+        estimate=kappa,
         rate=rate,
         normalized_error=_normalized(kappa, target, rate),
         boundary=boundary,
         grid_step=step,
-        refinement_levels=levels,
+        refinement_levels=1 + iterations,
     )
 
 
@@ -818,7 +811,9 @@ def joint_mle(
 
     The field of ``cusp_term(a, rho, kappa, t)`` is searched by ``_search``
     on two axes from the ``joint_coarse`` scan, alternating location
-    windows (``_window_loglik``) and exponent windows (``_exponent_rows``).
+    windows (``_window_loglik``) and exponent windows (``_exponent_rows``),
+    then the exponent by Newton scoring (``_kappa_newton``) at the location
+    found; ``kappa_step`` and ``refinement_levels`` are the search's.
     The location error is normalized by ``eps**(1/H)`` at the estimated
     exponent, the exponent error by ``eps``.  The exponent bounds must lie
     in ``(0, 1/2)``, where the location rate is defined.  ``coarse``
@@ -858,6 +853,7 @@ def joint_mle(
                       and abs(p[1] - q[1]) <= 2.0 * coarse_kappa),
         targets,
     )
+    kappa, _, _, edge = _kappa_newton(path, a, rho, kappa, klo, khi)
     rho_rate = location_rate(eps, kappa + 0.5)
     return JointEstimationResult(
         rho_hat=rho,
@@ -866,7 +862,7 @@ def joint_mle(
         kappa_rate=eps,
         rho_normalized_error=_normalized(rho, rho_true, rho_rate),
         kappa_normalized_error=_normalized(kappa, kappa_true, eps),
-        boundary=boundary,
+        boundary=boundary or edge,
         rho_step=rho_step,
         kappa_step=kappa_step,
         refinement_levels=levels,

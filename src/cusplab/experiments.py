@@ -784,8 +784,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     sit on the parameter boundary.  The limit-law sample is drawn on one
     helper thread beside the cells (``config.threads`` bounds the cells'
     pool alone); an error of the draw surfaces once the cells are done,
-    and an error of a cell once the draw has been joined.  With ``-v`` the
-    CLI logs the cells' wall time and the wait for the draw.
+    and a cell's once the draw has been joined, with any draw error as its
+    ``__cause__``.  The CLI's ``-v`` logs the cells' time and the draw's wait.
     """
     p = config.signal
     grid = TimeGrid(p["T"], config.n_steps)
@@ -803,10 +803,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             rng = replication_rng(config.master_seed, _LIMIT_STREAM)
             drawn = beside.submit(spec.draw, config.limit_samples, rng)
         start = time.perf_counter()
-        rows = [
-            row for ei, eps in enumerate(config.epsilons)
-            for row in _run_cell(config, spec, grid, ei, eps)
-        ]
+        try:
+            rows = [row for ei, eps in enumerate(config.epsilons)
+                    for row in _run_cell(config, spec, grid, ei, eps)]
+        except Exception as error:
+            if limit and drawn.exception() is not None:
+                raise error from drawn.exception()
+            raise
         cells_done = time.perf_counter()
         sample = drawn.result() if limit else None
         waited = time.perf_counter() - cells_done

@@ -814,9 +814,7 @@ class TestSearchDecisions:
     ``ito_loglik`` over directly evaluated rows, reach the same points.
 
     The points compared are those of the nested search, each coordinate
-    with its rate (50 target steps); ``kappa_mle`` then polishes its point
-    by a parabola through three direct rows, whose vertex carries ~1e-12 of
-    field noise.
+    with its rate (50 target steps), before ``joint_mle``'s Newton steps.
     """
 
     REAL = SmoothedCuspSignal(a=1.0, kappa=0.25, center=0.5, delta=0.05, T=1.0)
@@ -835,7 +833,6 @@ class TestSearchDecisions:
         patch.setattr(estimators, "_search", spy)
         mle(path, SIG)
         pseudo_mle(real_path, SIG)
-        kappa_mle(path, 1.0, 0.5)
         joint_mle(path, 1.0, BOUNDS)
         return found
 
@@ -852,17 +849,17 @@ class TestSearchDecisions:
                 patch.setattr(estimators, "_window_loglik", _direct_window_loglik)
                 patch.setattr(estimators, "_exponent_rows", _direct_exponent_rows)
                 direct = self._decisions(patch, path, real_path)
-            assert len(fast) == len(direct) == 5
+            assert len(fast) == len(direct) == 4
             for name, (got, rate), (want, _) in zip(
-                ("mle", "pseudo_mle", "kappa_mle", "joint_rho", "joint_kappa"), fast, direct
+                ("mle", "pseudo_mle", "joint_rho", "joint_kappa"), fast, direct
             ):
                 assert abs(got - want) <= 1e-12 * rate, (rep, name, got, want)
 
 
-def _scan_every_window(memo, eval_fn, bounds, center, step, *fixed):
+def _scan_every_window(memo, eval_fn, bounds, center, step, *fixed,
+                       _scan=estimators._scan_window):
     """``estimators._scan_window`` with a lookup that always misses."""
-    return estimators._scan_best(
-        eval_fn, estimators._window(bounds, center, step, estimators.SPAN))
+    return _scan({}, eval_fn, bounds, center, step, *fixed)
 
 
 class TestWindowMemo:
@@ -963,13 +960,125 @@ class TestKappaMle:
         with pytest.raises(DomainError):
             kappa_mle(path, -1.0, 0.5)
 
-    def test_coarse_step_at_target_returns_finite_estimate(self):
-        # the coarse step range/4 = 5e-5 is already below eps/50 = 2e-4
+    def test_bounds_narrower_than_the_rate_converge_to_truth(self):
+        # the coarse step range/8 = 2.5e-5 is already below eps/50 = 2e-4;
+        # Newton scoring still lands on the noiseless maximum
         path = _zero_noise_path()
         result = kappa_mle(path, 1.0, 0.5, kappa_bounds=(0.2499, 0.2501), target=0.25)
-        assert result.estimate == pytest.approx(0.25, abs=1e-5)
+        assert result.estimate == pytest.approx(0.25, abs=1e-12)
         assert np.isfinite(result.normalized_error)
-        assert result.refinement_levels == 1
+        assert result.grid_step < estimators.NEWTON_TOL * 0.01
+        assert 2 <= result.refinement_levels <= 1 + estimators.NEWTON_ITERATIONS
+
+    def test_no_nested_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kappa_mle ran the nested search")
+
+        monkeypatch.setattr(estimators, "_search", refuse)
+        path = simulate_path(SIG, 0.5, 0.01, GRID, rng=replication_rng(0, 1))
+        assert not kappa_mle(path, 1.0, 0.5).boundary
+
+    def test_coarse_scans_share_the_exponent_axis(self):
+        path = _zero_noise_path()
+        kappas, _ = kappa_coarse(1.0, 0.5, (0.05, 0.45), GRID, path.increments, 0.01)
+        _, kappa_nodes, _ = joint_coarse(1.0, BOUNDS, (0.05, 0.45), GRID, path.increments, 0.01)
+        assert kappas.size == 9
+        np.testing.assert_array_equal(kappas, kappa_nodes)
+
+
+def _kappa_field(path, a, rho, kappas):
+    """The exponent field at ``rho`` on direct ``cusp_term`` rows."""
+    rows = cusp_term(a, rho, np.atleast_1d(kappas)[:, None], path.grid.left_nodes)
+    return ito_loglik(rows, path.increments, path.grid.dt, path.epsilon)
+
+
+class TestKappaNewton:
+    """``estimators._kappa_newton``, the exponent solver of ``kappa_mle`` and
+    ``joint_mle``, against central differences and scans of direct rows."""
+
+    GRID = TimeGrid(1.0, 10_000)
+
+    def _path(self, kappa0, eps, rho, rep):
+        signal = CuspSignal(a=1.0, kappa=kappa0, T=1.0, theta_bounds=BOUNDS)
+        return simulate_path(signal, rho, eps, self.GRID, rng=replication_rng(23, rep))
+
+    @pytest.mark.parametrize("kappa0", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("eps", [0.02, 0.005])
+    @pytest.mark.parametrize("on_node", [True, False], ids=["on-node", "off-node"])
+    def test_interior_estimate_is_a_maximum(self, kappa0, eps, on_node):
+        # rho = 0.5 is node 5000; a third of a step off it is on none
+        rho = 0.5 if on_node else 0.5 + self.GRID.dt / 3.0
+        for rep in range(4):
+            path = self._path(kappa0, eps, rho, rep)
+            result = kappa_mle(path, 1.0, rho)
+            kappa = result.estimate
+            assert not result.boundary
+            h = eps / 100.0
+            low, mid, high = _kappa_field(path, 1.0, rho, kappa + h * np.arange(-1.0, 2.0))
+            score, hessian = (high - low) / (2.0 * h), (high - 2.0 * mid + low) / h**2
+            assert hessian < 0.0
+            # the Newton step the differences imply; it would be about
+            # eps/10 had the estimate stopped eps/10 short
+            assert abs(score / hessian) < 1e-4 * eps, (rep, score, hessian)
+            scan = kappa + eps / 50.0 * np.arange(-10, 11)
+            values = _kappa_field(path, 1.0, rho, scan)
+            assert values.max() - values[10] <= 1e-12 * abs(values[10]), rep
+
+    @pytest.mark.parametrize("bounds,edge", [((0.3, 0.45), 0.3), ((0.05, 0.2), 0.2)])
+    def test_outward_score_returns_the_bound(self, bounds, edge):
+        # the noiseless maximum at 0.25 lies outside the bounds
+        path = _zero_noise_path()
+        result = kappa_mle(path, 1.0, 0.5, kappa_bounds=bounds)
+        assert result.estimate == edge
+        assert result.boundary
+        kappa, _, step, boundary = estimators._kappa_newton(path, 1.0, 0.5, edge, *bounds)
+        assert (kappa, step, boundary) == (edge, 0.0, True)
+
+    def test_start_in_the_convex_region_still_ascends(self):
+        # for kappa0 = 0.05 the noiseless field is convex at 0.45
+        path = _zero_noise_path(grid=self.GRID, signal=CuspSignal(1.0, 0.05, 1.0, BOUNDS))
+        h = 1e-3
+        low, mid, high = _kappa_field(path, 1.0, 0.5, np.array([0.45 - h, 0.45, 0.45 + h]))
+        assert high - 2.0 * mid + low > 0.0
+        kappa, iterations, _, boundary = estimators._kappa_newton(
+            path, 1.0, 0.5, 0.45, 0.02, 0.45)
+        assert kappa == pytest.approx(0.05, abs=1e-9)
+        assert iterations < estimators.NEWTON_ITERATIONS and not boundary
+
+    def test_no_step_lowers_the_field(self, monkeypatch):
+        # on this path the first Newton step from 0.45 lands at 0.0506, 236
+        # log units below the start; the iterates must climb all the same
+        path = self._path(0.25, 0.01, 0.5, 0)
+        values = [_kappa_field(path, 1.0, 0.5, 0.45)[0]]
+        for cap in range(1, 8):
+            monkeypatch.setattr(estimators, "NEWTON_ITERATIONS", cap)
+            kappa, *_ = estimators._kappa_newton(path, 1.0, 0.5, 0.45, 0.05, 0.45)
+            values.append(_kappa_field(path, 1.0, 0.5, kappa)[0])
+        assert values == sorted(values)
+        assert kappa == pytest.approx(kappa_mle(path, 1.0, 0.5).estimate, abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.01])
+    def test_joint_kappa_beats_its_last_window(self, monkeypatch, eps):
+        found = []
+        search = estimators._search
+
+        def spy(coarse, bounds, fields, close, targets):
+            result = search(coarse, bounds, fields, close, targets)
+            found.append(result)
+            return result
+
+        monkeypatch.setattr(estimators, "_search", spy)
+        kappa_bounds = (0.05, 0.45)
+        for rep in range(6):
+            path = simulate_path(SIG, 0.5, eps, TimeGrid(1.0, 4000),
+                                 rng=replication_rng(24, rep))
+            result = joint_mle(path, 1.0, BOUNDS, kappa_bounds)
+            (rho, kappa), _, _, (_, kappa_step), _ = found[-1]
+            assert rho == result.rho_hat
+            window = estimators._window(kappa_bounds, kappa, kappa_step, estimators.SPAN)
+            values = _kappa_field(path, 1.0, rho, window)
+            reported = _kappa_field(path, 1.0, rho, result.kappa_hat)[0]
+            assert reported >= values.max() - 1e-12 * abs(reported), rep
 
 
 class TestJointMle:

@@ -5,6 +5,7 @@ import json
 import math
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -557,6 +558,21 @@ class TestLimitDrawBesideCells:
         with pytest.raises(ExperimentError, match="forced cell failure"):
             run_experiment(_tiny("cusp-bayes"))
         assert threading.active_count() == before
+
+    def test_draw_error_is_chained_to_a_cell_error(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise NumericalDegeneracyError("forced degenerate limit law")
+
+        def cell(*args):
+            raise ExperimentError("forced cell failure")
+
+        monkeypatch.setattr(experiments, "sample_xi_batch", degenerate)
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        with pytest.raises(ExperimentError, match="forced cell failure") as info:
+            run_experiment(_tiny("cusp-bayes"))
+        assert isinstance(info.value.__cause__, NumericalDegeneracyError)
+        shown = "".join(traceback.format_exception(info.value))
+        assert "forced cell failure" in shown and "forced degenerate limit law" in shown
 
     def test_draw_error_surfaces_after_the_cells(self, monkeypatch, tmp_path, capsys):
         def degenerate(*args, **kwargs):
