@@ -286,7 +286,7 @@ def _cmd_estimate(args) -> int:
         "estimate": result.estimate,
         **{k: config[k] for k in ("theta_true", "epsilon", "master_seed")},
         "rate": result.rate,
-        "normalized_error": result.normalized_error,
+        "normalized_error": (result.estimate - config["theta_true"]) / result.rate,
         "boundary": result.boundary,
         "grid_step": result.grid_step,
         "refinement_levels": result.refinement_levels,
@@ -439,6 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_error(exc: BaseException) -> None:
+    """Log ``exc``, then each error it was raised from (a cell's limit draw, say)."""
+    log.error("%s", exc)
+    while exc.__cause__ is not None:
+        exc = exc.__cause__
+        log.error("caused by %s: %s", type(exc).__name__, exc)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -455,10 +463,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return int(args.func(args))
     except (ConfigError, DomainError, FileNotFoundError) as exc:
-        log.error("%s", exc)
+        _log_error(exc)
         return 1
     except (NumericalDegeneracyError, ConditionViolationError, ExperimentError) as exc:
-        log.error("%s", exc)
+        _log_error(exc)
         return 2
 
 

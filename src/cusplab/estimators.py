@@ -20,10 +20,11 @@ drifts and paths).  The module provides the field itself plus four estimators:
 * ``kappa_mle`` / ``joint_mle``: the smooth exponent problem and the
   two-parameter (location, exponent) version.
 
-Estimates are reported together with errors normalized by the relevant
-rate: ``eps**(1/H)`` for the location under a correct model (with
-``H = kappa + 1/2``), ``eps**(2/(3-2*kappa))`` under misspecification,
-and ``eps`` for the exponent.
+Each estimator takes the observations and the model alone, and reports
+its estimate with the relevant rate: ``eps**(1/H)`` for the location
+under a correct model (with ``H = kappa + 1/2``), ``eps**(2/(3-2*kappa))``
+under misspecification, and ``eps`` for the exponent.  The error
+normalized by it needs the true value, which is the caller's.
 
 ``mle``, ``pseudo_mle`` and ``joint_mle`` each make one call of the nested
 grid search ``_search``, which refines ``STARTS`` separated points of a
@@ -36,15 +37,16 @@ exponent axis, ``joint_mle`` from its search's point at the location found.
 
 The Bayes posterior is instead integrated over the whole of
 ``theta_bounds`` on the half-offset lattice of a ``FineLattice``, whose
-field costs one FFT correlation per path; a sweep cell builds the lattice
-once (``bayes_lattice``), a stand-alone ``bayes`` call for itself.
+field costs one FFT correlation per path.  ``bayes`` takes it from a
+cache keyed by its inputs (``_lattice``), so the calls of a sweep cell
+share one lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -63,7 +65,6 @@ __all__ = [
     "misspec_rate",
     "ito_loglik",
     "FineLattice",
-    "bayes_lattice",
     "coarse_grid",
     "location_coarse",
     "kappa_coarse",
@@ -371,10 +372,8 @@ def _coerce_scalars(obj, **casts) -> None:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """One scalar estimate with its normalization and search diagnostics.
+    """One scalar estimate with its convergence rate and search diagnostics.
 
-    ``normalized_error`` is ``(estimate - target)/rate`` when the target
-    parameter value is known (simulation studies), else ``None``.
     ``boundary`` flags an estimate within one final grid step (``kappa_mle``:
     ``eps/50``) of the bounds, where the interior-optimum theory does not apply.
     """
@@ -382,7 +381,6 @@ class EstimationResult:
     estimator: str
     estimate: float
     rate: float
-    normalized_error: Optional[float]
     boundary: bool
     grid_step: float
     refinement_levels: int
@@ -390,22 +388,19 @@ class EstimationResult:
 
     def __post_init__(self) -> None:
         _coerce_scalars(
-            self, estimate=float, rate=float, normalized_error=float,
-            boundary=bool, grid_step=float, refinement_levels=int,
-            boundary_mass=float,
+            self, estimate=float, rate=float, boundary=bool, grid_step=float,
+            refinement_levels=int, boundary_mass=float,
         )
 
 
 @dataclass(frozen=True)
 class JointEstimationResult:
-    """Two-parameter (location, exponent) estimate with per-axis scaling."""
+    """Two-parameter (location, exponent) estimate with per-axis rates."""
 
     rho_hat: float
     kappa_hat: float
     rho_rate: float
     kappa_rate: float
-    rho_normalized_error: Optional[float]
-    kappa_normalized_error: Optional[float]
     boundary: bool
     rho_step: float
     kappa_step: float
@@ -414,16 +409,9 @@ class JointEstimationResult:
     def __post_init__(self) -> None:
         _coerce_scalars(
             self, rho_hat=float, kappa_hat=float, rho_rate=float,
-            kappa_rate=float, rho_normalized_error=float,
-            kappa_normalized_error=float, boundary=bool, rho_step=float,
-            kappa_step=float, refinement_levels=int,
+            kappa_rate=float, boundary=bool, rho_step=float, kappa_step=float,
+            refinement_levels=int,
         )
-
-
-def _normalized(estimate: float, target: Optional[float], rate: float):
-    if target is None:
-        return None
-    return (estimate - target) / rate
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +427,7 @@ def _require_cusp(signal, estimator: str) -> None:
         )
 
 
-def _location_mle(path, signal, rate, estimator, target, coarse=None):
+def _location_mle(path, signal, rate, estimator, coarse=None):
     _check_horizon(path, signal)
     if coarse is None:
         coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
@@ -454,51 +442,34 @@ def _location_mle(path, signal, rate, estimator, target, coarse=None):
         estimator=estimator,
         estimate=theta,
         rate=rate,
-        normalized_error=_normalized(theta, target, rate),
         boundary=boundary,
         grid_step=step,
         refinement_levels=levels,
     )
 
 
-def mle(
-    path: ObservationPath,
-    signal,
-    target: Optional[float] = None,
-    coarse=None,
-) -> EstimationResult:
+def mle(path: ObservationPath, signal, coarse=None) -> EstimationResult:
     """Maximum-likelihood location estimate by nested grid search.
 
-    ``target`` defaults to the true location recorded on the path (if
-    any) and only affects the reported normalized error.  ``coarse``
-    optionally supplies this path's ``location_coarse`` scan.
+    ``coarse`` optionally supplies this path's ``location_coarse`` scan.
     """
     _require_cusp(signal, "mle")
     rate = location_rate(path.epsilon, signal.hurst)
-    if target is None:
-        target = path.theta_true
-    return _location_mle(path, signal, rate, "mle", target, coarse=coarse)
+    return _location_mle(path, signal, rate, "mle", coarse=coarse)
 
 
-def pseudo_mle(
-    path: ObservationPath,
-    theoretical_signal,
-    target: Optional[float] = None,
-    coarse=None,
-) -> EstimationResult:
+def pseudo_mle(path: ObservationPath, theoretical_signal, coarse=None) -> EstimationResult:
     """Location estimate under an assumed (possibly wrong) cusp model.
 
     The likelihood uses ``theoretical_signal`` regardless of how the
-    path was generated.  ``target`` should be the best-approximation
+    path was generated.  The estimate converges to the best-approximation
     location (the minimizer of the L2 gap between the real and assumed
-    drifts); errors are normalized by ``eps**(2/(3-2*kappa))``.  ``coarse``
-    as in ``mle``, at this rate.
+    drifts) at the rate ``eps**(2/(3-2*kappa))``.  ``coarse`` as in
+    ``mle``, at this rate.
     """
     _require_cusp(theoretical_signal, "pseudo_mle")
     rate = misspec_rate(path.epsilon, theoretical_signal.kappa_eff)
-    return _location_mle(
-        path, theoretical_signal, rate, "pseudo_mle", target, coarse=coarse
-    )
+    return _location_mle(path, theoretical_signal, rate, "pseudo_mle", coarse=coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +561,7 @@ class FineLattice:
         u = dt / q
         m_min = math.ceil(lo / u - 0.5)
         ms = m_min + p * np.arange(math.floor((hi / u - 0.5 - m_min) / p) + 1)
-        self.signal, self.grid, self.bounds, self.max_step = signal, grid, (lo, hi), h
+        self.signal, self.grid = signal, grid
         self.thetas = thetas = (ms + 0.5) * u
         _read_only(thetas)
         width = q * (n - 1) + 1
@@ -651,23 +622,11 @@ def _bayes_step(signal, epsilon: float) -> float:
     return min(location_rate(epsilon, signal.hurst) / 10.0, (beta - alpha) / 51.0)
 
 
-def bayes_lattice(signal, grid: TimeGrid, epsilon: float) -> FineLattice:
-    """The lattice ``bayes`` integrates on for paths on ``grid`` at ``epsilon``.
-
-    A sweep cell builds it once and passes it to every ``bayes`` call of
-    the cell; the estimates are those of the calls without it.
-    """
-    _require_cusp(signal, "bayes")
-    return FineLattice(signal, grid, *signal.theta_bounds, _bayes_step(signal, epsilon))
+#: ``FineLattice`` of the arguments, built once for all the paths on its grid.
+_lattice = functools.lru_cache(maxsize=16)(FineLattice)
 
 
-def bayes(
-    path: ObservationPath,
-    signal,
-    prior=None,
-    target: Optional[float] = None,
-    lattice: Optional[FineLattice] = None,
-) -> EstimationResult:
+def bayes(path: ObservationPath, signal, prior=None) -> EstimationResult:
     """Posterior-mean location estimate under quadratic loss.
 
     The ratio of integrals is computed by the trapezoid rule over the
@@ -675,23 +634,17 @@ def bayes(
     stability.  The grid is the half-offset lattice ``(m + 1/2) * dt/q`` at
     a step of at most rate/10 and at most 1/51 of the bounds, so at least
     50 intervals span them; its field is one FFT correlation plus prefix
-    sums (``FineLattice``), with no coarse scan and no search.  ``lattice``
-    optionally supplies ``bayes_lattice(signal, path.grid, path.epsilon)``,
-    built once for many paths.
+    sums (``FineLattice``), with no coarse scan and no search.  The lattice
+    depends on the signal, the time grid and the step alone, and comes
+    from the cache ``_lattice``: the paths of one grid and noise level
+    share it.
     """
     _require_cusp(signal, "bayes")
     _check_horizon(path, signal)
     prior = prior or UniformPrior()
-    if target is None:
-        target = path.theta_true
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    if lattice is None:
-        lattice = bayes_lattice(signal, path.grid, path.epsilon)
-    elif (lattice.signal, lattice.bounds, lattice.max_step) != (
-        signal, (alpha, beta), _bayes_step(signal, path.epsilon)
-    ):
-        raise DomainError("the lattice was built for another signal or noise level")
+    lattice = _lattice(signal, path.grid, alpha, beta, _bayes_step(signal, path.epsilon))
     grid, log_vals = lattice.thetas, lattice.field(path)
     step = grid[1] - grid[0]
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())
@@ -710,7 +663,6 @@ def bayes(
         estimator="bayes",
         estimate=estimate,
         rate=rate,
-        normalized_error=_normalized(estimate, target, rate),
         boundary=estimate <= alpha + step or estimate >= beta - step,
         grid_step=step,
         refinement_levels=1,
@@ -765,7 +717,6 @@ def kappa_mle(
     a: float,
     rho: float,
     kappa_bounds: tuple[float, float] = (0.05, 0.45),
-    target: Optional[float] = None,
     coarse=None,
 ) -> EstimationResult:
     """MLE of the cusp exponent with known amplitude and location.
@@ -791,7 +742,6 @@ def kappa_mle(
         estimator="kappa_mle",
         estimate=kappa,
         rate=rate,
-        normalized_error=_normalized(kappa, target, rate),
         boundary=boundary,
         grid_step=step,
         refinement_levels=1 + iterations,
@@ -803,8 +753,6 @@ def joint_mle(
     a: float,
     theta_bounds: tuple[float, float],
     kappa_bounds: tuple[float, float] = (0.05, 0.45),
-    rho_true: Optional[float] = None,
-    kappa_true: Optional[float] = None,
     coarse=None,
 ) -> JointEstimationResult:
     """Joint MLE of (location, exponent) with known amplitude, as a ``JointEstimationResult``.
@@ -814,8 +762,8 @@ def joint_mle(
     windows (``_window_loglik``) and exponent windows (``_exponent_rows``),
     then the exponent by Newton scoring (``_kappa_newton``) at the location
     found; ``kappa_step`` and ``refinement_levels`` are the search's.
-    The location error is normalized by ``eps**(1/H)`` at the estimated
-    exponent, the exponent error by ``eps``.  The exponent bounds must lie
+    The location rate is ``eps**(1/H)`` at the estimated exponent, the
+    exponent rate ``eps``.  The exponent bounds must lie
     in ``(0, 1/2)``, where the location rate is defined.  ``coarse``
     optionally supplies this path's ``joint_coarse`` scan.
     """
@@ -827,8 +775,6 @@ def joint_mle(
         raise DomainError(f"theta_bounds need 0 < lo < hi < T, got {theta_bounds!r}")
     if not (0.0 < klo < khi < 0.5):
         raise DomainError(f"kappa_bounds need 0 < lo < hi < 1/2, got {kappa_bounds!r}")
-    if rho_true is None:
-        rho_true = path.theta_true
     eps = path.epsilon
     t = path.grid.left_nodes
 
@@ -860,8 +806,6 @@ def joint_mle(
         kappa_hat=kappa,
         rho_rate=rho_rate,
         kappa_rate=eps,
-        rho_normalized_error=_normalized(rho, rho_true, rho_rate),
-        kappa_normalized_error=_normalized(kappa, kappa_true, eps),
         boundary=boundary or edge,
         rho_step=rho_step,
         kappa_step=kappa_step,

@@ -5,11 +5,12 @@ that binds its parameters into a spec: constants, true values, drift,
 coarse scan, per-path estimator calls and limit-law comparison.  One
 cell runner serves every spec at each noise level: Euler increments for
 ``N`` paths, one coarse likelihood scan over all of them (the
-estimators' own, ``estimators.location_coarse`` and its kin), the
-path-independent Bayes lattice built once (``estimators.bayes_lattice``),
-per-path refinement and the guards.  Errors are normalized by the theoretical
-rate; the report holds rate fits, Kolmogorov-Smirnov comparisons
-against limit-law samples, and moment orderings.  The limit-law sample
+estimators' own, ``estimators.location_coarse`` and its kin), per-path
+estimator calls and the guards.  The estimators see the observations
+alone; each row's error against the true value is normalized by the
+estimate's theoretical rate (``_rows``).  The report holds rate fits,
+Kolmogorov-Smirnov comparisons against limit-law samples, and moment
+orderings.  The limit-law sample
 depends on no replication, so one helper thread draws it beside the
 cells and the comparison takes it once the last cell is done.
 
@@ -64,7 +65,6 @@ from .errors import (
 from .estimators import (
     JointEstimationResult,
     bayes,
-    bayes_lattice,
     ito_loglik,
     joint_coarse,
     joint_mle,
@@ -170,11 +170,12 @@ def _default_epsilons(scenario: str) -> list:
 class ExperimentConfig:
     """Full specification of one Monte Carlo sweep.
 
-    ``signal`` holds scenario-specific parameters (defaults above), its
-    bounds and terms as tuples; unknown keys are rejected to catch typos.
-    Noise levels must be strictly decreasing and at least 100
-    replications are required as soon as a rate fit is possible (three or
-    more levels).
+    Each field must have its default's type (``check_config`` against
+    ``_config_defaults``).  ``signal`` holds scenario-specific parameters
+    (defaults above), its bounds and terms as tuples; unknown keys are
+    rejected to catch typos.  Noise levels must be strictly decreasing
+    and at least 100 replications are required as soon as a rate fit is
+    possible (three or more levels).
     """
 
     scenario: str
@@ -194,6 +195,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; valid: {sorted(SCENARIOS)}"
             )
+        check_config({f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+                     _config_defaults(self.scenario))
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ConfigError("epsilons must be non-empty")
@@ -244,20 +247,25 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
-#: The default of each ``ExperimentConfig`` field but the two required ones.
-_CONFIG_DEFAULTS = {
-    f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
-    for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in ("scenario", "epsilons")
-}
+
+def _config_defaults(scenario: str) -> dict:
+    """The default of each ``ExperimentConfig`` field of ``scenario`` but its name."""
+    defaults = {
+        f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in ("scenario", "epsilons")
+    }
+    return {**defaults, "epsilons": _default_epsilons(scenario),
+            "signal": SIGNAL_DEFAULTS[scenario]}
 
 
 def check_experiment_config(data: dict) -> None:
     """Raise ``ConfigError`` unless ``data`` could configure a sweep.
 
     It must name a scenario and hold only ``ExperimentConfig`` fields,
-    each value of its default's type (``check_config``); the signal
-    block's defaults are the scenario's.
+    each value of its default's type (``check_config`` against
+    ``_config_defaults``).  Types only: the CLI runs it before its flags
+    override keys, and ``ExperimentConfig`` checks the values.
     """
     if "scenario" not in data:
         raise ConfigError("config must name a scenario")
@@ -272,8 +280,7 @@ def check_experiment_config(data: dict) -> None:
         raise ConfigError(
             f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
         )
-    check_config(data, {**_CONFIG_DEFAULTS, "epsilons": _default_epsilons(scenario),
-                        "signal": SIGNAL_DEFAULTS[scenario]})
+    check_config(data, _config_defaults(scenario))
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
@@ -403,10 +410,8 @@ class _Spec:
     drift on the left nodes and ``kappa`` the exponent of the resolution
     warning.  ``coarse(eps, increments)`` is the estimators' coarse scan
     ``(*axes, field)`` of a cell's ``(paths, n)`` increments, the path the
-    last axis of the field.  ``lattice(eps)`` is the path-independent
-    ``bayes_lattice`` of a cell, or ``None`` where no estimator takes one.
-    ``estimators`` maps the row names of each per-path call ``(path,
-    coarse, lattice) -> result`` to the call, in run order.
+    last axis of the field.  ``estimators`` maps the row names of each
+    per-path call ``(path, coarse) -> result`` to the call, in run order.
     ``draw(count, rng)`` returns a sample of the limit law drawn from
     ``rng`` alone, so ``run_experiment`` runs it beside the cells.
     ``compare(errors, sample)`` returns ``(ks_results,
@@ -420,7 +425,6 @@ class _Spec:
     kappa: float
     coarse: Callable[[float, np.ndarray], tuple]
     estimators: dict
-    lattice: Callable[[float], object] = lambda eps: None
     draw: Optional[Callable[[int, np.random.Generator], object]] = None
     compare: Optional[Callable[[dict, object], tuple]] = None
     notes: tuple = ()
@@ -462,15 +466,12 @@ def misspec_problem(params: dict) -> tuple[MisspecProblem, float]:
 
 def _location(config, grid, signal, truth, drift, rate, names, **rest) -> _Spec:
     """A location scenario running the estimators ``names`` per path."""
-    (target,) = truth.values()
     prior = prior_from_config(config.prior)
     calls = {
-        "mle": lambda path, c, _: mle(path, signal, target=target, coarse=c),
-        "bayes": lambda path, _, lat: bayes(path, signal, prior, target=target, lattice=lat),
-        "pseudo_mle": lambda path, c, _: pseudo_mle(path, signal, target=target, coarse=c),
+        "mle": lambda path, c: mle(path, signal, coarse=c),
+        "bayes": lambda path, _: bayes(path, signal, prior),
+        "pseudo_mle": lambda path, c: pseudo_mle(path, signal, coarse=c),
     }
-    if "bayes" in names:
-        rest["lattice"] = lambda eps: bayes_lattice(signal, grid, eps)
     return _Spec(
         truth=truth, drift=drift, kappa=signal.kappa_eff,
         coarse=lambda eps, dx: location_coarse(signal, rate(eps), grid, dx, eps),
@@ -564,8 +565,8 @@ def _kappa(p, config, grid) -> _Spec:
         truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, grid.left_nodes),
         kappa=kappa0, draw=draw, compare=compare,
         coarse=lambda eps, dx: kappa_coarse(a, rho, bounds, grid, dx, eps),
-        estimators={("kappa_mle",): lambda path, c, _: kappa_mle(
-            path, a, rho, bounds, target=kappa0, coarse=c)},
+        estimators={("kappa_mle",): lambda path, c: kappa_mle(
+            path, a, rho, bounds, coarse=c)},
     )
 
 
@@ -598,8 +599,8 @@ def _joint(p, config, grid) -> _Spec:
         drift=cusp_term(a, rho0, kappa0, grid.left_nodes), kappa=kappa0,
         draw=draw, compare=compare,
         coarse=lambda eps, dx: joint_coarse(a, tbounds, kbounds, grid, dx, eps),
-        estimators={("joint_rho", "joint_kappa"): lambda path, c, _: joint_mle(
-            path, a, tbounds, kbounds, rho_true=rho0, kappa_true=kappa0, coarse=c)},
+        estimators={("joint_rho", "joint_kappa"): lambda path, c: joint_mle(
+            path, a, tbounds, kbounds, coarse=c)},
     )
 
 
@@ -630,35 +631,34 @@ def _run_indexed(worker: Callable[[int], list], count: int, threads: int) -> lis
 def _rows(rep, eps, names, result, targets) -> list:
     """Records of one estimator call, one per name; ``None`` marks a failure.
 
-    Besides the CSV fields each record keeps the call's search counters for
-    the summaries: refinement levels, final grid step over rate and (Bayes,
-    else 0) posterior mass near the bounds.
+    Each record's normalized error is ``(estimate - target) / rate``, with
+    the call's estimate and rate for that name and the name's true value
+    in ``targets``.  Besides the CSV fields each record keeps the call's
+    search counters for the summaries: refinement levels, final grid step
+    over rate and (Bayes, else 0) posterior mass near the bounds.
     """
     if result is None:
-        parts = [(math.nan, math.nan, False, math.nan)] * len(names)
+        parts = [(math.nan, math.nan, math.nan, False)] * len(names)
     elif isinstance(result, JointEstimationResult):
-        parts = [(result.rho_hat, result.rho_normalized_error, result.boundary,
-                  result.rho_step / result.rho_rate),
-                 (result.kappa_hat, result.kappa_normalized_error, result.boundary,
-                  result.kappa_step / result.kappa_rate)]
+        parts = [(result.rho_hat, result.rho_rate, result.rho_step, result.boundary),
+                 (result.kappa_hat, result.kappa_rate, result.kappa_step, result.boundary)]
     else:
-        parts = [(result.estimate, result.normalized_error, result.boundary,
-                  result.grid_step / result.rate)]
+        parts = [(result.estimate, result.rate, result.grid_step, result.boundary)]
     return [
         {
             "replication": rep,
             "epsilon": eps,
             "estimator": name,
             "estimate": estimate,
-            "normalized_error": normalized_error,
+            "normalized_error": (estimate - target) / rate,
             "boundary_flag": bool(boundary),
             "target": target,
             "failed": result is None,
             "refinement_levels": getattr(result, "refinement_levels", 0),
-            "step_over_rate": step_over_rate,
+            "step_over_rate": step / rate,
             "boundary_mass": getattr(result, "boundary_mass", 0.0),
         }
-        for name, (estimate, normalized_error, boundary, step_over_rate), target
+        for name, (estimate, rate, step, boundary), target
         in zip(names, parts, targets)
     ]
 
@@ -667,9 +667,8 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
     """All replications at one noise level, with the cell's guards.
 
     The coarse scan over all paths is the estimators' own, one matrix
-    product per drift matrix, and the Bayes lattice is built once; each
-    replication then refines from its column and integrates on the shared
-    lattice through the ordinary estimator entry points, so results are
+    product per drift matrix; each replication then refines from its
+    column through the ordinary estimator entry points, so results are
     identical to calling them stand-alone.
     """
     warn_if_coarse(spec.kappa, eps, grid)
@@ -679,7 +678,6 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
         rng = None if config.zero_noise else replication_rng(config.master_seed, rep)
         increments[i] = euler_increments(spec.drift, eps, grid, rng)
     *axes, values = spec.coarse(eps, increments)
-    lattice = spec.lattice(eps)
 
     def worker(i: int) -> list:
         path = ObservationPath(
@@ -689,7 +687,7 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
         out = []
         for names, call in spec.estimators.items():
             try:
-                result = call(path, coarse, lattice)
+                result = call(path, coarse)
             except (NumericalDegeneracyError, ConditionViolationError):
                 result = None
             out += _rows(rep_ids[i], eps, names, result, spec.truth.values())

@@ -87,7 +87,6 @@ class ObservationPath:
     grid: TimeGrid
     increments: np.ndarray
     epsilon: float
-    theta_true: Optional[float] = None
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -195,7 +194,6 @@ def simulate_path(
         grid=grid,
         increments=euler_increments(drift, epsilon, grid, rng),
         epsilon=epsilon,
-        theta_true=theta_true,
         seed=seed,
     )
 

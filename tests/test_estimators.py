@@ -63,6 +63,12 @@ def _zero_noise_path(theta=0.5, eps=0.01, grid=GRID, signal=SIG):
     return simulate_path(signal, theta, eps, grid, zero_noise=True)
 
 
+def _bayes_lattice(signal, grid, eps):
+    """The cached lattice that ``bayes`` integrates on for ``signal`` on ``grid`` at ``eps``."""
+    return estimators._lattice(signal, grid, *signal.theta_bounds,
+                               estimators._bayes_step(signal, eps))
+
+
 def _direct_ito_sum(drift, increments, dt, eps):
     """The Ito log-likelihood node by node, in plain Python."""
     total = 0.0
@@ -407,9 +413,7 @@ class TestMle:
         assert result.estimate == pytest.approx(0.5, abs=result.grid_step)
         assert not result.boundary
         assert result.rate == pytest.approx(location_rate(0.01, 0.75))
-        assert result.normalized_error == pytest.approx(
-            (result.estimate - 0.5) / result.rate
-        )
+        assert abs(result.estimate - 0.5) / result.rate <= 0.02  # rate/50
 
     def test_zero_noise_off_center_truth(self):
         path = _zero_noise_path(theta=0.412345)
@@ -449,7 +453,6 @@ class TestMle:
         values = ito_loglik(drift, path.increments, GRID.dt, path.epsilon)
         result = mle(path, sig)
         assert result.estimate == grid[int(np.argmax(values))]
-        assert np.isfinite(result.normalized_error)
         assert result.grid_step == grid[1] - grid[0]
 
     def test_horizon_mismatch_rejected(self):
@@ -490,8 +493,8 @@ class TestMle:
             with pytest.raises(DomainError, match=type(signal).__name__):
                 estimator(_zero_noise_path(), signal)
             return
-        result = estimator(_zero_noise_path(signal=signal), signal, target=0.5)
-        assert abs(result.normalized_error) <= 0.1
+        result = estimator(_zero_noise_path(signal=signal), signal)
+        assert abs(result.estimate - 0.5) / result.rate <= 0.1
 
 
 class TestBayes:
@@ -557,7 +560,7 @@ class TestBayes:
         result = bayes(path, signal)
         assert np.isfinite(result.estimate)
         assert 0.4999 <= result.estimate <= 0.5001
-        lattice = estimators.bayes_lattice(signal, grid, 0.01)
+        lattice = _bayes_lattice(signal, grid, 0.01)
         assert lattice.thetas.size - 1 >= 50  # intervals of the fine grid
         assert result.grid_step <= 0.0002 / 50
 
@@ -577,34 +580,44 @@ class TestBayes:
 
     @pytest.mark.parametrize("nuisance", sorted(_NUISANCE_CHOICES))
     @pytest.mark.parametrize("bounds", [BOUNDS, (0.4999, 0.5001)], ids=["fft", "narrow"])
-    def test_shared_lattice_matches_standalone(self, nuisance, bounds):
-        # a sweep cell builds the lattice once and hands it to every path
+    def test_cached_lattice_matches_a_cold_build(self, nuisance, bounds):
+        # the paths of a sweep cell share the lattice the first call built
         extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
         signal = CuspSignal(a=1.0, kappa=0.25, T=1.0, theta_bounds=bounds, **extra)
         paths = [simulate_path(signal, 0.5, 0.02, GRID, rng=replication_rng(2, rep))
                  for rep in (6, 7, 8)]
-        lattice = estimators.bayes_lattice(signal, GRID, 0.02)
+        cold = []
         for path in paths:
-            assert bayes(path, signal, lattice=lattice) == bayes(path, signal)
+            estimators._lattice.cache_clear()
+            cold.append(bayes(path, signal))
+        estimators._lattice.cache_clear()
+        assert [bayes(path, signal) for path in paths] == cold
+        info = estimators._lattice.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("other", [
+        lambda: (SIG, GRID, 0.01),
+        lambda: (SIG, TimeGrid(1.0, 1000), 0.02),
+        lambda: (CuspSignal(a=2.0, kappa=0.25, T=1.0, theta_bounds=BOUNDS), GRID, 0.02),
+    ], ids=["epsilon", "grid", "signal"])
+    def test_cache_keeps_cells_apart(self, other):
+        # a lattice cached for another noise level, grid or signal is never reused
+        signal, grid, eps = other()
+        path = simulate_path(signal, 0.5, eps, grid, rng=replication_rng(2, 6))
+        estimators._lattice.cache_clear()
+        cold = bayes(path, signal)
+        estimators._lattice.cache_clear()
+        bayes(simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 6)), SIG)
+        assert bayes(path, signal) == cold
+        assert estimators._lattice.cache_info().misses == 2
 
     def test_shared_lattice_is_read_only(self):
-        lattice = estimators.bayes_lattice(SIG, GRID, 0.02)
+        lattice = _bayes_lattice(SIG, GRID, 0.02)
         arrays = [value for value in vars(lattice).values() if isinstance(value, np.ndarray)]
         assert len(arrays) >= 6
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-
-    @pytest.mark.parametrize("built", [
-        lambda: estimators.bayes_lattice(SIG, GRID, 0.01),
-        lambda: estimators.bayes_lattice(SIG, TimeGrid(1.0, 1000), 0.02),
-        lambda: estimators.bayes_lattice(
-            CuspSignal(a=2.0, kappa=0.25, T=1.0, theta_bounds=BOUNDS), GRID, 0.02),
-    ], ids=["epsilon", "grid", "signal"])
-    def test_lattice_of_another_cell_rejected(self, built):
-        path = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(2, 6))
-        with pytest.raises(DomainError, match="lattice"):
-            bayes(path, SIG, lattice=built())
 
     def test_lattice_does_not_alias_the_cusp_tips(self):
         # a theta lattice through the time nodes puts a tip of every
@@ -917,7 +930,7 @@ class TestPseudoMle:
     def test_smoothed_cusp_target_is_center(self):
         real = SmoothedCuspSignal(a=1.0, kappa=0.25, center=0.5, delta=0.05, T=1.0)
         path = simulate_path(real, None, 0.01, GRID, zero_noise=True)
-        result = pseudo_mle(path, SIG, target=0.5)
+        result = pseudo_mle(path, SIG)
         # the L2 projection of the symmetric smoothed cusp is its center
         assert result.estimate == pytest.approx(0.5, abs=1e-4)
         assert result.rate == pytest.approx(misspec_rate(0.01, 0.25))
@@ -936,7 +949,7 @@ class TestNonFiniteIncrements:
         increments = simulate_path(SIG, 0.5, 0.02, GRID, rng=replication_rng(0, 0)).increments
         increments[700] = bad
         with pytest.raises(DomainError, match="finite"):
-            estimate(ObservationPath(GRID, increments, 0.02, theta_true=0.5))
+            estimate(ObservationPath(GRID, increments, 0.02))
 
 
 class TestKappaMle:
@@ -964,9 +977,8 @@ class TestKappaMle:
         # the coarse step range/8 = 2.5e-5 is already below eps/50 = 2e-4;
         # Newton scoring still lands on the noiseless maximum
         path = _zero_noise_path()
-        result = kappa_mle(path, 1.0, 0.5, kappa_bounds=(0.2499, 0.2501), target=0.25)
+        result = kappa_mle(path, 1.0, 0.5, kappa_bounds=(0.2499, 0.2501))
         assert result.estimate == pytest.approx(0.25, abs=1e-12)
-        assert np.isfinite(result.normalized_error)
         assert result.grid_step < estimators.NEWTON_TOL * 0.01
         assert 2 <= result.refinement_levels <= 1 + estimators.NEWTON_ITERATIONS
 
@@ -1092,17 +1104,6 @@ class TestJointMle:
         assert not result.boundary
         assert result.kappa_rate == 0.01
 
-    def test_normalized_errors_consistent(self):
-        grid = TimeGrid(1.0, 2000)
-        path = simulate_path(SIG, 0.5, 0.01, grid, rng=replication_rng(4, 2))
-        result = joint_mle(path, 1.0, BOUNDS, rho_true=0.5, kappa_true=0.25)
-        assert result.rho_normalized_error == pytest.approx(
-            (result.rho_hat - 0.5) / result.rho_rate
-        )
-        assert result.kappa_normalized_error == pytest.approx(
-            (result.kappa_hat - 0.25) / 0.01
-        )
-
     def test_rho_rate_uses_estimated_exponent(self):
         grid = TimeGrid(1.0, 2000)
         path = simulate_path(SIG, 0.5, 0.01, grid, rng=replication_rng(4, 3))
@@ -1165,7 +1166,7 @@ class TestEpsilonOne:
 class TestEstimationResult:
     def test_fields_roundtrip(self):
         r = EstimationResult(
-            estimator="mle", estimate=0.5, rate=0.01, normalized_error=0.0,
-            boundary=False, grid_step=1e-5, refinement_levels=4,
+            estimator="mle", estimate=0.5, rate=0.01, boundary=False, grid_step=1e-5,
+            refinement_levels=4,
         )
         assert r.boundary_mass == 0.0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cusplab import experiments
+from cusplab import estimators, experiments
 from cusplab.cli import _load_config, main
 from cusplab.errors import (
     ConfigError,
@@ -25,6 +25,8 @@ from cusplab.estimators import (
     bayes,
     joint_mle,
     kappa_mle,
+    location_rate,
+    misspec_rate,
     mle,
     prior_from_config,
     pseudo_mle,
@@ -171,6 +173,22 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown signal"):
             _tiny(signal={"amplitude": 2.0})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("zero_noise", "no", "config.zero_noise='no' must be a boolean"),
+        ("master_seed", 1.5, "config.master_seed=1.5 must be an integer"),
+        ("replications", 2.5, "config.replications=2.5 must be an integer"),
+        ("threads", True, "config.threads=True must be an integer"),
+        ("epsilons", ("0.05",), "config.epsilons[0]='0.05' must be a number"),
+        ("signal", {"kappa": "0.3"}, "config.signal.kappa='0.3' must be a number"),
+        ("prior", [1], "config.prior=[1] must be a mapping"),
+    ], ids=["zero_noise", "master_seed", "replications", "threads", "epsilons",
+            "signal", "prior"])
+    def test_direct_construction_checks_field_types(self, key, value, message):
+        # the same check as a config dict: a mistyped field never runs silently
+        with pytest.raises(ConfigError) as info:
+            _tiny(**{key: value})
+        assert str(info.value) == message
+
     def test_signal_overrides_merge_with_defaults(self):
         cfg = _tiny(signal={"kappa": 0.3})
         assert cfg.signal["kappa"] == 0.3
@@ -279,11 +297,46 @@ class TestSweepRowsMatchStandAloneCalls:
         for row in rows:
             path = simulate_path(signal, 0.5, row["epsilon"], grid,
                                  rng=replication_rng(cfg.master_seed, row["replication"]))
-            result = bayes(path, signal, prior_from_config(prior), target=0.5)
-            assert (row["estimate"], row["normalized_error"], row["boundary_flag"],
-                    row["boundary_mass"]) == (result.estimate, result.normalized_error,
-                                              result.boundary, result.boundary_mass)
+            result = bayes(path, signal, prior_from_config(prior))
+            assert (row["estimate"], row["boundary_flag"], row["boundary_mass"]) == (
+                result.estimate, result.boundary, result.boundary_mass)
+            assert row["normalized_error"] == (result.estimate - 0.5) / result.rate
         assert len(rows) == 2 * cfg.replications
+
+    def test_one_lattice_per_noise_level(self, monkeypatch):
+        # every bayes call of a cell finds the lattice the first one built
+        built = []
+        init = estimators.FineLattice.__init__
+        monkeypatch.setattr(estimators.FineLattice, "__init__",
+                            lambda self, *args: built.append(args[-1]) or init(self, *args))
+        estimators._lattice.cache_clear()
+        cfg = _tiny("cusp-bayes", epsilons=(0.05, 0.02, 0.01), replications=100, n_steps=1000)
+        run_experiment(cfg)
+        assert len(built) == len(cfg.epsilons)
+
+    @pytest.mark.parametrize("scenario", sorted(SMALL))
+    def test_normalized_error_is_against_the_truth_at_the_rate(self, scenario):
+        # the estimators see no true value: each row scores its estimate
+        # against the scenario's truth at the theoretical rate
+        report = run_experiment(_tiny(scenario, **SMALL[scenario]))
+        p, hurst = report.effective_config["signal"], report.constants.get("hurst")
+        joint_kappa = {r["replication"]: r["estimate"] for r in report.rows
+                       if r["estimator"] == "joint_kappa"}
+        truth_and_rate = {
+            "mle": lambda r: (p["theta0"], location_rate(r["epsilon"], hurst)),
+            "bayes": lambda r: (p["theta0"], location_rate(r["epsilon"], hurst)),
+            "pseudo_mle": lambda r: (report.constants["theta_hat"],
+                                     misspec_rate(r["epsilon"], p["kappa"])),
+            "kappa_mle": lambda r: (p["kappa0"], r["epsilon"]),
+            "joint_rho": lambda r: (p["rho0"], location_rate(
+                r["epsilon"], joint_kappa[r["replication"]] + 0.5)),
+            "joint_kappa": lambda r: (p["kappa0"], r["epsilon"]),
+        }
+        for row in report.rows:
+            truth, rate = truth_and_rate[row["estimator"]](row)
+            assert row["target"] == truth
+            assert row["normalized_error"] == pytest.approx(
+                (row["estimate"] - truth) / rate, rel=1e-12, abs=1e-12)
 
 
 class TestRunExperimentScenarios:
@@ -573,6 +626,22 @@ class TestLimitDrawBesideCells:
         assert isinstance(info.value.__cause__, NumericalDegeneracyError)
         shown = "".join(traceback.format_exception(info.value))
         assert "forced cell failure" in shown and "forced degenerate limit law" in shown
+
+    def test_cli_logs_the_draw_error_beside_the_cell_error(self, monkeypatch, tmp_path, caplog):
+        def degenerate(*args, **kwargs):
+            raise NumericalDegeneracyError("forced degenerate limit law")
+
+        def cell(*args):
+            raise ExperimentError("forced cell failure")
+
+        monkeypatch.setattr(experiments, "sample_xi_batch", degenerate)
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"scenario": "cusp-bayes", "epsilons": [0.05]}))
+        assert main(["rate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        # the CLI logs to stderr; under pytest the records land in caplog
+        assert "forced cell failure" in caplog.text
+        assert "forced degenerate limit law" in caplog.text
 
     def test_draw_error_surfaces_after_the_cells(self, monkeypatch, tmp_path, capsys):
         def degenerate(*args, **kwargs):
