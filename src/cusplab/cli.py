@@ -455,11 +455,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; fold usage
         # errors into the domain/config status
         return 0 if exc.code in (0, None) else 1
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    # basicConfig adds the handler once per process; the level is per call
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         return int(args.func(args))
     except (ConfigError, DomainError, FileNotFoundError) as exc:

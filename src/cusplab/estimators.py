@@ -28,12 +28,15 @@ normalized by it needs the true value, which is the caller's.
 
 ``mle``, ``pseudo_mle`` and ``joint_mle`` each make one call of the nested
 grid search ``_search``, which refines ``STARTS`` separated points of a
-coarse scan down to a step of rate/50; its windows (``_window_loglik``,
-``_exponent_rows``) take no power per candidate and node, and each is
-scanned once per search (``_scan_window``).  The exponent field is regular,
-so both exponent estimates end in Newton scoring on its exact score and
-Hessian (``_kappa_newton``): ``kappa_mle`` from the argmax of the 9-node
-exponent axis, ``joint_mle`` from its search's point at the location found.
+coarse scan down to a step of rate/50.  Each coarse scan (``location_coarse``
+and its kin) is its axes plus one ``_scan``, which holds at most
+``SCAN_BLOCK`` drift rows however fine the grid.  The search windows
+(``_window_loglik``, ``_exponent_rows``) take no power per candidate and
+node, and each is scanned once per search (``_scan_window``).  The
+exponent field is regular, so both exponent estimates end in Newton
+scoring on its exact score and Hessian (``_kappa_newton``): ``kappa_mle``
+from the argmax of the 9-node exponent axis, ``joint_mle`` from its
+search's point at the location found.
 
 The Bayes posterior is instead integrated over the whole of
 ``theta_bounds`` on the half-offset lattice of a ``FineLattice``, whose
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,20 +310,34 @@ def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
     return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
 
 
-# One coarse scan per estimator family: its axes, then its field over one path of
-# increments ``(n,)`` or, with a trailing path axis, over a ``(paths, n)`` matrix.
-# A sweep scans a cell's paths at once and passes each estimator its column.
-# The location and joint scans fill their drift matrix one candidate row at a
-# time, so a scan holds the matrix and one row's temporaries; each row has the
-# bits of the broadcast drift, and the field is still one product per matrix.
-def location_coarse(signal, rate, grid, increments, eps):
-    """``(thetas, field)`` over ``coarse_grid(signal.theta_bounds, rate)``."""
-    thetas = coarse_grid(signal.theta_bounds, rate)
+#: A coarse scan holds at most ``SCAN_BLOCK`` candidate drift rows at once.
+SCAN_BLOCK = 64
+
+
+def _scan(row, count, grid, increments, eps) -> np.ndarray:
+    """Field of the candidate drifts ``row(j, t)``, ``j < count``, over ``increments``.
+
+    ``increments`` is one path ``(n,)`` or a ``(paths, n)`` matrix, whose
+    field gets a trailing path axis.  The rows are filled one at a time
+    into near-equal blocks of at most ``SCAN_BLOCK``, one ``ito_loglik``
+    product per block: a one-row tail, a matrix-vector product, would
+    round differently.
+    """
     t = grid.left_nodes
-    rows = np.empty((thetas.size, t.size))
-    for i, theta in enumerate(thetas):
-        rows[i] = signal.value(theta, t)
-    return thetas, ito_loglik(rows, increments, grid.dt, eps)
+    field = np.empty((count, *increments.shape[:-1]))
+    rows = np.empty((min(count, SCAN_BLOCK), t.size))
+    for block in np.array_split(np.arange(count), -(-count // SCAN_BLOCK)):
+        for i, j in enumerate(block):
+            rows[i] = row(j, t)
+        field[block] = ito_loglik(rows[:block.size], increments, grid.dt, eps)
+    return field
+
+
+def location_coarse(signal, rate, grid, increments, eps):
+    """``(thetas, field)`` over ``coarse_grid(signal.theta_bounds, rate)``, by ``_scan``."""
+    thetas = coarse_grid(signal.theta_bounds, rate)
+    return thetas, _scan(lambda j, t: signal.value(thetas[j], t),
+                         thetas.size, grid, increments, eps)
 
 
 def _kappa_axis(kappa_bounds) -> np.ndarray:
@@ -328,29 +346,24 @@ def _kappa_axis(kappa_bounds) -> np.ndarray:
 
 
 def kappa_coarse(a, rho, kappa_bounds, grid, increments, eps):
-    """``(kappas, field)`` over ``_kappa_axis(kappa_bounds)``."""
+    """``(kappas, field)`` over ``_kappa_axis(kappa_bounds)``, by ``_scan``."""
     kappas = _kappa_axis(kappa_bounds)
-    rows = cusp_term(a, rho, kappas[:, None], grid.left_nodes)
-    return kappas, ito_loglik(rows, increments, grid.dt, eps)
+    return kappas, _scan(lambda j, t: cusp_term(a, rho, kappas[j], t),
+                         kappas.size, grid, increments, eps)
 
 
 def joint_coarse(a, theta_bounds, kappa_bounds, grid, increments, eps):
     """``(rho_nodes, kappa_nodes, field)``: 201 locations, the 9 of ``_kappa_axis``.
 
     ``field[i, j]`` is the log-likelihood at ``(rho_nodes[i],
-    kappa_nodes[j])``; one ``201 x n`` drift matrix is refilled for each
-    exponent.
+    kappa_nodes[j])``, one ``_scan`` over the pairs in that order.
     """
     rho_nodes = np.linspace(theta_bounds[0], theta_bounds[1], 201)
     kappa_nodes = _kappa_axis(kappa_bounds)
-    t = grid.left_nodes
-    rows = np.empty((rho_nodes.size, t.size))
-    field = np.empty((rho_nodes.size, kappa_nodes.size, *increments.shape[:-1]))
-    for j, k in enumerate(kappa_nodes):
-        for i, rho in enumerate(rho_nodes):
-            rows[i] = cusp_term(a, rho, float(k), t)
-        field[:, j] = ito_loglik(rows, increments, grid.dt, eps)
-    return rho_nodes, kappa_nodes, field
+    k = kappa_nodes.size
+    field = _scan(lambda j, t: cusp_term(a, rho_nodes[j // k], kappa_nodes[j % k], t),
+                  rho_nodes.size * k, grid, increments, eps)
+    return rho_nodes, kappa_nodes, field.reshape(rho_nodes.size, k, *increments.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +636,9 @@ def _bayes_step(signal, epsilon: float) -> float:
 
 
 #: ``FineLattice`` of the arguments, built once for all the paths on its grid.
+#: Callers hold ``_lattice_lock``, or concurrent first calls each build one.
 _lattice = functools.lru_cache(maxsize=16)(FineLattice)
+_lattice_lock = threading.Lock()
 
 
 def bayes(path: ObservationPath, signal, prior=None) -> EstimationResult:
@@ -644,7 +659,8 @@ def bayes(path: ObservationPath, signal, prior=None) -> EstimationResult:
     prior = prior or UniformPrior()
     rate = location_rate(path.epsilon, signal.hurst)
     alpha, beta = signal.theta_bounds
-    lattice = _lattice(signal, path.grid, alpha, beta, _bayes_step(signal, path.epsilon))
+    with _lattice_lock:
+        lattice = _lattice(signal, path.grid, alpha, beta, _bayes_step(signal, path.epsilon))
     grid, log_vals = lattice.thetas, lattice.field(path)
     step = grid[1] - grid[0]
     weights = prior.pdf(grid) * np.exp(log_vals - log_vals.max())

@@ -667,9 +667,9 @@ def _run_cell(config, spec, grid, ei, eps) -> list:
     """All replications at one noise level, with the cell's guards.
 
     The coarse scan over all paths is the estimators' own, one matrix
-    product per drift matrix; each replication then refines from its
-    column through the ordinary estimator entry points, so results are
-    identical to calling them stand-alone.
+    product per block of drift rows; each replication then refines
+    from its column through the ordinary estimator entry points, so
+    results are identical to calling them stand-alone.
     """
     warn_if_coarse(spec.kappa, eps, grid)
     rep_ids = [ei * config.replications + i for i in range(config.replications)]

@@ -570,6 +570,21 @@ class TestVerbose:
         assert loud.stdout == quiet.stdout
         assert loud_report == quiet_report
 
+    def test_verbose_holds_for_a_later_call_in_the_process(self, caplog, tmp_path):
+        config = _write_config(tmp_path, {
+            "scenario": "cusp-bayes", "epsilons": [0.05], "replications": 4,
+            "n_steps": 400, "limit_samples": 50,
+        })
+        argv = ["rate", "--config", config, "--seed", "3", "--out", str(tmp_path / "out")]
+        messages = []
+        for verbose in ([], ["-v"]):
+            caplog.clear()
+            assert main(argv + verbose) == 0
+            messages.append(caplog.text)
+        quiet, loud = messages
+        assert "cells took" not in quiet
+        assert "cells took" in loud
+
 
 class TestFlagsAndKeys:
     @pytest.mark.parametrize("command,flag", DEAD_FLAGS)

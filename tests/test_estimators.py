@@ -152,6 +152,30 @@ class TestExponentRows:
             assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
 
 
+def _scan_blocks(monkeypatch) -> list:
+    """Copies of the row blocks the coarse scans hand to ``ito_loglik``, in order."""
+    blocks = []
+
+    def record(rows, *args):
+        blocks.append(rows.copy())
+        return ito_loglik(rows, *args)
+
+    monkeypatch.setattr(estimators, "ito_loglik", record)
+    return blocks
+
+
+def _assert_blocks_tile(blocks, rows) -> None:
+    """The ``blocks`` are near-equal, at most ``SCAN_BLOCK`` rows, and stack to ``rows``."""
+    sizes = [block.shape[0] for block in blocks]
+    assert max(sizes) <= estimators.SCAN_BLOCK and max(sizes) - min(sizes) <= 1
+    np.testing.assert_array_equal(np.concatenate(blocks), rows)
+
+
+def _block_bytes(grid) -> int:
+    """Bytes of one full block of coarse-scan drift rows on ``grid``."""
+    return estimators.SCAN_BLOCK * grid.n * 8
+
+
 class TestCoarseScans:
     """Column ``i`` of a coarse scan over a ``(paths, n)`` matrix is the
     one-path scan of row ``i``, and each node is the direct Ito sum over the
@@ -203,9 +227,11 @@ class TestCoarseScans:
         (family, nuisance)
         for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
     ] + [("multi_cusp", "none")])
-    def test_location_field_has_the_bits_of_broadcast_rows(self, family, nuisance):
-        # the rows are filled one theta at a time; the field must be the one
-        # product over the broadcast drift matrix, bit for bit
+    def test_location_blocks_have_the_bits_of_broadcast_rows(
+        self, family, nuisance, monkeypatch
+    ):
+        # the rows are filled one theta at a time; the blocks handed to
+        # ito_loglik must be the broadcast drift matrix, bit for bit
         extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
         if family == "cusp":
             signal = CuspSignal(1.3, 0.25, 1.0, BOUNDS, **extra)
@@ -213,34 +239,38 @@ class TestCoarseScans:
             signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, BOUNDS, **extra)
         else:
             signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, BOUNDS)
-        eps, rate = 0.01, location_rate(0.01, signal.hurst)
+        eps, rate = 0.005, location_rate(0.005, signal.hurst)
         increments = np.random.default_rng(9).normal(0.0, 0.03, size=(3, GRID.n))
-        thetas, field = location_coarse(signal, rate, GRID, increments, eps)
-        rows = signal.value(thetas[:, None], GRID.left_nodes[None, :])
-        np.testing.assert_array_equal(field, ito_loglik(rows, increments, GRID.dt, eps))
+        blocks = _scan_blocks(monkeypatch)
+        thetas, _ = location_coarse(signal, rate, GRID, increments, eps)
+        assert len(blocks) > 1
+        _assert_blocks_tile(blocks, signal.value(thetas[:, None], GRID.left_nodes[None, :]))
 
-    def test_joint_field_has_the_bits_of_broadcast_rows(self):
+    @pytest.mark.parametrize("scan", ["kappa", "joint"])
+    def test_exponent_blocks_have_the_bits_of_broadcast_rows(self, scan, monkeypatch):
         grid, eps = TimeGrid(1.0, 1000), 0.01
         increments = np.random.default_rng(8).normal(0.0, 0.03, size=(3, grid.n))
-        rhos, kappas, field = joint_coarse(1.2, BOUNDS, (0.05, 0.45), grid, increments, eps)
-        for j, k in enumerate(kappas):
-            rows = cusp_term(1.2, rhos[:, None], float(k), grid.left_nodes)
-            np.testing.assert_array_equal(
-                field[:, j], ito_loglik(rows, increments, grid.dt, eps))
+        blocks = _scan_blocks(monkeypatch)
+        t = grid.left_nodes
+        if scan == "kappa":
+            kappas, _ = kappa_coarse(1.2, 0.45, (0.05, 0.45), grid, increments, eps)
+            rows = cusp_term(1.2, 0.45, kappas[:, None], t)
+        else:
+            rhos, kappas, _ = joint_coarse(1.2, BOUNDS, (0.05, 0.45), grid, increments, eps)
+            rows = cusp_term(1.2, rhos[:, None, None], kappas[:, None], t).reshape(-1, t.size)
+        _assert_blocks_tile(blocks, rows)
 
     @pytest.mark.parametrize("scan", ["location", "joint"])
     def test_scan_memory_is_bounded(self, scan):
         # the sweep cells of the benchmark (location: eps 0.005, n 1e4, 40
         # paths; joint: eps 0.01, n 4000, 100 paths) hold the field, one
-        # drift matrix and one row's temporaries, not a second matrix
+        # block of drift rows and one row's temporaries
         if scan == "location":
             grid, eps, paths = TimeGrid(1.0, 10_000), 0.005, 40
             rate = location_rate(eps, SIG.hurst)
-            matrix_bytes = coarse_grid(BOUNDS, rate).size * grid.n * 8
             run = lambda g, dx: location_coarse(SIG, rate, g, dx, eps)
         else:
             grid, eps, paths = TimeGrid(1.0, 4000), 0.01, 100
-            matrix_bytes = 201 * grid.n * 8
             run = lambda g, dx: joint_coarse(1.0, BOUNDS, (0.05, 0.45), g, dx, eps)
         increments = np.random.default_rng(4).normal(0.0, eps * 0.01, size=(paths, grid.n))
         run(TimeGrid(1.0, 100), increments[:, :100])
@@ -251,7 +281,22 @@ class TestCoarseScans:
         finally:
             tracemalloc.stop()
         assert field.shape[-1] == paths
-        assert peak < 1.25 * matrix_bytes + field.nbytes
+        assert peak < 1.25 * _block_bytes(grid) + field.nbytes
+
+    def test_mle_memory_is_bounded_at_small_eps(self):
+        # eps 1e-3 puts 1501 nodes on the coarse grid: as one drift matrix
+        # over 1e4 nodes they would hold 120 MB
+        grid = TimeGrid(1.0, 10_000)
+        path = simulate_path(SIG, 0.5, 1e-3, grid, rng=replication_rng(3, 0))
+        assert coarse_grid(BOUNDS, location_rate(1e-3, SIG.hurst)).size == 1501
+        tracemalloc.start()
+        try:
+            result = mle(path, SIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(result.estimate - 0.5) <= 5 * result.rate
+        assert peak < 1.25 * _block_bytes(grid)
 
 
 class TestRates:

@@ -303,14 +303,22 @@ class TestSweepRowsMatchStandAloneCalls:
             assert row["normalized_error"] == (result.estimate - 0.5) / result.rate
         assert len(rows) == 2 * cfg.replications
 
-    def test_one_lattice_per_noise_level(self, monkeypatch):
-        # every bayes call of a cell finds the lattice the first one built
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_one_lattice_per_noise_level(self, monkeypatch, threads):
+        # every bayes call of a cell finds the lattice the first one built,
+        # also when pool threads reach their first bayes call while it builds
         built = []
         init = estimators.FineLattice.__init__
-        monkeypatch.setattr(estimators.FineLattice, "__init__",
-                            lambda self, *args: built.append(args[-1]) or init(self, *args))
+
+        def slow_init(self, *args):
+            built.append(args[-1])
+            time.sleep(0.2)
+            init(self, *args)
+
+        monkeypatch.setattr(estimators.FineLattice, "__init__", slow_init)
         estimators._lattice.cache_clear()
-        cfg = _tiny("cusp-bayes", epsilons=(0.05, 0.02, 0.01), replications=100, n_steps=1000)
+        cfg = _tiny("cusp-bayes", epsilons=(0.05, 0.02, 0.01), replications=100,
+                    n_steps=1000, threads=threads)
         run_experiment(cfg)
         assert len(built) == len(cfg.epsilons)
 
