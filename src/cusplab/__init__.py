@@ -14,6 +14,7 @@ from .errors import (
     DomainError,
     ExperimentError,
     NumericalDegeneracyError,
+    StoppedError,
 )
 from .estimators import (
     EstimationResult,

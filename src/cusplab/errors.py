@@ -23,3 +23,7 @@ class ConditionViolationError(CusplabError, RuntimeError):
 
 class ExperimentError(CusplabError, RuntimeError):
     """A Monte Carlo run failed a built-in sanity rule."""
+
+
+class StoppedError(CusplabError, RuntimeError):
+    """A computation was stopped on request before it finished."""

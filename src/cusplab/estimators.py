@@ -53,9 +53,9 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ConfigError, DomainError, NumericalDegeneracyError
+from .limit_laws import next_fast_len
 from .path_sim import ObservationPath, TimeGrid
 from .signal_models import cusp_term, from_config, is_location_signal
 

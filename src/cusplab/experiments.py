@@ -48,6 +48,7 @@ import json
 import logging
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ from .errors import (
     DomainError,
     ExperimentError,
     NumericalDegeneracyError,
+    StoppedError,
 )
 from .estimators import (
     JointEstimationResult,
@@ -412,8 +414,9 @@ class _Spec:
     ``(*axes, field)`` of a cell's ``(paths, n)`` increments, the path the
     last axis of the field.  ``estimators`` maps the row names of each
     per-path call ``(path, coarse) -> result`` to the call, in run order.
-    ``draw(count, rng)`` returns a sample of the limit law drawn from
-    ``rng`` alone, so ``run_experiment`` runs it beside the cells.
+    ``draw(count, rng, stop)`` returns a sample of the limit law drawn
+    from ``rng`` alone, so ``run_experiment`` runs it beside the cells;
+    its fBm batches stop once the event ``stop`` is set.
     ``compare(errors, sample)`` returns ``(ks_results,
     moment_comparison)`` of the errors at the smallest noise level
     against it.  A spec without a limit law has neither.
@@ -425,7 +428,7 @@ class _Spec:
     kappa: float
     coarse: Callable[[float, np.ndarray], tuple]
     estimators: dict
-    draw: Optional[Callable[[int, np.random.Generator], object]] = None
+    draw: Optional[Callable[[int, np.random.Generator, threading.Event], object]] = None
     compare: Optional[Callable[[dict, object], tuple]] = None
     notes: tuple = ()
 
@@ -485,8 +488,8 @@ def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
     names = ("mle", "bayes") if with_bayes else ("mle",)
 
-    def draw(count, rng):
-        return sample_xi_batch(gamma_sq, hurst, count, rng)
+    def draw(count, rng, stop):
+        return sample_xi_batch(gamma_sq, hurst, count, rng, stop=stop)
 
     def compare(errors, sample):
         xi_hat, xi_tilde, flags = sample
@@ -527,8 +530,8 @@ def _misspec(p, config, grid) -> _Spec:
     solution = solve_theta_hat(problem)
     curv, hurst = solution.curvature_closed, problem.theoretical.hurst
 
-    def draw(count, rng):
-        return sample_zeta_batch(noise_scale, curv, hurst, count, rng)
+    def draw(count, rng, stop):
+        return sample_zeta_batch(noise_scale, curv, hurst, count, rng, stop=stop)
 
     def compare(errors, sample):
         zeta, flags = sample
@@ -553,7 +556,7 @@ def _kappa(p, config, grid) -> _Spec:
     a, rho, kappa0, bounds = p["a"], p["rho"], p["kappa0"], p["kappa_bounds"]
     fisher = fisher_info_kappa(a, rho, p["T"], kappa0)
 
-    def draw(count, rng):
+    def draw(count, rng, stop):
         return sample_kappa_limit(fisher, count, rng)
 
     def compare(errors, limit):
@@ -577,9 +580,9 @@ def _joint(p, config, grid) -> _Spec:
     fisher = fisher_info_kappa(a, rho0, p["T"], kappa0)
     hurst = kappa0 + 0.5
 
-    def draw(count, rng):
+    def draw(count, rng, stop):
         # one generator, xi first: the order of the streams is part of the draw
-        xi = sample_xi_batch(gamma_sq, hurst, count, rng)
+        xi = sample_xi_batch(gamma_sq, hurst, count, rng, stop=stop)
         return xi, sample_kappa_limit(fisher, count, rng)
 
     def compare(errors, sample):
@@ -781,8 +784,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cell or when at the smallest noise level at least 1% of estimates
     sit on the parameter boundary.  The limit-law sample is drawn on one
     helper thread beside the cells (``config.threads`` bounds the cells'
-    pool alone); an error of the draw surfaces once the cells are done,
-    and a cell's once the draw has been joined, with any draw error as its
+    pool alone); an error of the draw surfaces once the cells are done.
+    A cell's error stops the draw within about one fBm block and surfaces
+    once the draw has been joined, with any draw error as its
     ``__cause__``.  The CLI's ``-v`` logs the cells' time and the draw's wait.
     """
     p = config.signal
@@ -799,14 +803,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     with ThreadPoolExecutor(max_workers=1) as beside:
         if limit:
             rng = replication_rng(config.master_seed, _LIMIT_STREAM)
-            drawn = beside.submit(spec.draw, config.limit_samples, rng)
+            stop = threading.Event()
+            drawn = beside.submit(spec.draw, config.limit_samples, rng, stop)
         start = time.perf_counter()
         try:
             rows = [row for ei, eps in enumerate(config.epsilons)
                     for row in _run_cell(config, spec, grid, ei, eps)]
         except Exception as error:
-            if limit and drawn.exception() is not None:
-                raise error from drawn.exception()
+            if limit:
+                stop.set()
+                cause = drawn.exception()
+                if cause is not None and not isinstance(cause, StoppedError):
+                    raise error from cause
             raise
         cells_done = time.perf_counter()
         sample = drawn.result() if limit else None

@@ -4,7 +4,8 @@ Every test drives ``cusplab.cli.main`` directly with an argv list and
 inspects the JSON written to stdout plus any artifacts under a temporary
 output directory, so the full parse -> run -> emit pipeline is covered
 without spawning subprocesses.  Only ``TestVerbose`` runs the CLI in a
-child process, to read the standard error its logging writes to.
+child process, to read the standard error its logging writes to, and
+``TestNumpyOnlyRuntime``, to see the modules a fresh process imports.
 """
 
 import csv
@@ -551,9 +552,7 @@ class TestVerbose:
             "n_steps": 400, "limit_samples": 50,
         })
         out = tmp_path / "out"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cusplab.__file__)))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _child_env()
         runs = []
         for verbose in ([], ["-v"]):
             proc = subprocess.run(
@@ -584,6 +583,53 @@ class TestVerbose:
         quiet, loud = messages
         assert "cells took" not in quiet
         assert "cells took" in loud
+
+
+def _child_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cusplab.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestNumpyOnlyRuntime:
+    """No subcommand imports scipy: the runtime needs numpy alone."""
+
+    CHILD = (
+        "import json, sys\n"
+        "from cusplab.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "names = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "with open(sys.argv[2], 'w') as handle:\n"
+        "    json.dump(sorted(names), handle)\n"
+    )
+
+    def test_subcommands_leave_scipy_unimported(self, tmp_path):
+        out = str(tmp_path / "out")
+        misspec = _write_config(tmp_path, {}, "misspec.json")
+        xi = _write_config(tmp_path, {"law": "xi", "count": 50}, "xi.json")
+        zeta = _write_config(tmp_path, {"law": "zeta", "count": 50}, "zeta.json")
+        rate = _write_config(tmp_path, {
+            "scenario": "cusp-bayes", "epsilons": [0.05], "replications": 8,
+            "n_steps": 400, "limit_samples": 50,
+        }, "rate.json")
+        joint = _write_config(tmp_path, {
+            "epsilons": [0.01], "replications": 10, "n_steps": 1000, "limit_samples": 50,
+        }, "joint.json")
+        argvs = [
+            ["constants"],
+            ["misspec", "--config", misspec, "--out", out],
+            ["limit-law", "--config", xi, "--out", out],
+            ["limit-law", "--config", zeta, "--out", out],
+            ["rate", "--config", rate, "--out", out],
+            ["joint", "--config", joint, "--out", out],
+        ]
+        found = tmp_path / "scipy_modules.json"
+        subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(argvs), str(found)],
+            capture_output=True, text=True, env=_child_env(), timeout=300, check=True)
+        assert json.loads(found.read_text()) == []
 
 
 class TestFlagsAndKeys:

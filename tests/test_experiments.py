@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cusplab import estimators, experiments
+from cusplab import estimators, experiments, limit_laws
 from cusplab.cli import _load_config, main
 from cusplab.errors import (
     ConfigError,
@@ -619,6 +619,29 @@ class TestLimitDrawBesideCells:
         with pytest.raises(ExperimentError, match="forced cell failure"):
             run_experiment(_tiny("cusp-bayes"))
         assert threading.active_count() == before
+
+    def test_cell_error_stops_the_draw_within_a_block(self, monkeypatch):
+        # 2e4 draws are 313 blocks of FBM_BLOCK paths; the draw stops at
+        # the first block boundary after the cell fails, and a stopped
+        # draw is no draw error to chain
+        transformed, started = [], threading.Event()
+        real = limit_laws._fbm_paths
+
+        def counted(*args):
+            transformed.append(1)
+            started.set()
+            return real(*args)
+
+        def cell(*args):
+            assert started.wait(timeout=30), "the limit draw did not start beside the cells"
+            raise ExperimentError("forced cell failure")
+
+        monkeypatch.setattr(limit_laws, "_fbm_paths", counted)
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        with pytest.raises(ExperimentError, match="forced cell failure") as info:
+            run_experiment(_tiny("cusp-bayes", limit_samples=20000))
+        assert info.value.__cause__ is None
+        assert len(transformed) <= 3
 
     def test_draw_error_is_chained_to_a_cell_error(self, monkeypatch):
         def degenerate(*args, **kwargs):

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy import special, stats
-from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from cusplab import limit_laws
-from cusplab.errors import DomainError, NumericalDegeneracyError
+from cusplab.errors import DomainError, NumericalDegeneracyError, StoppedError
 from cusplab.limit_laws import (
     FBM_BLOCK,
     FbmPath,
@@ -26,6 +26,7 @@ from cusplab.limit_laws import (
     fbm_covariance,
     fisher_info_kappa,
     gamma_squared,
+    next_fast_len,
     rescale_fbm,
     sample_fbm,
     sample_kappa_limit,
@@ -86,6 +87,52 @@ class TestGammaSquared:
             gamma_squared(-1.0, 0.25)
         with pytest.raises(DomainError):
             gamma_squared(1.0, 0.5)
+
+
+class TestScipyOracle:
+    """The numpy replacements give scipy's values: scipy is the oracle."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_next_fast_len_matches_scipy(self, real):
+        targets = range(1, 20001)
+        ours = [next_fast_len(t, real) for t in targets]
+        assert ours == [scipy.fft.next_fast_len(t, real) for t in targets]
+
+    def test_next_fast_len_rejects_nonpositive_target(self):
+        with pytest.raises(DomainError):
+            next_fast_len(0)
+
+    @pytest.mark.parametrize("kappa", np.round(np.arange(0.05, 0.46, 0.05), 2))
+    def test_gamma_squared_matches_scipy_beta_form(self, kappa):
+        c = math.cos(math.pi * kappa)
+        beta = float(special.beta(kappa + 1.0, kappa + 1.0))
+        reference = 2.0 * (1.0 - c) * beta / c
+        ulps = abs(gamma_squared(1.0, kappa) - reference) / np.spacing(reference)
+        assert ulps <= 4.0
+        if kappa in (0.15, 0.25, 0.35):
+            assert ulps == 0.0
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+    @pytest.mark.parametrize("half_count", [7, 300, 2000, 3000])
+    def test_embedding_and_paths_match_scipy_fft(self, hurst, half_count):
+        # M = 28, 1200, 8000 and 12000
+        window = WindowConfig(U=0.01 * half_count, du=0.01)
+        h2 = 2.0 * hurst
+        k = np.arange(scipy.fft.next_fast_len(2 * half_count - 1) + 1, dtype=float)
+        acov = 0.5 * window.du**h2 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+        row = np.concatenate([acov, acov[-2:0:-1]])
+        scale = np.sqrt(np.maximum(scipy.fft.fft(row).real, 0.0) / row.size)
+        assert np.array_equal(_embedding_scale(hurst, window), scale)
+
+        normals = replication_rng(3, half_count).standard_normal((5, 2 * scale.size))
+        z = normals.view(np.complex128) * scale
+        noise = scipy.fft.fft(z, axis=1)[:, : 2 * half_count]
+        steps = np.empty((10, 2 * half_count))
+        steps[0::2], steps[1::2] = noise.real, noise.imag
+        paths = np.zeros((10, 2 * half_count + 1))
+        np.cumsum(steps, axis=1, out=paths[:, 1:])
+        paths -= paths[:, half_count, None].copy()
+        assert np.array_equal(_fbm_paths(scale, half_count, normals.copy()), paths)
 
 
 class TestCuspLogMoment:
@@ -485,6 +532,36 @@ class TestSamplers:
         with pytest.raises(NumericalDegeneracyError):
             sample_xi_batch(0.5, 0.75, 8, replication_rng(5, 3), window=self.WINDOW)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("law", ["xi", "zeta"])
+    def test_stop_set_before_the_batch_draws_nothing(self, law):
+        stop, rng = threading.Event(), np.random.default_rng(13)
+        stop.set()
+        threads = threading.active_count()
+        with pytest.raises(StoppedError, match="after 0 of 8 paths"):
+            if law == "xi":
+                sample_xi_batch(0.5, 0.75, 8, rng, window=self.WINDOW, stop=stop)
+            else:
+                sample_zeta_batch(0.7, 2.0, 0.75, 8, rng, window=self.WINDOW, stop=stop)
+        assert threading.active_count() == threads
+        np.testing.assert_array_equal(
+            rng.standard_normal(3), np.random.default_rng(13).standard_normal(3))
+
+    def test_stop_set_during_the_batch_ends_it_at_the_next_block(self, monkeypatch):
+        stop, transformed = threading.Event(), []
+        real = limit_laws._fbm_paths
+
+        def paths_then_stop(*args):
+            transformed.append(1)
+            if len(transformed) == 2:
+                stop.set()
+            return real(*args)
+
+        monkeypatch.setattr(limit_laws, "_fbm_paths", paths_then_stop)
+        with pytest.raises(StoppedError, match=f"after {2 * FBM_BLOCK} of"):
+            sample_xi_batch(0.5, 0.75, 10 * FBM_BLOCK, replication_rng(5, 4),
+                            window=self.WINDOW, stop=stop)
+        assert len(transformed) == 2
 
     @pytest.mark.parametrize("block", [FBM_BLOCK, 2, 6])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (0, 3), (1, 1), (2, 1)])

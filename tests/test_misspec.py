@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from cusplab import misspec_analysis
 from cusplab.errors import ConditionViolationError, DomainError
@@ -17,6 +18,7 @@ from cusplab.misspec_analysis import (
     l2_gap,
     phi,
     solve_theta_hat,
+    _jacobi_rule,
     _local_minima,
 )
 from cusplab.signal_models import (
@@ -79,6 +81,17 @@ class TestProblemValidation:
 
         with pytest.raises(DomainError, match="horizon"):
             MisspecProblem(theoretical=THEORETICAL, real=NoHorizon())
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.25, 0.45])
+    def test_matches_scipy_roots_jacobi(self, kappa):
+        nodes, weights = _jacobi_rule(kappa)
+        ref_nodes, ref_weights = roots_jacobi(200, 0.0, kappa)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-9, atol=0.0)
+        mu0 = 2.0 ** (kappa + 1.0) / (kappa + 1.0)
+        assert weights.sum() == pytest.approx(mu0, rel=1e-14)
 
 
 class TestL2Gap:
@@ -178,23 +191,22 @@ class TestBasins:
 
     @pytest.mark.parametrize("kappa,certificate", [(0.25, 1.985e-7), (0.35, 2.427e-7)])
     def test_certificate_excludes_by_scan_index(self, monkeypatch, kappa, certificate):
-        # theta_hat lands within 1e-12 of the scan node 0.5, so a float
-        # distance of two steps counts node i-2 or i+2 by its last bits
-        # (8.82e-8 and 1.079e-7 with theta_hat = 0.5 + 4e-13 and 6.5e-13);
-        # by index both stay out whichever side theta_hat falls on
+        # theta_hat lands within 1e-11 of the scan node 0.5 (2.8e-12 below
+        # it at kappa 0.25, 7.9e-12 above at 0.35), so a float distance of
+        # two steps would count node i-2 or i+2 by its last bits; by index
+        # both stay out whichever side theta_hat falls on
         problem = MisspecProblem(
             theoretical=CuspSignal(a=1.0, kappa=kappa, T=1.0, theta_bounds=BOUNDS),
             real=SmoothedCuspSignal(a=1.0, kappa=kappa, center=0.5, delta=0.05, T=1.0),
         )
-        minimize, found = misspec_analysis.minimize_scalar, []
+        polish, found = misspec_analysis._polish, []
         for shift in (-1e-12, 0.0, 1e-12):
-            def shifted(*args, shift=shift, **kwargs):
-                result = minimize(*args, **kwargs)
-                result.x += shift
-                return result
+            def shifted(*args, shift=shift):
+                gap, theta = polish(*args)
+                return gap, theta + shift
 
             with monkeypatch.context() as patch:
-                patch.setattr(misspec_analysis, "minimize_scalar", shifted)
+                patch.setattr(misspec_analysis, "_polish", shifted)
                 found.append(solve_theta_hat(problem).uniqueness_certificate)
         assert found[0] == found[1] == found[2]
         assert found[1] == pytest.approx(certificate, rel=1e-3)
