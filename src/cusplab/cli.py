@@ -17,9 +17,12 @@ configuration or domain errors (including usage errors), and 2 on
 numerical failures (degeneracy, ambiguity, failed experiment guards).
 
 Each subcommand takes only the flags it reads (``_FLAGS``) and the config
-keys it reads (``_KEYS``; for sweeps the ``ExperimentConfig`` fields); any
-other is an error before anything runs.  A flag given always overrides the
-config key it maps to, and every report echoes the effective configuration.
+keys it reads: its ``_KEYS``, or for sweeps the ``ExperimentConfig``
+fields (``experiments.config_defaults``).  One check,
+``signal_models.fill_config``, rejects any other key and any value not of
+its default's type and fills the defaults, before anything runs.  A flag
+given always overrides the config key it maps to, and every report echoes
+the effective configuration.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .estimators import bayes, mle, prior_from_config
 from .experiments import (
     SCHEMA_VERSION,
     SIGNAL_DEFAULTS,
-    check_experiment_config,
-    experiment_config_from_dict,
+    ExperimentConfig,
+    config_defaults,
     misspec_problem,
     run_and_write,
 )
@@ -62,7 +65,7 @@ from .limit_laws import (
 from .misspec_analysis import solve_theta_hat
 from .path_sim import DEFAULT_N_STEPS, TimeGrid, replication_rng, simulate_path
 from .path_sim import write_path_csv
-from .signal_models import check_config, signal_from_config
+from .signal_models import fill_config, signal_from_config
 
 __all__ = ["main"]
 
@@ -149,30 +152,21 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _settings(args) -> dict:
-    """The config file, checked before each flag given overrides its key.
+    """The config file, checked and filled before each flag given overrides
+    its key.
 
-    A non-sweep config is checked against and filled from ``_KEYS``; a
-    sweep config gets the scenario ``kappa`` and ``joint`` pin, or
-    ``cusp-mle`` if it names none, and is checked by
-    ``experiments.check_experiment_config``.  A key outside them or a
-    value not of its default's type (``signal_models.check_config``) is a
-    ``ConfigError``, even for a key that a flag overrides."""
+    A sweep's defaults are ``experiments.config_defaults`` of its scenario
+    (``kappa`` and ``joint`` pin theirs; ``rate`` reads the config's, or
+    runs ``cusp-mle``), any other subcommand's are its ``_KEYS``.  Every
+    config goes through ``signal_models.fill_config``: a key without a
+    default, or a value not of its default's type, is a ``ConfigError``,
+    even for a key that a flag overrides."""
     config = _load_config(args.config)
-    defaults = _KEYS.get(args.command)
-    if defaults is None:
-        if args.command != "rate":
-            config["scenario"] = args.command
-        config.setdefault("scenario", "cusp-mle")
-        check_experiment_config(config)
-    else:
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown {args.command} config keys: {sorted(unknown)}; "
-                f"valid: {sorted(defaults)}"
-            )
-        check_config(config, defaults)
-        config = {**defaults, **config}
+    if args.command in ("kappa", "joint"):
+        config["scenario"] = args.command
+    defaults = _KEYS.get(args.command) or config_defaults(
+        config.get("scenario", "cusp-mle"))
+    config = fill_config(config, defaults)
     for key in filter(None, _FLAGS[args.command].values()):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
@@ -383,7 +377,7 @@ def _cmd_misspec(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """``rate`` runs the config's scenario; ``kappa`` and ``joint`` pin theirs."""
-    experiment = experiment_config_from_dict(_settings(args))
+    experiment = ExperimentConfig(**_settings(args))
     log.info(
         "running scenario %s: epsilons=%s, N=%d",
         experiment.scenario, list(experiment.epsilons), experiment.replications,

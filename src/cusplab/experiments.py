@@ -98,7 +98,7 @@ from .path_sim import (
     warn_if_coarse,
 )
 from .signal_models import CuspSignal, SmoothedCuspSignal, check_config, cusp_term
-from .signal_models import signal_from_config
+from .signal_models import fill_config, signal_from_config
 
 __all__ = [
     "SCENARIOS",
@@ -106,7 +106,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "RateFit",
-    "check_experiment_config",
+    "config_defaults",
     "experiment_config_from_dict",
     "misspec_problem",
     "run_experiment",
@@ -164,20 +164,17 @@ SIGNAL_DEFAULTS = {
 }
 
 
-def _default_epsilons(scenario: str) -> list:
-    return [0.01] if scenario in ("kappa", "joint") else [0.05, 0.02, 0.01, 0.005]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full specification of one Monte Carlo sweep.
 
     Each field must have its default's type (``check_config`` against
-    ``_config_defaults``).  ``signal`` holds scenario-specific parameters
+    ``config_defaults``).  ``signal`` holds scenario-specific parameters
     (defaults above), its bounds and terms as tuples; unknown keys are
-    rejected to catch typos.  Noise levels must be strictly decreasing
-    and at least 100 replications are required as soon as a rate fit is
-    possible (three or more levels).
+    rejected to catch typos.  Noise levels must be strictly decreasing,
+    every level needs at least 2 replications (its summaries take
+    standard errors) and at least 100 as soon as a rate fit is possible
+    (three or more levels).
     """
 
     scenario: str
@@ -193,12 +190,9 @@ class ExperimentConfig:
     prior: dict = field(default_factory=lambda: {"name": "uniform"})
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; valid: {sorted(SCENARIOS)}"
-            )
+        defaults = config_defaults(self.scenario)
         check_config({f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
-                     _config_defaults(self.scenario))
+                     defaults)
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ConfigError("epsilons must be non-empty")
@@ -207,8 +201,8 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError(f"epsilons must be strictly decreasing, got {eps!r}")
         object.__setattr__(self, "epsilons", eps)
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
+        if self.replications < 2:
+            raise ConfigError(f"replications must be >= 2, got {self.replications!r}")
         if len(eps) >= 3 and self.replications < 100:
             raise ConfigError(
                 f"rate fits need at least 100 replications per level, got "
@@ -219,14 +213,7 @@ class ExperimentConfig:
         if self.limit_samples < 10:
             raise ConfigError(f"limit_samples must be >= 10, got {self.limit_samples!r}")
         prior_from_config(self.prior)  # checked even where no estimator reads it
-        defaults = SIGNAL_DEFAULTS[self.scenario]
-        unknown = set(self.signal) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown signal parameters for {self.scenario!r}: "
-                f"{sorted(unknown)}; valid: {sorted(defaults)}"
-            )
-        merged = {**defaults, **self.signal}
+        merged = fill_config(self.signal, defaults["signal"], "signal")
         for key in {"theta_bounds", "kappa_bounds"} & set(merged):
             merged[key] = tuple(merged[key])
         if "terms" in merged:
@@ -247,52 +234,33 @@ class ExperimentConfig:
         }
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def config_defaults(scenario) -> dict:
+    """The default of each ``ExperimentConfig`` field for ``scenario``.
 
-
-def _config_defaults(scenario: str) -> dict:
-    """The default of each ``ExperimentConfig`` field of ``scenario`` but its name."""
-    defaults = {
-        f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.name not in ("scenario", "epsilons")
-    }
-    return {**defaults, "epsilons": _default_epsilons(scenario),
-            "signal": SIGNAL_DEFAULTS[scenario]}
-
-
-def check_experiment_config(data: dict) -> None:
-    """Raise ``ConfigError`` unless ``data`` could configure a sweep.
-
-    It must name a scenario and hold only ``ExperimentConfig`` fields,
-    each value of its default's type (``check_config`` against
-    ``_config_defaults``).  Types only: the CLI runs it before its flags
-    override keys, and ``ExperimentConfig`` checks the values.
-    """
-    if "scenario" not in data:
-        raise ConfigError("config must name a scenario")
-    scenario = data["scenario"]
+    ``scenario`` must be one of ``SCENARIOS``, else ``ConfigError``; it is
+    its own default, and ``epsilons`` and ``signal`` depend on it."""
     if not (isinstance(scenario, str) and scenario in SCENARIOS):
         raise ConfigError(
             f"config.scenario={scenario!r} is not a scenario; "
             f"valid: {sorted(SCENARIOS)}"
         )
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys: {sorted(unknown)}; valid: {sorted(_CONFIG_KEYS)}"
-        )
-    check_config(data, _config_defaults(scenario))
+    epsilons = [0.01] if scenario in ("kappa", "joint") else [0.05, 0.02, 0.01, 0.005]
+    chosen = {"scenario": scenario, "epsilons": epsilons,
+              "signal": SIGNAL_DEFAULTS[scenario]}
+    return {
+        f.name: chosen[f.name] if f.name in chosen
+        else f.default_factory() if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(ExperimentConfig)
+    }
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from a plain mapping (parsed JSON).
 
-    The mapping is checked by ``check_experiment_config`` first.
+    The mapping must name a scenario; its keys are checked and filled
+    from ``config_defaults`` by ``fill_config``.
     """
-    check_experiment_config(data)
-    epsilons = data.get("epsilons", _default_epsilons(data["scenario"]))
-    return ExperimentConfig(**{**data, "epsilons": tuple(epsilons)})
+    return ExperimentConfig(**fill_config(data, config_defaults(data.get("scenario"))))
 
 
 # ---------------------------------------------------------------------------

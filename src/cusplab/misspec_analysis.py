@@ -48,8 +48,12 @@ __all__ = [
 #: exponent 0 (Gauss-Legendre), of the smooth square term.
 QUAD_ORDER = 200
 
-#: Central-difference step for the finite-difference curvature route.
-FD_STEP = 1e-4
+#: Central-difference step for the finite-difference curvature route,
+#: where the gap's rounding (about 1e-16 over ``FD_STEP**2``) and the
+#: stencil's truncation balance: against the closed form, for a smoothed
+#: cusp at 0.5 (delta 0.05) and kappa 0.05-0.45, it reads 1e-9 to 2e-9
+#: relative, against 6e-9 to 5e-8 at a step of 1e-4.
+FD_STEP = 3e-4
 
 #: Threshold below which the two best local minima are considered
 #: indistinguishable and the minimizer ambiguous.
@@ -296,10 +300,12 @@ def curvature(problem: MisspecProblem, solution: MisspecSolution) -> tuple[float
     ``[a|.|^kappa - S] * S'`` boundary products, the kink-weighted
     ``-2a * integral |t-theta|^kappa S''(t) dt``, and
     ``integral (S^2)'' dt`` (exact by the fundamental theorem of
-    calculus).  The finite-difference route is a central second
-    difference of the gap with one Richardson extrapolation step and
-    serves as the independent cross-check; tests treat it as the
-    authority.
+    calculus).  The closed form is the authority: it is the curvature the
+    limit laws and sweeps use.  The finite-difference route is a central
+    second difference of the gap with one Richardson extrapolation step,
+    kept as the independent cross-check; its stencil reaches
+    ``2*FD_STEP`` (6e-4) either side, so ``theta_hat`` must lie at least
+    that far from each bound.
     """
     real = problem.real
     if not (hasattr(real, "d1") and hasattr(real, "d2")):

@@ -429,6 +429,22 @@ def check_config(value, default, name: str = "config") -> None:
             check_config(item, default[0], f"{name}[{i}]")
 
 
+def fill_config(config: dict, defaults: dict, name: str = "config") -> dict:
+    """``config`` with each key it leaves out taken from ``defaults``.
+
+    The one key check of every config command and of the sweep ``signal``
+    block: a key without a default raises ``ConfigError`` (``unknown
+    <name> keys: [...]; valid: [...]``), and each value must have its
+    default's type (``check_config``)."""
+    unknown = set(config) - set(defaults)
+    if unknown:
+        raise ConfigError(
+            f"unknown {name} keys: {sorted(unknown)}; valid: {sorted(defaults)}"
+        )
+    check_config(config, defaults, name)
+    return {**defaults, **config}
+
+
 def _floats(value):
     """A checked number as a float, a checked list as a tuple of them."""
     if isinstance(value, (list, tuple)):

@@ -512,6 +512,25 @@ class TestSweeps:
         assert "kappa_bounds" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,scenario", [
+        ("rate", "cusp-bayes"), ("joint", "joint"),
+    ])
+    def test_single_replication_exits_1_before_any_output(
+        self, capsys, caplog, tmp_path, command, scenario
+    ):
+        # one replication per level leaves every standard error of the
+        # report NaN (moment comparison, component correlation)
+        config = _write_config(tmp_path, {
+            "scenario": scenario, "epsilons": [0.05], "n_steps": 2000,
+            "replications": 1,
+        })
+        out = tmp_path / "one"
+        code, payload = _run(capsys, [command, "--config", config, "--out", str(out)])
+        assert code == 1
+        assert payload is None
+        assert "replications must be >= 2, got 1" in caplog.text
+        assert not out.exists()
+
     def test_domain_error_exits_1(self, capsys, tmp_path):
         config = _write_config(
             tmp_path,
@@ -649,6 +668,7 @@ class TestFlagsAndKeys:
         ("limit-law", {"law": "xi", "cont": 5}),
         ("limit-law", {"law": "zeta", "count": 5, "noise_coefficient": "amplitude"}),
         ("misspec", {"kapa": 0.3}),
+        ("rate", {"replication": 5}),
     ])
     def test_unknown_config_key_exits_1_before_any_output(
         self, capsys, caplog, tmp_path, monkeypatch, command, config
@@ -751,6 +771,8 @@ class TestFlagsAndKeys:
     @pytest.mark.parametrize("command,config,count_key", [
         ("simulate", {"n_steps": 300, "epsilon": 0.05}, "replications"),
         ("limit-law", {"law": "xi"}, "count"),
+        ("rate", {"scenario": "cusp-mle", "epsilons": [0.05], "n_steps": 400,
+                  "limit_samples": 10}, "replications"),
     ])
     def test_seed_and_replications_override_config(
         self, capsys, tmp_path, command, config, count_key
@@ -761,8 +783,10 @@ class TestFlagsAndKeys:
         code, payload = _run(capsys, [command, "--config", flagged, *out,
                                       "--seed", "9", "--replications", "3"])
         assert code == 0
-        assert payload["master_seed"] == 9
-        assert payload[count_key] == 3
+        # a sweep report echoes its settings under effective_config
+        effective = payload.get("effective_config", payload)
+        assert effective["master_seed"] == 9
+        assert effective[count_key] == 3
         plain = _write_config(tmp_path, {**config, "master_seed": 9, count_key: 3},
                               "plain.json")
         assert _run(capsys, [command, "--config", plain, *out]) == (0, payload)

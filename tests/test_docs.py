@@ -11,7 +11,7 @@ import re
 import pytest
 
 import cusplab
-from cusplab import cli, estimators, signal_models
+from cusplab import cli, estimators, experiments, signal_models
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = {
@@ -81,6 +81,14 @@ def test_readme_cli_table_matches_parser():
     assert {name: flags for name, (flags, _) in documented.items()} == registered
     keyed = {name: keys for name, (_, keys) in documented.items() if name in cli._KEYS}
     assert keyed == {name: set(keys) for name, keys in cli._KEYS.items()}
+
+
+def test_readme_sweep_schema_matches_config_fields():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Sweep config schema", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    documented = set(re.findall(r'^  "(\w+)":', block, re.M))
+    assert documented == set(experiments.config_defaults("cusp-mle"))
 
 
 @pytest.mark.parametrize("header,table", [

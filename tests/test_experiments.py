@@ -205,6 +205,13 @@ class TestExperimentConfig:
         target.write_text(json.dumps(cfg.to_dict()))
         assert experiment_config_from_dict(_load_config(str(target))) == cfg
 
+    @pytest.mark.parametrize("data", [
+        {"epsilons": [0.05]}, {"scenario": "bootstrap"}, {"scenario": ["cusp-mle"]},
+    ], ids=["missing", "unknown", "list"])
+    def test_dict_must_name_a_scenario(self, data):
+        with pytest.raises(ConfigError, match=r"^config\.scenario=.* is not a scenario"):
+            experiment_config_from_dict(data)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             experiment_config_from_dict({
