@@ -571,6 +571,26 @@ class TestLimitDrawBesideCells:
         report = run_experiment(_tiny("cusp-bayes", epsilons=(0.05, 0.02)))
         assert set(report.ks_results) == {"mle", "bayes"}
 
+    def test_later_cells_start_once_the_draw_is_done(self, monkeypatch):
+        # a slow draw outlasts the first cell; the second must wait for it
+        drawn, seen = threading.Event(), {}
+        for name in self.SAMPLERS:
+            def sampler(*args, _real=getattr(experiments, name), **kwargs):
+                time.sleep(0.3)
+                sample = _real(*args, **kwargs)
+                drawn.set()
+                return sample
+            monkeypatch.setattr(experiments, name, sampler)
+        real_cell = experiments._run_cell
+
+        def cell(config, spec, grid, ei, eps):
+            seen[ei] = drawn.is_set()
+            return real_cell(config, spec, grid, ei, eps)
+
+        monkeypatch.setattr(experiments, "_run_cell", cell)
+        run_experiment(_tiny("cusp-bayes", epsilons=(0.05, 0.02)))
+        assert seen == {0: False, 1: True}
+
     @pytest.mark.parametrize("scenario", ["cusp-bayes", "misspec", "kappa", "joint"])
     def test_report_equals_serial_reference(self, monkeypatch, scenario):
         cfg = _tiny(scenario, threads=2, **SMALL[scenario])
