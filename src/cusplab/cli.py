@@ -55,6 +55,8 @@ from .experiments import (
     run_and_write,
 )
 from .limit_laws import (
+    default_xi_window,
+    default_zeta_window,
     fisher_info_kappa,
     gamma_squared,
     sample_kappa_limit,
@@ -289,6 +291,11 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _window_record(window) -> dict:
+    """The sampling window of a limit-law summary."""
+    return {"U": window.U, "du": window.du, "node_count": window.node_count}
+
+
 def _cmd_limit_law(args) -> int:
     config = _settings(args)
     law, a, kappa = config["law"], config["a"], config["kappa"]
@@ -299,7 +306,8 @@ def _cmd_limit_law(args) -> int:
     rng = replication_rng(config["master_seed"], 0)
     if law == "xi":
         gamma_sq = gamma_squared(a, kappa)
-        xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng)
+        window = default_xi_window(gamma_sq, hurst)
+        xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng, window)
         header, columns = "xi_hat,xi_tilde,edge_flag", (xi_hat, xi_tilde, flags)
         summary = {
             "law": "xi",
@@ -308,6 +316,7 @@ def _cmd_limit_law(args) -> int:
             "mean_sq_xi_hat": float((xi_hat**2).mean()),
             "mean_sq_xi_tilde": float((xi_tilde**2).mean()),
             "edge_fraction": float(flags.mean()),
+            "window": _window_record(window),
         }
     elif law == "zeta":
         problem, noise_scale = misspec_problem(config)
@@ -315,7 +324,8 @@ def _cmd_limit_law(args) -> int:
             curvature = solve_theta_hat(problem).curvature_closed
         else:
             curvature = float(config["curvature"])
-        zeta, flags = sample_zeta_batch(noise_scale, curvature, hurst, count, rng)
+        window = default_zeta_window(noise_scale, curvature, hurst)
+        zeta, flags = sample_zeta_batch(noise_scale, curvature, hurst, count, rng, window)
         header, columns = "zeta_hat,edge_flag", (zeta, flags)
         summary = {
             "law": "zeta",
@@ -325,6 +335,7 @@ def _cmd_limit_law(args) -> int:
             "mean_abs_zeta": float(np.abs(zeta).mean()),
             "mean_sq_zeta": float((zeta**2).mean()),
             "edge_fraction": float(flags.mean()),
+            "window": _window_record(window),
         }
     else:
         fisher = fisher_info_kappa(a, config["rho"], config["T"], kappa)

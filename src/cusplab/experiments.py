@@ -81,6 +81,8 @@ from .estimators import (
     pseudo_mle,
 )
 from .limit_laws import (
+    default_xi_window,
+    default_zeta_window,
     fisher_info_kappa,
     gamma_squared,
     sample_kappa_limit,
@@ -456,13 +458,15 @@ def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     signal = signal_from_config({"family": "cusp", **family})
     gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
     names = ("mle", "bayes") if with_bayes else ("mle",)
+    window = default_xi_window(gamma_sq, hurst)
 
     def draw(count, rng, stop):
-        return sample_xi_batch(gamma_sq, hurst, count, rng, stop=stop)
+        return sample_xi_batch(gamma_sq, hurst, count, rng, window, stop)
 
     def compare(errors, sample):
         xi_hat, xi_tilde, flags = sample
-        extra = {"limit_edge_fraction": float(flags.mean())}
+        extra = {"limit_edge_fraction": float(flags.mean()),
+                 "limit_node_count": window.node_count}
         ks = {"mle": _ks_entry(errors["mle"], xi_hat, extra)}
         if not with_bayes:
             return ks, None
@@ -498,13 +502,15 @@ def _misspec(p, config, grid) -> _Spec:
     problem, noise_scale = misspec_problem(p)
     solution = solve_theta_hat(problem)
     curv, hurst = solution.curvature_closed, problem.theoretical.hurst
+    window = default_zeta_window(noise_scale, curv, hurst)
 
     def draw(count, rng, stop):
-        return sample_zeta_batch(noise_scale, curv, hurst, count, rng, stop=stop)
+        return sample_zeta_batch(noise_scale, curv, hurst, count, rng, window, stop)
 
     def compare(errors, sample):
         zeta, flags = sample
-        edge = {"limit_edge_fraction": float(flags.mean())}
+        edge = {"limit_edge_fraction": float(flags.mean()),
+                "limit_node_count": window.node_count}
         return {"pseudo_mle": _ks_entry(errors["pseudo_mle"], zeta, edge)}, None
 
     return _location(
@@ -548,10 +554,11 @@ def _joint(p, config, grid) -> _Spec:
     gamma_sq = gamma_squared(a, kappa0)
     fisher = fisher_info_kappa(a, rho0, p["T"], kappa0)
     hurst = kappa0 + 0.5
+    window = default_xi_window(gamma_sq, hurst)
 
     def draw(count, rng, stop):
         # one generator, xi first: the order of the streams is part of the draw
-        xi = sample_xi_batch(gamma_sq, hurst, count, rng, stop=stop)
+        xi = sample_xi_batch(gamma_sq, hurst, count, rng, window, stop)
         return xi, sample_kappa_limit(fisher, count, rng)
 
     def compare(errors, sample):
@@ -560,6 +567,7 @@ def _joint(p, config, grid) -> _Spec:
         extra = {
             "component_correlation": float(np.corrcoef(rho_errs, kap_errs)[0, 1]),
             "limit_edge_fraction": float(flags.mean()),
+            "limit_node_count": window.node_count,
         }
         return {"joint_rho": _ks_entry(rho_errs, xi_hat, extra),
                 "joint_kappa": _ks_entry(kap_errs, kappa_limit)}, None

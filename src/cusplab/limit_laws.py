@@ -39,6 +39,15 @@ given a ``stop`` event ends at the next block once it is set.
 The exponents ``2H`` and ``2*kappa + 1`` are the same number and are
 used interchangeably.
 
+The default windows are sized by the tail of their law.  In units of
+its scale ``s`` a draw's argmax exceeds ``x`` with probability at most
+``b * exp(-y/8) / y``, where ``y = x**(2H)`` for xi and ``x**(4-2H)``
+for zeta: ``exp(-y/8)`` is the rate of ``P(W^H(x) > drift(x))``, exact
+for xi at ``H = 1/2`` (Yao, Ann. Statist. 15, 1987), and ``b`` is fitted
+on 2e5 draws per H on windows wider than the rule's.  The half-width is
+the least ``x`` at which the bound reaches ``TAIL_MASS = 1e-6``; the
+step is ``WINDOW_STEP = 0.015`` scales at every H.
+
 The module needs numpy alone: the transforms are ``numpy.fft``, the
 fast lengths come from ``next_fast_len`` and the beta function of
 ``Gamma^2`` from ``math.gamma``.
@@ -84,8 +93,9 @@ __all__ = [
 
 #: Paths generated and reduced together by the batch samplers; peak
 #: memory is O(FBM_BLOCK * nodes) whatever the number of draws, and the
-#: draws themselves do not depend on it.  64 keeps a default-window batch
-#: near 12 MiB (tracemalloc), small enough to run beside a sweep's cells.
+#: draws themselves do not depend on it.  64 keeps a 4001-node batch near
+#: 12 MiB (tracemalloc) and a default-window batch at H = 0.75 (2323
+#: nodes) near 7 MiB, small enough to run beside a sweep's cells.
 FBM_BLOCK = 64
 
 #: Embedding eigenvalues below ``-EIGEN_RTOL * max`` are not round-off.
@@ -93,6 +103,12 @@ EIGEN_RTOL = 1e-12
 
 #: Fraction of the window treated as "near the edge" for flagging.
 EDGE_FRACTION = 0.9
+
+#: Tail mass ``p*`` a default window leaves beyond its edge.
+TAIL_MASS = 1e-6
+
+#: Grid step of a default window, in units of its law's scale.
+WINDOW_STEP = 0.015
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +450,45 @@ def zeta_from_fbm(path: FbmPath, noise_scale: float, curvature: float):
     return zeta, np.abs(zeta) > EDGE_FRACTION * path.window.U
 
 
-def _scaled_window(scale: float) -> WindowConfig:
-    """The default window: 30 scales either side, 2000 steps per side."""
-    U = 30.0 * scale
-    return WindowConfig(U=U, du=U / 2000.0)
+def _tail_window(scale: float, power: float, log_b: float) -> WindowConfig:
+    """The window whose tail bound ``b * exp(-y/8) / y`` is ``TAIL_MASS``.
+
+    ``y = (U/scale)**power``, so ``y`` is the root of
+    ``y/8 + ln(y) = ln(b/TAIL_MASS)``; Newton steps from ``8 ln(b/TAIL_MASS)``
+    reach it to round-off in four.  The step is ``WINDOW_STEP`` scales.
+    """
+    target = log_b - math.log(TAIL_MASS)
+    y = 8.0 * target
+    for _ in range(5):
+        y -= (y / 8.0 + math.log(y) - target) / (0.125 + 1.0 / y)
+    return WindowConfig(U=y ** (1.0 / power) * scale, du=WINDOW_STEP * scale)
 
 
 def default_xi_window(gamma_sq: float, hurst: float) -> WindowConfig:
-    """Window for xi sampling: U = 30 * Gamma^(-1/H), du = U/2000.
+    """Window for xi sampling: ``P(|xi_hat| > U) <= TAIL_MASS``, ``du`` fixed in scales.
 
-    The limit variable has scale ``Gamma^(-1/H)``, so the window covers
-    thirty times its scale.  Measured edge-flag rates (``a = 1``, 2e4
-    draws each): 1e-4 at kappa 0.05 and 0 at kappa 0.15, 0.25 and 0.35.
-    At ``H = 1/2``, which the sampler accepts, they were 1.3e-3 to 1.8e-3:
-    the window truncates that law (exact ``P(|xi_hat| > 27)`` is 2.9e-3).
+    In units of the scale ``s = Gamma^(-1/H)`` of the limit variable,
+    ``P(|xi_hat| > x*s) <= b * exp(-y/8) / y`` with ``y = x**(2H)`` and
+    ``ln b = 1.3 - 7*(H - 1/2)``.  ``U`` is the half-width at which the
+    bound is ``TAIL_MASS`` and ``du = WINDOW_STEP * s``, so ``U/s`` falls
+    with H: 85.35 at H = 1/2, 55.42 at 0.55, 28.46 at 0.65, 17.41 at
+    0.75, 11.93 at 0.85 and 8.82 at 0.95 (30 at every H before).
+
+    ``b`` lies above the largest ``P * exp(y/8) * y`` over the measured
+    tail (10 to 1e-3 of the draws beyond ``y``) of 2e5 draws per H =
+    0.55, 0.6, ..., 0.95 and 1e5 more at 0.55, 0.65, ..., 0.95, drawn at
+    this step on windows of ``y = 120``: 2.57 at H = 0.55, 0.87 at 0.65,
+    0.45 at 0.75, 0.22 at 0.85 and 0.09 at 0.95.  The product falls as
+    ``y`` grows at every H, so the bound holds beyond the measured tail.
+    At ``H = 1/2`` Yao's closed form gives 2.30 at its 1e-3 quantile and
+    1.95 at ``y = 80``, and leaves 5.2e-7 of the mass of ``xi_hat``
+    beyond the window.  At H = 0.75, 5e6 draws on a 22-scale window put
+    none beyond it (largest 16.0 scales).
     """
     if not gamma_sq > 0.0:
         raise DomainError(f"gamma_sq must be positive, got {gamma_sq!r}")
-    return _scaled_window(gamma_sq ** (-0.5 / hurst))
+    log_b = 1.3 - 7.0 * (hurst - 0.5)
+    return _tail_window(gamma_sq ** (-0.5 / hurst), 2.0 * hurst, log_b)
 
 
 def zeta_scale(noise_scale: float, curvature: float, hurst: float) -> float:
@@ -468,8 +505,24 @@ def zeta_scale(noise_scale: float, curvature: float, hurst: float) -> float:
 
 
 def default_zeta_window(noise_scale: float, curvature: float, hurst: float) -> WindowConfig:
-    """Window for zeta sampling: U = 30 * ``zeta_scale``, du = U/2000."""
-    return _scaled_window(zeta_scale(noise_scale, curvature, hurst))
+    """Window for zeta sampling: ``P(|zeta_hat| > U) <= TAIL_MASS``, ``du`` fixed in scales.
+
+    In units of ``r = zeta_scale(...)``,
+    ``P(|zeta_hat| > x*r) <= b * exp(-y/8) / y`` with ``y = x**(4-2H)``
+    and ``ln b = -1.9``.  ``U`` is the half-width at which the bound is
+    ``TAIL_MASS`` and ``du = WINDOW_STEP * r``, so ``U/r`` grows with H:
+    3.96 at H = 1/2, 4.62 at 0.65, 5.22 at 0.75, 6.03 at 0.85 and 7.15
+    at 0.95 (30 at every H before).
+
+    ``b`` lies above the largest ``P * exp(y/8) * y`` over the measured
+    tail of 2e5 draws per H = 0.5, 0.55, ..., 0.95 and 2e5 more at 0.5,
+    0.55, 0.65, ..., 0.95, drawn at this step on windows of ``y = 200``:
+    0.141 at H = 0.55, 0.134 at 1/2 and 0.065 at 0.95, each at 1e-3 of
+    the draws; the product falls at least 2.5 times from there to 5e-5.
+    At H = 0.55, 6.4e6 draws on windows of 6.1 scales or more put one
+    beyond the window's 4.16 scales (at 4.25).
+    """
+    return _tail_window(zeta_scale(noise_scale, curvature, hurst), 4.0 - 2.0 * hurst, -1.9)
 
 
 def sample_xi_batch(

@@ -23,7 +23,12 @@ from cusplab.cli import main
 from cusplab.estimators import bayes
 from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
 from cusplab.signal_models import signal_from_config
-from cusplab.limit_laws import fisher_info_kappa, gamma_squared
+from cusplab.limit_laws import (
+    default_xi_window,
+    default_zeta_window,
+    fisher_info_kappa,
+    gamma_squared,
+)
 
 GAMMA_SQ_REF = 0.511988584660
 FISHER_REF = 1.081184249478
@@ -253,6 +258,8 @@ class TestLimitLaw:
         assert payload["mean_abs_xi_hat"] == pytest.approx(
             np.abs(values).mean(), rel=1e-12
         )
+        w = default_xi_window(payload["gamma_sq"], 0.75)
+        assert payload["window"] == {"U": w.U, "du": w.du, "node_count": w.node_count}
 
     def test_kappa_law_csv(self, capsys, tmp_path):
         config = _write_config(tmp_path, {"law": "kappa", "count": 5000})
@@ -279,6 +286,8 @@ class TestLimitLaw:
         assert payload["law"] == "zeta"
         assert payload["curvature"] == pytest.approx(1.9606)
         assert payload["mean_sq_zeta"] > 0.0
+        w = default_zeta_window(payload["noise_scale"], payload["curvature"], 0.75)
+        assert payload["window"] == {"U": w.U, "du": w.du, "node_count": w.node_count}
         with open(payload["csv"], "r", encoding="utf-8") as handle:
             header = handle.readline().strip()
         assert header == "sample_id,zeta_hat,edge_flag"

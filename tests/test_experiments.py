@@ -247,6 +247,22 @@ class TestRunExperimentDeterminism:
         assert base.moment_comparison == threaded.moment_comparison
         for entry in base.ks_results.values():
             assert 0.0 <= entry.get("limit_edge_fraction", 0.0) <= 1.0
+            # an entry with an edge fraction names the window it was drawn on
+            assert ("limit_edge_fraction" in entry) == ("limit_node_count" in entry)
+
+    @pytest.mark.parametrize("scenario,estimator", [
+        ("cusp-bayes", "mle"), ("cusp-bayes", "bayes"),
+        ("misspec", "pseudo_mle"), ("joint", "joint_rho"),
+    ])
+    def test_ks_entry_reports_the_default_window(self, scenario, estimator):
+        report = run_experiment(_tiny(scenario, **SMALL[scenario]))
+        c = report.constants
+        if scenario == "misspec":
+            window = limit_laws.default_zeta_window(
+                c["noise_scale"], c["curvature_closed"], 0.75)
+        else:
+            window = limit_laws.default_xi_window(c["gamma_sq"], c["hurst"])
+        assert report.ks_results[estimator]["limit_node_count"] == window.node_count
 
     def test_master_seed_changes_results(self):
         a = run_experiment(_tiny()).rows

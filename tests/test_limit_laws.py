@@ -18,6 +18,8 @@ from cusplab import limit_laws
 from cusplab.errors import DomainError, NumericalDegeneracyError, StoppedError
 from cusplab.limit_laws import (
     FBM_BLOCK,
+    TAIL_MASS,
+    WINDOW_STEP,
     FbmPath,
     WindowConfig,
     cusp_log_moment,
@@ -246,7 +248,7 @@ class TestWindowConfig:
         w1 = default_xi_window(1.0, h)
         w2 = default_xi_window(4.0, h)
         assert w2.U / w1.U == pytest.approx(2.0 ** (-1.0 / h), rel=1e-12)
-        assert w1.du == pytest.approx(w1.U / 2000.0, rel=1e-12)
+        assert w2.du / w1.du == pytest.approx(2.0 ** (-1.0 / h), rel=1e-12)
 
     def test_default_zeta_window_scaling(self):
         h = 0.75
@@ -254,6 +256,39 @@ class TestWindowConfig:
         w2 = default_zeta_window(2.0, 1.0, h)
         r = zeta_scale(2.0, 1.0, h) / zeta_scale(1.0, 1.0, h)
         assert w2.U / w1.U == pytest.approx(r, rel=1e-12)
+
+    HURSTS = np.round(np.arange(0.5, 0.96, 0.05), 2)
+
+    @staticmethod
+    def _scaled(law, hurst):
+        """``(U, du)`` of a default window in units of its law's scale."""
+        if law == "xi":
+            gamma_sq = 0.7
+            w, scale = default_xi_window(gamma_sq, hurst), gamma_sq ** (-0.5 / hurst)
+        else:
+            w, scale = default_zeta_window(0.7, 1.9, hurst), zeta_scale(0.7, 1.9, hurst)
+        return w.U / scale, w.du / scale
+
+    @pytest.mark.parametrize("law", ["xi", "zeta"])
+    @pytest.mark.parametrize("hurst", HURSTS)
+    def test_default_step_is_fixed_in_scales(self, law, hurst):
+        assert self._scaled(law, hurst)[1] == pytest.approx(WINDOW_STEP, rel=1e-12)
+        assert WINDOW_STEP == 0.015
+
+    @pytest.mark.parametrize("law,power,log_b", [
+        ("xi", lambda h: 2.0 * h, lambda h: 1.3 - 7.0 * (h - 0.5)),
+        ("zeta", lambda h: 4.0 - 2.0 * h, lambda h: -1.9),
+    ])
+    def test_tail_bound_at_the_default_edge_is_tail_mass(self, law, power, log_b):
+        # U is the root of b * exp(-y/8) / y = p*, y = (U/scale)**power
+        for hurst in self.HURSTS:
+            y = self._scaled(law, hurst)[0] ** power(hurst)
+            bound = math.exp(log_b(hurst) - y / 8.0) / y
+            assert bound == pytest.approx(TAIL_MASS, rel=1e-12)
+
+    def test_xi_half_width_does_not_grow_with_hurst(self):
+        widths = [self._scaled("xi", h)[0] for h in self.HURSTS]
+        assert all(b <= a for a, b in zip(widths, widths[1:]))
 
 
 class TestZetaScale:
@@ -613,10 +648,10 @@ class TestSamplers:
             np.testing.assert_array_equal(after, ref_next)
 
     def test_default_window_batch_memory_is_bounded(self):
-        # 2000 draws on the 4001-node default window: two buffers of
-        # normals (one filled by the helper while the other is transformed
-        # in place) and one block of paths live at a time, about 12 MiB at
-        # FBM_BLOCK = 64; a sweep draws this beside its cells
+        # 2000 draws on the 2323-node default window at H = 0.75: two
+        # buffers of normals (one filled by the helper while the other is
+        # transformed in place) and one block of paths live at a time,
+        # about 7 MiB at FBM_BLOCK = 64; a sweep draws this beside its cells
         sample_xi_batch(GAMMA_SQ_REF, 0.75, 2, replication_rng(5, 6))
         tracemalloc.start()
         try:
@@ -728,8 +763,6 @@ class TestWienerAnchor:
     """At H = 1/2 and Gamma = 1 the xi laws are known in closed form, and so
     is the second moment of zeta_hat at curvature 4 (Chernoff's law)."""
 
-    # the default window (U = 30, du = 0.015) truncates the law
-    WINDOW = WindowConfig(U=60.0, du=0.015)
     XI_HAT_M2 = 26.0  # Terent'yev 1968; Ibragimov & Has'minskii 1981
     XI_TILDE_M2 = 16.0 * special.zeta(3)  # Rubin & Song, Ann. Statist. 23, 1995
     CHERNOFF_VAR = 0.26355964  # Groeneboom & Wellner, J. Comput. Graph. Statist. 10, 2001
@@ -746,14 +779,19 @@ class TestWienerAnchor:
 
     def test_xi_batch_matches_closed_forms(self):
         count = 20_000
-        xi_hat, xi_tilde, _ = sample_xi_batch(
-            1.0, 0.5, count, np.random.default_rng(1), window=self.WINDOW
-        )
+        # on the default window, so the closed form checks its tail rule
+        xi_hat, xi_tilde, _ = sample_xi_batch(1.0, 0.5, count, np.random.default_rng(1))
         assert stats.kstest(xi_hat, _yao_cdf).pvalue > 1e-3
         for draws, m2 in ((xi_hat, self.XI_HAT_M2), (xi_tilde, self.XI_TILDE_M2)):
             sq = draws * draws
             se = sq.std(ddof=1) / math.sqrt(count)
             assert abs(sq.mean() - m2) < 4.0 * se
+
+    def test_default_xi_window_covers_the_tail(self):
+        # Yao's exact mass beyond the last node of the default window
+        w = default_xi_window(1.0, 0.5)
+        edge = w.half_count * w.du
+        assert 1.0 - (_yao_cdf(edge) - _yao_cdf(-edge)) <= TAIL_MASS
 
     def test_zeta_batch_matches_chernoff(self):
         # argmax of W(u) - u**2: mean 0 and variance CHERNOFF_VAR
