@@ -4,8 +4,8 @@ Eight subcommands cover the workflows:
 
 * ``simulate``   — draw observation paths, optionally dumping them to CSV,
 * ``estimate``   — one simulated path through the MLE or Bayes estimator,
-* ``limit-law``  — sample the limit variables (xi, zeta, or the Gaussian
-  exponent limit) to CSV with a JSON summary,
+* ``limit-law``  — sample a limit law of ``experiments`` (xi, zeta, or the
+  Gaussian exponent limit) to CSV with a JSON summary,
 * ``rate``       — a full Monte Carlo sweep from a JSON config,
 * ``misspec``    — the deterministic misspecification analysis record,
 * ``kappa`` / ``joint`` — convenience sweeps with the scenario pinned,
@@ -51,19 +51,14 @@ from .experiments import (
     SIGNAL_DEFAULTS,
     ExperimentConfig,
     config_defaults,
+    kappa_law,
     misspec_problem,
     run_and_write,
+    write_csv,
+    xi_law,
+    zeta_law,
 )
-from .limit_laws import (
-    default_xi_window,
-    default_zeta_window,
-    fisher_info_kappa,
-    gamma_squared,
-    sample_kappa_limit,
-    sample_xi_batch,
-    sample_zeta_batch,
-    zeta_scale,
-)
+from .limit_laws import fisher_info_kappa, gamma_squared
 from .misspec_analysis import solve_theta_hat
 from .path_sim import DEFAULT_N_STEPS, TimeGrid, replication_rng, simulate_path
 from .path_sim import write_path_csv
@@ -192,15 +187,6 @@ def _out_dir(config: dict) -> str:
     return config["out_dir"]
 
 
-def _write_samples(path: str, header: str, *columns: np.ndarray) -> None:
-    """``sample_id,<header>``, then one row per draw: floats by ``repr``, flags 0/1."""
-    cells = [(c.astype(int) if c.dtype == bool else c).tolist() for c in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"sample_id,{header}\n")
-        for i, row in enumerate(zip(*cells)):
-            handle.write(",".join(map(repr, (i, *row))) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -291,80 +277,57 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _window_record(window) -> dict:
-    """The sampling window of a limit-law summary."""
-    return {"U": window.U, "du": window.du, "node_count": window.node_count}
+#: Each law of ``limit-law``, defined from the config by ``experiments``.
+_LAWS = {
+    "kappa": lambda c: kappa_law(c["a"], c["rho"], c["T"], c["kappa"]),
+    "xi": lambda c: xi_law(c["a"], c["kappa"]),
+    "zeta": lambda c: zeta_law(misspec_problem(c), c["curvature"]),
+}
+
+#: The summary moments of a sample of each law, from its columns.
+_MOMENTS = {
+    "kappa": lambda samples: {"variance": float(samples.var(ddof=1))},
+    "xi": lambda xi_hat, xi_tilde, flags: {
+        "mean_abs_xi_hat": float(np.abs(xi_hat).mean()),
+        "mean_sq_xi_hat": float((xi_hat**2).mean()),
+        "mean_sq_xi_tilde": float((xi_tilde**2).mean()),
+        "edge_fraction": float(flags.mean()),
+    },
+    "zeta": lambda zeta, flags: {
+        "mean_abs_zeta": float(np.abs(zeta).mean()),
+        "mean_sq_zeta": float((zeta**2).mean()),
+        "edge_fraction": float(flags.mean()),
+    },
+}
 
 
 def _cmd_limit_law(args) -> int:
     config = _settings(args)
-    law, a, kappa = config["law"], config["a"], config["kappa"]
-    if law not in ("kappa", "xi", "zeta"):
-        raise ConfigError(f"unknown limit law {law!r}; valid: ['kappa', 'xi', 'zeta']")
-    hurst = kappa + 0.5
-    count = _count(config, "count", minimum=2 if law == "kappa" else 1)
-    rng = replication_rng(config["master_seed"], 0)
-    if law == "xi":
-        gamma_sq = gamma_squared(a, kappa)
-        window = default_xi_window(gamma_sq, hurst)
-        xi_hat, xi_tilde, flags = sample_xi_batch(gamma_sq, hurst, count, rng, window)
-        header, columns = "xi_hat,xi_tilde,edge_flag", (xi_hat, xi_tilde, flags)
-        summary = {
-            "law": "xi",
-            "gamma_sq": gamma_sq,
-            "mean_abs_xi_hat": float(np.abs(xi_hat).mean()),
-            "mean_sq_xi_hat": float((xi_hat**2).mean()),
-            "mean_sq_xi_tilde": float((xi_tilde**2).mean()),
-            "edge_fraction": float(flags.mean()),
-            "window": _window_record(window),
-        }
-    elif law == "zeta":
-        problem, noise_scale = misspec_problem(config)
-        if config["curvature"] is None:
-            curvature = solve_theta_hat(problem).curvature_closed
-        else:
-            curvature = float(config["curvature"])
-        window = default_zeta_window(noise_scale, curvature, hurst)
-        zeta, flags = sample_zeta_batch(noise_scale, curvature, hurst, count, rng, window)
-        header, columns = "zeta_hat,edge_flag", (zeta, flags)
-        summary = {
-            "law": "zeta",
-            "noise_scale": noise_scale,
-            "curvature": curvature,
-            "zeta_scale": zeta_scale(noise_scale, curvature, hurst),
-            "mean_abs_zeta": float(np.abs(zeta).mean()),
-            "mean_sq_zeta": float((zeta**2).mean()),
-            "edge_fraction": float(flags.mean()),
-            "window": _window_record(window),
-        }
-    else:
-        fisher = fisher_info_kappa(a, config["rho"], config["T"], kappa)
-        samples = sample_kappa_limit(fisher, count, rng)
-        header, columns = "kappa_limit", (samples,)
-        summary = {
-            "law": "kappa",
-            "fisher_kappa": fisher,
-            "variance": float(samples.var(ddof=1)),
-            "limit_variance": 1.0 / fisher,
-        }
+    name = config["law"]
+    if name not in _LAWS:
+        raise ConfigError(f"unknown limit law {name!r}; valid: {sorted(_LAWS)}")
+    count = _count(config, "count", minimum=2 if name == "kappa" else 1)
+    law = _LAWS[name](config)
+    sample = law.draw(count, replication_rng(config["master_seed"], 0))
+    summary = {"schema_version": SCHEMA_VERSION, "count": count,
+               "master_seed": config["master_seed"], "law": name,
+               **law.constants, **_MOMENTS[name](*sample)}
+    if law.window is not None:
+        summary["window"] = {**dataclasses.asdict(law.window),
+                             "node_count": law.window.node_count}
     # The output directory is made only once sampling has succeeded, so a
     # run that fails a domain check leaves nothing behind.
-    csv_path = os.path.join(_out_dir(config), f"limit_{law}_samples.csv")
-    _write_samples(csv_path, header, *columns)
-    log.info("wrote %d %s samples to %s", count, law, csv_path)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "count": count,
-        "master_seed": config["master_seed"],
-        "csv": csv_path,
-        **summary,
-    })
+    csv_path = os.path.join(_out_dir(config), f"limit_{name}_samples.csv")
+    write_csv(csv_path, ",".join(("sample_id", *law.columns)),
+              zip(range(count), *(column.tolist() for column in sample)))
+    log.info("wrote %d %s samples to %s", count, name, csv_path)
+    _emit({**summary, "csv": csv_path})
     return 0
 
 
 def _cmd_misspec(args) -> int:
     config = _settings(args)
-    problem, _ = misspec_problem(config)
+    problem = misspec_problem(config)
     cusp, real = problem.theoretical, problem.real
     record = {
         "schema_version": SCHEMA_VERSION,

@@ -1,19 +1,21 @@
 """Monte Carlo experiment engine.
 
-Ties the other modules together.  A table maps each scenario to a setup
-that binds its parameters into a spec: constants, true values, drift,
-coarse scan, per-path estimator calls and limit-law comparison.  One
-cell runner serves every spec at each noise level: Euler increments for
-``N`` paths, one coarse likelihood scan over all of them (the
-estimators' own, ``estimators.location_coarse`` and its kin), per-path
-estimator calls and the guards.  The estimators see the observations
-alone; each row's error against the true value is normalized by the
-estimate's theoretical rate (``_rows``).  The report holds rate fits,
-Kolmogorov-Smirnov comparisons against limit-law samples, and moment
-orderings.  The limit-law sample
-depends on no replication, so one helper thread draws it beside the
-first cell, the later cells start once it is drawn, and the comparison
-takes it once the last cell is done.
+Ties the other modules together.  Each limit law is defined once, for the
+sweeps and ``cusplab limit-law`` alike: ``xi_law``, ``zeta_law`` and
+``kappa_law`` return its constants, sample columns, fBm window and draw.
+A table maps each scenario to a setup that binds its parameters into a
+spec: constants, true values, drift, coarse scan, per-path estimator calls,
+and the draw and comparison of its limit laws.  One cell runner serves
+every spec at each noise level: Euler increments for ``N`` paths, one
+coarse likelihood scan over all of them (the estimators' own,
+``estimators.location_coarse`` and its kin), per-path estimator calls and
+the guards.  The estimators see the observations alone; each row's error
+against the true value is normalized by the estimate's theoretical rate
+(``_rows``).  The report holds rate fits, Kolmogorov-Smirnov comparisons
+against limit-law samples, and moment orderings.  The limit-law sample
+depends on no replication, so one helper thread draws it beside the first
+cell, the later cells start once it is drawn, and the comparison takes it
+once the last cell is done.  ``write_csv`` writes every CSV of both.
 
 Scenarios
 ---------
@@ -81,6 +83,7 @@ from .estimators import (
     pseudo_mle,
 )
 from .limit_laws import (
+    WindowConfig,
     default_xi_window,
     default_zeta_window,
     fisher_info_kappa,
@@ -108,12 +111,15 @@ __all__ = [
     "SIGNAL_DEFAULTS",
     "ExperimentConfig",
     "ExperimentReport",
+    "LimitLaw",
     "RateFit",
     "config_defaults",
     "experiment_config_from_dict",
+    "kappa_law",
     "misspec_problem",
     "run_experiment",
     "run_and_write",
+    "write_csv",
     "write_rows_csv",
     "write_report_json",
     "fit_rate",
@@ -121,6 +127,8 @@ __all__ = [
     "moment_compare",
     "separation_bound_fit",
     "tail_bound_fit",
+    "xi_law",
+    "zeta_law",
 ]
 
 SCHEMA_VERSION = 1
@@ -371,6 +379,68 @@ class ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
+# the limit laws
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LimitLaw:
+    """A limit law bound to its parameters, with its constants by their report
+    names.  ``draw(count, rng, stop=None)`` returns one array per name in
+    ``columns``, drawn from ``rng`` alone by a sampler looked up in this module
+    when it runs; an fBm law draws on ``window`` (else ``None``) and stops at
+    its next block once the event ``stop`` is set."""
+
+    constants: dict
+    columns: tuple
+    window: Optional[WindowConfig]
+    draw: Callable[..., tuple]
+
+
+def xi_law(a: float, kappa: float) -> LimitLaw:
+    """``(xi_hat, xi_tilde)``, the limits of the location MLE and posterior
+    mean, on the default window of ``Gamma**2 = gamma_squared(a, kappa)``."""
+    gamma_sq, hurst = gamma_squared(a, kappa), kappa + 0.5
+    window = default_xi_window(gamma_sq, hurst)
+    return LimitLaw({"gamma_sq": gamma_sq}, ("xi_hat", "xi_tilde", "edge_flag"), window,
+                    lambda count, rng, stop=None: sample_xi_batch(
+                        gamma_sq, hurst, count, rng, window, stop))
+
+
+def zeta_law(problem: MisspecProblem, curvature: Optional[float]) -> LimitLaw:
+    """``zeta_hat``, the pseudo-MLE's limit under ``problem``, at ``curvature``
+    (by default the closed form at the pseudo-true location).  The noise scale
+    of the fBm is ``Gamma = sqrt(gamma_squared(a, kappa))``: the noise term
+    ``int [M(theta_hat + phi*u, t) - M(theta_hat, t)] dW`` has standard
+    deviation ``Gamma * phi**H * |u|**H``."""
+    cusp = problem.theoretical
+    noise_scale, hurst = math.sqrt(gamma_squared(cusp.a, cusp.kappa)), cusp.hurst
+    if curvature is None:
+        curvature = solve_theta_hat(problem).curvature_closed
+    curvature = float(curvature)
+    window = default_zeta_window(noise_scale, curvature, hurst)
+    constants = {"noise_scale": noise_scale, "curvature": curvature,
+                 "zeta_scale": zeta_scale(noise_scale, curvature, hurst)}
+    return LimitLaw(constants, ("zeta_hat", "edge_flag"), window,
+                    lambda count, rng, stop=None: sample_zeta_batch(
+                        noise_scale, curvature, hurst, count, rng, window, stop))
+
+
+def kappa_law(a: float, rho: float, T: float, kappa: float) -> LimitLaw:
+    """The Gaussian limit ``N(0, 1/I)`` of the exponent MLE at a known
+    location, ``I = fisher_info_kappa(a, rho, T, kappa)``."""
+    fisher = fisher_info_kappa(a, rho, T, kappa)
+    return LimitLaw({"fisher_kappa": fisher, "limit_variance": 1.0 / fisher},
+                    ("kappa_limit",), None,
+                    lambda count, rng, stop=None: (sample_kappa_limit(fisher, count, rng),))
+
+
+def _edge(law: LimitLaw, flags: np.ndarray) -> dict:
+    """The KS entry fields of an fBm sample: its edge fraction and window size."""
+    return {"limit_edge_fraction": float(flags.mean()),
+            "limit_node_count": law.window.node_count}
+
+
+# ---------------------------------------------------------------------------
 # the scenario table
 # ---------------------------------------------------------------------------
 
@@ -385,12 +455,11 @@ class _Spec:
     ``(*axes, field)`` of a cell's ``(paths, n)`` increments, the path the
     last axis of the field.  ``estimators`` maps the row names of each
     per-path call ``(path, coarse) -> result`` to the call, in run order.
-    ``draw(count, rng, stop)`` returns a sample of the limit law drawn
-    from ``rng`` alone, so ``run_experiment`` runs it beside the first cell;
-    its fBm batches stop once the event ``stop`` is set.
-    ``compare(errors, sample)`` returns ``(ks_results,
-    moment_comparison)`` of the errors at the smallest noise level
-    against it.  A spec without a limit law has neither.
+    ``draw`` is a ``LimitLaw.draw`` (joint: two laws' from one generator),
+    so ``run_experiment`` runs it beside the first cell, and ``compare(errors,
+    sample)`` returns ``(ks_results, moment_comparison)`` of the errors at the
+    smallest noise level against its sample.  A spec without a limit law has
+    neither.
     """
 
     constants: dict
@@ -412,16 +481,10 @@ _TRUTH_BOUNDS = {
 }
 
 
-def misspec_problem(params: dict) -> tuple[MisspecProblem, float]:
-    """Misspecification problem and noise scale for signal parameters.
-
-    ``params`` overrides the ``misspec`` scenario defaults; other keys are
-    ignored here (the CLI has rejected those its subcommand does not
-    read).  The noise scale multiplying the fBm of the limit law
-    is ``Gamma = sqrt(gamma_squared(a, kappa))``: the noise term
-    ``int [M(theta_hat + phi*u, t) - M(theta_hat, t)] dW`` has standard
-    deviation ``Gamma * phi**H * |u|**H``.
-    """
+def misspec_problem(params: dict) -> MisspecProblem:
+    """Misspecification problem for signal parameters: ``params`` overrides
+    the ``misspec`` scenario defaults and its other keys are ignored here
+    (the CLI has rejected those its subcommand does not read)."""
     p = {**SIGNAL_DEFAULTS["misspec"], **params}
     theoretical = CuspSignal(
         a=p["a"], kappa=p["kappa"], T=p["T"], theta_bounds=tuple(p["theta_bounds"]),
@@ -429,9 +492,7 @@ def misspec_problem(params: dict) -> tuple[MisspecProblem, float]:
     real = SmoothedCuspSignal(
         a=p["a"], kappa=p["kappa"], center=p["center"], delta=p["delta"], T=p["T"],
     )
-    noise_scale = math.sqrt(gamma_squared(p["a"], p["kappa"]))
-    problem = MisspecProblem(theoretical=theoretical, real=real)
-    return problem, noise_scale
+    return MisspecProblem(theoretical=theoretical, real=real)
 
 
 # The setups bind one scenario each.  Their per-path calls name the
@@ -456,21 +517,15 @@ def _location(config, grid, signal, truth, drift, rate, names, **rest) -> _Spec:
 def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     family = {k: v for k, v in p.items() if k != "theta0"}
     signal = signal_from_config({"family": "cusp", **family})
-    gamma_sq, hurst = gamma_squared(p["a"], p["kappa"]), signal.hurst
+    law, hurst = xi_law(p["a"], p["kappa"]), signal.hurst
     names = ("mle", "bayes") if with_bayes else ("mle",)
-    window = default_xi_window(gamma_sq, hurst)
-
-    def draw(count, rng, stop):
-        return sample_xi_batch(gamma_sq, hurst, count, rng, window, stop)
 
     def compare(errors, sample):
         xi_hat, xi_tilde, flags = sample
-        extra = {"limit_edge_fraction": float(flags.mean()),
-                 "limit_node_count": window.node_count}
-        ks = {"mle": _ks_entry(errors["mle"], xi_hat, extra)}
+        ks = {"mle": _ks_entry(errors["mle"], xi_hat, _edge(law, flags))}
         if not with_bayes:
             return ks, None
-        ks["bayes"] = _ks_entry(errors["bayes"], xi_tilde, extra)
+        ks["bayes"] = _ks_entry(errors["bayes"], xi_tilde, _edge(law, flags))
         mean_a, mean_b, se, flag = moment_compare(errors["mle"], errors["bayes"], 2.0)
         return ks, {"p": 2.0, "mean_mle": mean_a, "mean_bayes": mean_b,
                     "pooled_se": se, "significant": flag}
@@ -478,8 +533,8 @@ def _cusp(p, config, grid, with_bayes=False) -> _Spec:
     return _location(
         config, grid, signal, {"theta0": p["theta0"]},
         np.asarray(signal.value(p["theta0"], grid.left_nodes), dtype=float),
-        lambda e: location_rate(e, hurst), names, draw=draw, compare=compare,
-        constants={"gamma_sq": gamma_sq, "hurst": hurst, "rate_target": 1.0 / hurst},
+        lambda e: location_rate(e, hurst), names, draw=law.draw, compare=compare,
+        constants={**law.constants, "hurst": hurst, "rate_target": 1.0 / hurst},
     )
 
 
@@ -499,29 +554,22 @@ def _multi_cusp(p, config, grid) -> _Spec:
 
 
 def _misspec(p, config, grid) -> _Spec:
-    problem, noise_scale = misspec_problem(p)
+    problem = misspec_problem(p)
     solution = solve_theta_hat(problem)
-    curv, hurst = solution.curvature_closed, problem.theoretical.hurst
-    window = default_zeta_window(noise_scale, curv, hurst)
-
-    def draw(count, rng, stop):
-        return sample_zeta_batch(noise_scale, curv, hurst, count, rng, window, stop)
+    law = zeta_law(problem, solution.curvature_closed)
 
     def compare(errors, sample):
         zeta, flags = sample
-        edge = {"limit_edge_fraction": float(flags.mean()),
-                "limit_node_count": window.node_count}
-        return {"pseudo_mle": _ks_entry(errors["pseudo_mle"], zeta, edge)}, None
+        return {"pseudo_mle": _ks_entry(errors["pseudo_mle"], zeta, _edge(law, flags))}, None
 
     return _location(
         config, grid, problem.theoretical, {"theta_hat": solution.theta_hat},
         np.asarray(problem.real.value(grid.left_nodes), dtype=float),
         lambda e: misspec_rate(e, p["kappa"]), ("pseudo_mle",),
-        draw=draw, compare=compare,
+        draw=law.draw, compare=compare,
         constants={
             **dataclasses.asdict(solution),
-            "noise_scale": noise_scale,
-            "zeta_scale": zeta_scale(noise_scale, curv, hurst),
+            **{k: law.constants[k] for k in ("noise_scale", "zeta_scale")},
             "rate_target": 2.0 / (3.0 - 2.0 * p["kappa"]),
         },
     )
@@ -529,19 +577,16 @@ def _misspec(p, config, grid) -> _Spec:
 
 def _kappa(p, config, grid) -> _Spec:
     a, rho, kappa0, bounds = p["a"], p["rho"], p["kappa0"], p["kappa_bounds"]
-    fisher = fisher_info_kappa(a, rho, p["T"], kappa0)
+    law = kappa_law(a, rho, p["T"], kappa0)
 
-    def draw(count, rng, stop):
-        return sample_kappa_limit(fisher, count, rng)
-
-    def compare(errors, limit):
+    def compare(errors, sample):
+        (limit,) = sample
         return {"kappa_mle": _ks_entry(errors["kappa_mle"], limit)}, None
 
     return _Spec(
-        constants={"fisher_kappa": fisher, "rate_target": 1.0,
-                   "limit_variance": 1.0 / fisher},
+        constants={**law.constants, "rate_target": 1.0},
         truth={"kappa0": kappa0}, drift=cusp_term(a, rho, kappa0, grid.left_nodes),
-        kappa=kappa0, draw=draw, compare=compare,
+        kappa=kappa0, draw=law.draw, compare=compare,
         coarse=lambda eps, dx: kappa_coarse(a, rho, bounds, grid, dx, eps),
         estimators={("kappa_mle",): lambda path, c: kappa_mle(
             path, a, rho, bounds, coarse=c)},
@@ -551,29 +596,24 @@ def _kappa(p, config, grid) -> _Spec:
 def _joint(p, config, grid) -> _Spec:
     a, rho0, kappa0 = p["a"], p["rho0"], p["kappa0"]
     tbounds, kbounds = p["theta_bounds"], p["kappa_bounds"]
-    gamma_sq = gamma_squared(a, kappa0)
-    fisher = fisher_info_kappa(a, rho0, p["T"], kappa0)
+    xi, exponent = xi_law(a, kappa0), kappa_law(a, rho0, p["T"], kappa0)
     hurst = kappa0 + 0.5
-    window = default_xi_window(gamma_sq, hurst)
 
     def draw(count, rng, stop):
         # one generator, xi first: the order of the streams is part of the draw
-        xi = sample_xi_batch(gamma_sq, hurst, count, rng, window, stop)
-        return xi, sample_kappa_limit(fisher, count, rng)
+        return xi.draw(count, rng, stop), exponent.draw(count, rng)
 
     def compare(errors, sample):
-        (xi_hat, _, flags), kappa_limit = sample
+        (xi_hat, _, flags), (kappa_limit,) = sample
         rho_errs, kap_errs = errors["joint_rho"], errors["joint_kappa"]
-        extra = {
-            "component_correlation": float(np.corrcoef(rho_errs, kap_errs)[0, 1]),
-            "limit_edge_fraction": float(flags.mean()),
-            "limit_node_count": window.node_count,
-        }
+        extra = {"component_correlation": float(np.corrcoef(rho_errs, kap_errs)[0, 1]),
+                 **_edge(xi, flags)}
         return {"joint_rho": _ks_entry(rho_errs, xi_hat, extra),
                 "joint_kappa": _ks_entry(kap_errs, kappa_limit)}, None
 
     return _Spec(
-        constants={"gamma_sq": gamma_sq, "fisher_kappa": fisher, "hurst": hurst,
+        constants={"gamma_sq": xi.constants["gamma_sq"],
+                   "fisher_kappa": exponent.constants["fisher_kappa"], "hurst": hurst,
                    "rho_rate_target": 1.0 / hurst, "kappa_rate_target": 1.0},
         truth={"rho0": rho0, "kappa0": kappa0},
         drift=cusp_term(a, rho0, kappa0, grid.left_nodes), kappa=kappa0,
@@ -728,13 +768,6 @@ def _summarize(rows, eps, estimator):
     }
 
 
-def _normalized_errors(rows, eps, estimator):
-    return np.array([
-        r["normalized_error"] for r in rows
-        if r["epsilon"] == eps and r["estimator"] == estimator and not r["failed"]
-    ])
-
-
 def _ks_entry(samples, limit_samples, extra=None):
     entry = {
         "statistic": ks_statistic(samples, limit_samples),
@@ -814,8 +847,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ks_results: dict = {}
     moment_comparison = None
     if limit:
-        errors = {name: _normalized_errors(rows, config.epsilons[-1], name)
-                  for name in names}
+        last = [r for r in rows if r["epsilon"] == config.epsilons[-1] and not r["failed"]]
+        errors = {name: np.array([r["normalized_error"] for r in last
+                                  if r["estimator"] == name]) for name in names}
         ks_results, moment_comparison = spec.compare(errors, sample)
 
     estimators = sorted(names)
@@ -851,16 +885,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def write_rows_csv(rows: Sequence[dict], path: str) -> None:
-    """Per-replication records; float fields use repr for bit-stability."""
+def write_csv(path: str, header: str, rows) -> None:
+    """``header``, then a line per row: flags 0/1, floats by their round-trip ``str``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for r in rows:
-            handle.write(
-                f"{r['replication']},{r['epsilon']!r},{r['estimator']},"
-                f"{r['estimate']!r},{r['normalized_error']!r},"
-                f"{int(r['boundary_flag'])}\n"
-            )
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(str(int(c) if isinstance(c, bool) else c) for c in row)
+                         + "\n")
+
+
+def write_rows_csv(rows: Sequence[dict], path: str) -> None:
+    """Per-replication records, the ``CSV_HEADER`` fields of each."""
+    write_csv(path, CSV_HEADER, ([r[k] for k in CSV_HEADER.split(",")] for r in rows))
 
 
 def write_report_json(report: ExperimentReport, path: str) -> None:

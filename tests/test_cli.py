@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import cusplab
+from cusplab import cli, experiments
 from cusplab.cli import main
 from cusplab.estimators import bayes
 from cusplab.path_sim import TimeGrid, replication_rng, simulate_path
@@ -658,6 +659,44 @@ class TestNumpyOnlyRuntime:
             [sys.executable, "-c", self.CHILD, json.dumps(argvs), str(found)],
             capture_output=True, text=True, env=_child_env(), timeout=300, check=True)
         assert json.loads(found.read_text()) == []
+
+
+class TestOneDefinitionPerLaw:
+    """``limit-law`` draws the laws of ``cusplab.experiments``, which the
+    sweeps draw too, and derives none of their chains itself."""
+
+    @pytest.mark.parametrize("name", [
+        "sample_xi_batch", "sample_zeta_batch", "sample_kappa_limit",
+        "default_xi_window", "default_zeta_window", "zeta_scale",
+    ])
+    def test_cli_binds_no_sampler_or_window(self, name):
+        assert not hasattr(cli, name)
+
+    @pytest.mark.parametrize("config,law", [
+        ({"law": "xi", "a": 1.5, "kappa": 0.3}, lambda: experiments.xi_law(1.5, 0.3)),
+        ({"law": "zeta", "kappa": 0.2, "delta": 0.04},
+         lambda: experiments.zeta_law(
+             experiments.misspec_problem({"kappa": 0.2, "delta": 0.04}), None)),
+        ({"law": "zeta", "curvature": 1.9606},
+         lambda: experiments.zeta_law(experiments.misspec_problem({}), 1.9606)),
+        ({"law": "kappa", "a": 2.0, "rho": 0.4, "kappa": 0.15},
+         lambda: experiments.kappa_law(2.0, 0.4, 1.0, 0.15)),
+    ])
+    def test_samples_csv_is_the_law_draw(self, capsys, tmp_path, config, law):
+        path = _write_config(tmp_path, {**config, "count": 40, "master_seed": 11})
+        code, payload = _run(capsys, ["limit-law", "--config", path,
+                                      "--out", str(tmp_path)])
+        assert code == 0
+        law = law()
+        with open(payload["csv"], "r", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["sample_id", *law.columns]
+        assert [int(r[0]) for r in rows[1:]] == list(range(40))
+        drawn = law.draw(40, replication_rng(11, 0))
+        for j, column in enumerate(drawn, start=1):
+            cast = int if column.dtype == bool else float
+            assert [cast(r[j]) for r in rows[1:]] == column.astype(cast).tolist()
+        assert {k: payload[k] for k in law.constants} == law.constants
 
 
 class TestFlagsAndKeys:

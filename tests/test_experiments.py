@@ -276,7 +276,7 @@ def _stand_alone(scenario, p):
     bounds = p.get("theta_bounds", (0.35, 0.65))
     cusp = lambda kappa: CuspSignal(a=p["a"], kappa=kappa, T=p["T"], theta_bounds=bounds)
     if scenario == "misspec":
-        problem, _ = experiments.misspec_problem(p)
+        problem = experiments.misspec_problem(p)
         return problem.real, None, lambda path: {
             "pseudo_mle": pseudo_mle(path, problem.theoretical).estimate}
     if scenario == "kappa":
@@ -643,6 +643,17 @@ class TestLimitDrawBesideCells:
         for name, limit in (("joint_rho", xi_hat), ("joint_kappa", kappa)):
             errors = [r["normalized_error"] for r in report.rows if r["estimator"] == name]
             assert report.ks_results[name]["statistic"] == ks_statistic(errors, limit)
+
+    def test_joint_draw_is_the_xi_law_then_the_kappa_law(self):
+        cfg = _tiny("joint", **SMALL["joint"])
+        p = cfg.signal
+        spec = experiments._SCENARIOS["joint"](p, cfg, TimeGrid(p["T"], cfg.n_steps))
+        (xi_hat, xi_tilde, flags), (kappa,) = spec.draw(60, replication_rng(4, 9), None)
+        rng = replication_rng(4, 9)
+        want = (*experiments.xi_law(p["a"], p["kappa0"]).draw(60, rng),
+                *experiments.kappa_law(p["a"], p["rho0"], p["T"], p["kappa0"]).draw(60, rng))
+        for got, expected in zip((xi_hat, xi_tilde, flags, kappa), want, strict=True):
+            assert np.array_equal(got, expected)
 
     def test_cell_error_surfaces_once_the_draw_is_joined(self, monkeypatch):
         started = threading.Event()
