@@ -30,9 +30,12 @@ normalized by it needs the true value, which is the caller's.
 grid search ``_search``, which refines ``STARTS`` separated points of a
 coarse scan down to a step of rate/50.  Each coarse scan (``location_coarse``
 and its kin) is its axes plus one ``_scan``, which holds at most
-``SCAN_BLOCK`` drift rows however fine the grid.  The search windows
-(``_window_loglik``, ``_exponent_rows``) take no power per candidate and
-node, and each is scanned once per search (``_scan_window``).  The
+``SCAN_BLOCK`` drift rows however fine the grid.  Every search window, on
+either axis (``_location_window``, ``_exponent_window``), goes through one
+evaluator, ``_window_loglik``: the nodes of one slice are summed directly
+and all others through ``CHEB`` Chebyshev points of the window, so most
+nodes cost ``CHEB`` drift values however many candidates the window
+holds.  Each window is scanned once per search (``_scan_window``).  The
 exponent field is regular, so both exponent estimates end in Newton
 scoring on its exact score and Hessian (``_kappa_newton``): ``kappa_mle``
 from the argmax of the 9-node exponent axis, ``joint_mle`` from its
@@ -124,7 +127,7 @@ def _path_loglik(path: ObservationPath, drift_rows: np.ndarray) -> np.ndarray:
 
 
 #: A location window sums the nodes within ``FAR`` half-widths of its centre
-#: directly; every other node enters through ``CHEB`` Chebyshev points.
+#: directly; in every window the other nodes enter through ``CHEB`` points.
 FAR = 8
 CHEB = 12
 
@@ -134,64 +137,85 @@ _CHEB_X = np.cos(_CHEB_ANGLES)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(CHEB) * np.sin(_CHEB_ANGLES)
 
 
-def _barycentric(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Matrix taking values at the Chebyshev ``nodes`` to their interpolant at ``x``.
+@functools.lru_cache(maxsize=None)
+def _interpolation(m: int) -> np.ndarray:
+    """Read-only matrix from the values at ``c + w*_CHEB_X`` to ``np.linspace(c - w, c + w, m)``.
 
-    A point on a node takes that node's value (the first, if the nodes
-    coincide in a window of zero width).
+    The barycentric formula (Berrut & Trefethen 2004) at ``np.linspace(-1,
+    1, m)``, none of whose points is a Chebyshev point for ``m < 5000``.  A
+    window of one point has zero width and takes the first point's value.
     """
-    diff = x[:, None] - nodes
-    hit = diff == 0.0
-    first_hit = hit & (np.cumsum(hit, axis=1) == 1)
-    terms = np.where(hit.any(axis=1, keepdims=True), first_hit,
-                     _CHEB_WEIGHTS / np.where(hit, 1.0, diff))
-    return terms / terms.sum(axis=1, keepdims=True)
+    if m == 1:
+        matrix = np.eye(1, CHEB)
+    else:
+        terms = _CHEB_WEIGHTS / (np.linspace(-1.0, 1.0, m)[:, None] - _CHEB_X)
+        matrix = terms / terms.sum(axis=1, keepdims=True)
+    matrix.flags.writeable = False
+    return matrix
 
 
-def _window_loglik(path: ObservationPath, rows, thetas: np.ndarray) -> np.ndarray:
-    """Field at the ascending window ``thetas``; ``rows(theta_column, t)`` gives drifts.
+def _window_loglik(path, rows, thetas, nodes, i0, i1) -> np.ndarray:
+    """Field at the window ``thetas``, an ``np.linspace``, summing the nodes ``i0:i1`` directly.
 
-    With centre ``c`` and half-width ``w`` of the window, the nodes with
-    ``|t_i - c| <= FAR*w`` (one slice of the sorted nodes) are summed
-    directly for every theta.  For each other node, ``theta -> S(theta,
-    t_i)`` is analytic on a Bernstein ellipse of the window with parameter
-    at least ``FAR + sqrt(FAR**2 - 1)``: the cusp tip ``t_i`` lies outside
-    it, and the nuisances are affine in theta.  So the sum over those
-    nodes is evaluated at ``CHEB`` Chebyshev points of the window and
-    interpolated (barycentric formula, Berrut & Trefethen 2004), with a
-    relative error of order ``(8 + sqrt 63)**-12``, about 4e-15.  An empty
-    far set adds zero.
+    ``nodes`` has one entry per time node, which ``rows(theta_column,
+    nodes)`` turns into drifts: ``t`` itself for a location window,
+    ``log|t - rho|`` for an exponent window.  The nodes ``i0:i1`` are
+    summed for every theta.  The sum over all others is taken at the
+    ``CHEB`` Chebyshev points of the window and interpolated by the matrix
+    ``_interpolation(thetas.size)``; an empty far set adds zero.  With
+    centre ``c`` and half-width ``w`` of the window, the slice rules are:
+
+    * location (``_location_window``): the nodes with ``|t - c| <= FAR*w``.
+      For every other node, ``theta -> S(theta, t)`` is analytic on a
+      Bernstein ellipse of the window with parameter at least ``FAR +
+      sqrt(FAR**2 - 1)``: the cusp tip ``t`` lies outside it, and the
+      nuisances are affine in theta.  The interpolant's relative error is
+      of order ``(8 + sqrt 63)**-12``, about 4e-15.
+    * exponent (``_exponent_window``): the smallest slice holding every
+      node with ``w*|log|t - rho|| >= 1/4``.  Search windows have ``w <=
+      (khi - klo)/4 < 1/8``, so for ``T <= e**2`` these are the nodes with
+      ``|t - rho| <= exp(-1/(4w))``, a node on ``rho`` included.  At every
+      other node the drift ``a*exp(kappa*L)`` and its square are
+      exponentials ``exp(beta*s)`` of the window coordinate ``s`` in [-1,
+      1] with ``beta < 1/2`` (the square's rate ``2w|L|`` is the binding
+      one).  Their interpolant is within ``2*(beta/2)**CHEB * e**(2*beta) /
+      CHEB!`` < 7e-16 of their value at every candidate, so the field is
+      within 7e-16 of the summed terms ``(sum |S dX| + dt/2 sum S**2) /
+      eps**2`` before rounding.
     """
-    t, dx = path.grid.left_nodes, path.increments
-    dt, eps = path.grid.dt, path.epsilon
+    dx, dt, eps = path.increments, path.grid.dt, path.epsilon
+    c = 0.5 * (thetas[0] + thetas[-1])
+    w = 0.5 * (thetas[-1] - thetas[0])
+    near = ito_loglik(rows(thetas[:, None], nodes[i0:i1]), dx[i0:i1], dt, eps)
+    far_nodes = np.concatenate((nodes[:i0], nodes[i1:]))
+    far_dx = np.concatenate((dx[:i0], dx[i1:]))
+    far = ito_loglik(rows((c + w * _CHEB_X)[:, None], far_nodes), far_dx, dt, eps)
+    return near + _interpolation(thetas.size) @ far
+
+
+def _location_window(path, rows, thetas) -> np.ndarray:
+    """Field at the location window ``thetas``; ``rows(theta_column, t)`` gives drifts."""
+    t = path.grid.left_nodes
     c = 0.5 * (thetas[0] + thetas[-1])
     w = 0.5 * (thetas[-1] - thetas[0])
     i0 = int(np.searchsorted(t, c - FAR * w, side="left"))
     i1 = int(np.searchsorted(t, c + FAR * w, side="right"))
-    near = ito_loglik(rows(thetas[:, None], t[i0:i1]), dx[i0:i1], dt, eps)
-    nodes = c + w * _CHEB_X
-    far_t = np.concatenate((t[:i0], t[i1:]))
-    far_dx = np.concatenate((dx[:i0], dx[i1:]))
-    far = ito_loglik(rows(nodes[:, None], far_t), far_dx, dt, eps)
-    return near + _barycentric(thetas, nodes) @ far
+    return _window_loglik(path, rows, thetas, t, i0, i1)
 
 
-def _exponent_rows(a: float, rho: float, kappas: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows ``cusp_term(a, rho, kappas[:, None], t)`` of an arithmetic ``kappas``.
+def _exponent_window(path, a: float, rho: float, kappas) -> np.ndarray:
+    """Field of ``cusp_term(a, rho, kappas[:, None], t)`` at the exponent window ``kappas``.
 
-    The first row is ``a*|t - rho|**kappas[0]``; each next row is the one
-    before times ``|t - rho|**step``, with the step ``(kappas[-1] -
-    kappas[0]) / (m - 1)`` of ``np.linspace``.  Two powers per node
-    instead of one per row; a node at ``rho`` stays 0.
+    Rows ``a*exp(kappa*log|t - rho|)`` from one ``log`` per node (``-inf``
+    at a node on ``rho``, whose entries are then 0); ``_window_loglik``
+    gives the slice rule and its error bound.
     """
-    x = np.abs(t - rho)
-    out = np.empty((kappas.size, t.size))
-    out[0] = a * x ** kappas[0]
-    if kappas.size > 1:
-        ratio = x ** ((kappas[-1] - kappas[0]) / (kappas.size - 1))
-        for j in range(1, kappas.size):
-            np.multiply(out[j - 1], ratio, out=out[j])
-    return out
+    x = np.abs(path.grid.left_nodes - rho)
+    log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
+    w = 0.5 * (kappas[-1] - kappas[0])
+    near = np.flatnonzero(np.abs(log_x) >= (0.25 / w if w > 0.0 else math.inf))
+    i0, i1 = (int(near[0]), int(near[-1]) + 1) if near.size else (0, 0)
+    return _window_loglik(path, lambda k, logs: a * np.exp(k * logs), kappas, log_x, i0, i1)
 
 
 def _check_horizon(path: ObservationPath, signal) -> None:
@@ -447,7 +471,7 @@ def _location_mle(path, signal, rate, estimator, coarse=None):
     coarse_step = coarse[0][1] - coarse[0][0]
     (theta,), _, levels, (step,), boundary = _search(
         coarse, (signal.theta_bounds,),
-        (lambda point, thetas: _window_loglik(path, signal.value, thetas),),
+        (lambda point, thetas: _location_window(path, signal.value, thetas),),
         lambda p, q: abs(p[0] - q[0]) < 2.0 * coarse_step,
         lambda point: (rate / 50.0,),
     )
@@ -775,10 +799,11 @@ def joint_mle(
 
     The field of ``cusp_term(a, rho, kappa, t)`` is searched by ``_search``
     on two axes from the ``joint_coarse`` scan, alternating location
-    windows (``_window_loglik``) and exponent windows (``_exponent_rows``),
-    then the exponent by Newton scoring (``_kappa_newton``) at the location
-    found; ``kappa_step`` and ``refinement_levels`` are the search's.
-    The location rate is ``eps**(1/H)`` at the estimated exponent, the
+    windows (``_location_window``) and exponent windows
+    (``_exponent_window``), both through ``_window_loglik``, then the
+    exponent by Newton scoring (``_kappa_newton``) at the location found;
+    ``kappa_step`` and ``refinement_levels`` are the search's.  The
+    location rate is ``eps**(1/H)`` at the estimated exponent, the
     exponent rate ``eps``.  The exponent bounds must lie
     in ``(0, 1/2)``, where the location rate is defined.  ``coarse``
     optionally supplies this path's ``joint_coarse`` scan.
@@ -792,13 +817,12 @@ def joint_mle(
     if not (0.0 < klo < khi < 0.5):
         raise DomainError(f"kappa_bounds need 0 < lo < hi < 1/2, got {kappa_bounds!r}")
     eps = path.epsilon
-    t = path.grid.left_nodes
 
     def rho_field(point, rhos) -> np.ndarray:
-        return _window_loglik(path, lambda r, nodes: cusp_term(a, r, point[1], nodes), rhos)
+        return _location_window(path, lambda r, nodes: cusp_term(a, r, point[1], nodes), rhos)
 
     def kappa_field(point, kappas) -> np.ndarray:
-        return _path_loglik(path, _exponent_rows(a, point[0], kappas, t))
+        return _exponent_window(path, a, point[0], kappas)
 
     def targets(point) -> tuple[float, float]:
         hurst = min(khi, max(klo, point[1])) + 0.5

@@ -113,3 +113,20 @@ def test_no_private_imports_across_modules():
                 found += [f"{path.name}: {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+#: A double-backticked private name (one leading underscore) or all-caps constant.
+_DOC_NAME = re.compile(r"``(_(?!_)\w+|[A-Z][A-Z0-9_]+)``")
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_docstring_names_exist(name):
+    # a private name or constant a docstring quotes is still in its module
+    module = MODULES[name]
+    missing = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            quoted = _DOC_NAME.findall(ast.get_docstring(node) or "")
+            missing += [(getattr(node, "name", name), q) for q in quoted
+                        if not hasattr(module, q)]
+    assert missing == []

@@ -721,7 +721,7 @@ class TestFineLattice:
             h = dt / (1.0 + ratio)
         elif branch == "p":  # step p*dt with p > 1, the kernel path
             h = dt * (1.0 + ratio)
-        else:  # a window below dt: the same lattice, through _window_loglik
+        else:  # a window below dt: the same lattice, through direct rows
             width, h = dt * ratio / 8.0, dt * ratio / 400.0
         hi = lo + width
         lattice = estimators.FineLattice(signal, grid, lo, hi, h)
@@ -777,18 +777,28 @@ class TestFineLattice:
                                    rtol=0, atol=1e-14 * scale)
 
 
-def _direct_window_loglik(path, rows, thetas):
-    """``estimators._window_loglik`` with every node summed directly."""
+def _direct_location_window(path, rows, thetas):
+    """``estimators._location_window`` with every node summed directly."""
     return estimators._path_loglik(path, rows(thetas[:, None], path.grid.left_nodes))
 
 
-def _direct_exponent_rows(a, rho, kappas, t):
-    """``estimators._exponent_rows`` with one power per row."""
-    return cusp_term(a, rho, kappas[:, None], t)
+def _direct_exponent_window(path, a, rho, kappas):
+    """``estimators._exponent_window`` over ``cusp_term`` rows, every node summed directly."""
+    return estimators._path_loglik(path, cusp_term(a, rho, kappas[:, None], path.grid.left_nodes))
+
+
+def _summed_terms(path, rows) -> np.ndarray:
+    """``sum |S dX| + dt/2 sum S**2`` per row: the scale of its rounding, times eps**2."""
+    dt = path.grid.dt
+    return np.abs(rows) @ np.abs(path.increments) + 0.5 * dt * (rows**2).sum(axis=1)
 
 
 class TestWindowFastPaths:
-    """The two fast window fields equal ``ito_loglik`` over direct rows."""
+    """The location and exponent windows equal ``ito_loglik`` over direct rows.
+
+    Rounding is relative to the summed terms, of order 1/eps**2, not to the
+    field, which is a small difference of them at large eps.
+    """
 
     @pytest.mark.parametrize("family,nuisance", [
         (family, nuisance)
@@ -836,40 +846,81 @@ class TestWindowFastPaths:
         if window == "wider":
             half_width = (thetas[-1] - thetas[0]) / 2
             assert estimators.FAR * half_width > 1.0
-        got = estimators._window_loglik(path, signal.value, thetas)
-        want = _direct_window_loglik(path, signal.value, thetas)
+        got = estimators._location_window(path, signal.value, thetas)
+        want = _direct_location_window(path, signal.value, thetas)
         assert got.shape == thetas.shape
-        # Rounding is relative to the summed terms, of order 1/eps**2, not to
-        # the field, which is a small difference of them at large eps.
-        rows = signal.value(thetas[:, None], grid.left_nodes)
-        terms = np.abs(rows) @ np.abs(path.increments) + 0.5 * grid.dt * (rows**2).sum(axis=1)
+        terms = _summed_terms(path, signal.value(thetas[:, None], grid.left_nodes))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * terms.max() / eps**2)
 
+    KAPPA_BOUNDS = (0.05, 0.45)
+
+    @pytest.mark.parametrize("window", ["inside", "clipped", "one"])
+    @pytest.mark.parametrize("where", ["node", "near", "between"])
     @given(
-        n=st.integers(2, 5000),
+        n=st.integers(2, 10_000),
+        eps=st.floats(1e-3, 0.2),
         a=st.floats(0.1, 3.0),
-        lo=st.floats(0.05, 0.45),
-        width=st.floats(1e-6, 0.4),
-        m=st.integers(1, 41),
-        rho=st.floats(0.01, 0.99),
-        on_node=st.booleans(),
+        a0=st.floats(0.0, 3.0),
+        u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        offset=st.floats(1e-15, 1e-9),
+        center=st.floats(0.05, 0.45),
+        step=st.floats(5e-5, 2e-2),
+        seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_exponent_rows_match_cusp_term(self, n, a, lo, width, m, rho, on_node):
-        t = np.arange(n) / n
-        if on_node:  # one node exactly at rho: its entries are 0 in every row
-            rho = t[int(rho * (n - 1))]
-        kappas = np.linspace(lo, min(lo + width, 0.45), m)
-        got = estimators._exponent_rows(a, rho, kappas, t)
-        want = _direct_exponent_rows(a, rho, kappas, t)
-        assert np.array_equal(got[0], want[0])
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    # Two nodes, the one at 0.5 just where w*|log|t - rho|| = 1/2 on the
+    # widest window: a slice rule of 1/2 read 1.9e-13 of the terms on
+    # pure noise, because the energy term's exponent is twice the drift's.
+    @example(n=2, eps=1e-3, a=1.0, a0=0.0, u=0.41790679287623883, offset=1e-15,
+             center=0.25, step=0.01, seed=0)
+    @settings(max_examples=50, deadline=None)
+    def test_exponent_window_matches_cusp_term(
+        self, window, where, n, eps, a, a0, u, offset, center, step, seed
+    ):
+        # the path's drift has amplitude a0 (0: pure noise) and its tip at 0.5
+        grid = TimeGrid(1.0, n)
+        t = grid.left_nodes
+        noise = np.random.default_rng(seed).normal(0.0, eps * grid.dt**0.5, n)
+        path = ObservationPath(grid, cusp_term(a0, 0.5, 0.25, t) * grid.dt + noise, eps)
+        i = int(u * (n - 1))
+        if where == "node":  # every row has a zero at rho
+            rho = t[max(i, 1)]
+        elif where == "near":  # 1e-15 to 1e-9 from a node, either side
+            rho = t[i] - offset if i and seed % 2 else t[i] + offset
+        else:
+            rho = u
+        lo, hi = self.KAPPA_BOUNDS
+        if window == "clipped":  # the window runs into a bound
+            center = lo + 7.0 * step if u < 0.5 else hi - 7.0 * step
+        kappas = estimators._window(self.KAPPA_BOUNDS, center, step, estimators.SPAN)
+        if window == "one":
+            kappas = kappas[[kappas.size // 2]]
+        got = estimators._exponent_window(path, a, rho, kappas)
+        want = _direct_exponent_window(path, a, rho, kappas)
+        assert got.shape == kappas.shape
+        terms = _summed_terms(path, cusp_term(a, rho, kappas[:, None], t))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * terms.max() / eps**2)
+
+    @pytest.mark.parametrize("rho", [0.5, 500.0, 999.5])
+    def test_exponent_window_on_a_long_horizon(self, rho):
+        # On T = 1000 a window of half-width 0.2 has nodes with
+        # w*|log|t - rho|| >= 1/4 far from rho too (|t - rho| >= e**1.25):
+        # the slice runs from the first such node to the last.
+        grid = TimeGrid(1000.0, 5000)
+        t = grid.left_nodes
+        noise = np.random.default_rng(3).normal(0.0, 0.01 * grid.dt**0.5, grid.n)
+        path = ObservationPath(grid, cusp_term(1.0, 500.0, 0.25, t) * grid.dt + noise, 0.01)
+        kappas = estimators._window(self.KAPPA_BOUNDS, 0.25, 0.01, estimators.SPAN)
+        got = estimators._exponent_window(path, 1.0, rho, kappas)
+        want = _direct_exponent_window(path, 1.0, rho, kappas)
+        terms = _summed_terms(path, cusp_term(1.0, rho, kappas[:, None], t))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * terms.max() / 0.01**2)
 
 
 class TestSearchDecisions:
     """The searches decide alike on the fast window fields and on direct
-    rows: the same searches, run once more with the fast paths replaced by
-    ``ito_loglik`` over directly evaluated rows, reach the same points.
+    rows: the same searches, run once more with the location and exponent
+    windows replaced by ``ito_loglik`` over directly evaluated rows (the
+    signal's, and ``cusp_term``'s), reach the same points.
 
     The points compared are those of the nested search, each coordinate
     with its rate (50 target steps), before ``joint_mle``'s Newton steps.
@@ -904,8 +955,8 @@ class TestSearchDecisions:
             with monkeypatch.context() as patch:
                 fast = self._decisions(patch, path, real_path)
             with monkeypatch.context() as patch:
-                patch.setattr(estimators, "_window_loglik", _direct_window_loglik)
-                patch.setattr(estimators, "_exponent_rows", _direct_exponent_rows)
+                patch.setattr(estimators, "_location_window", _direct_location_window)
+                patch.setattr(estimators, "_exponent_window", _direct_exponent_window)
                 direct = self._decisions(patch, path, real_path)
             assert len(fast) == len(direct) == 4
             for name, (got, rate), (want, _) in zip(
