@@ -35,8 +35,11 @@ either axis (``_location_window``, ``_exponent_window``), goes through one
 evaluator, ``_window_loglik``: the nodes of one slice are summed directly
 and all others through ``CHEB`` Chebyshev points of the window, so most
 nodes cost ``CHEB`` drift values however many candidates the window
-holds.  Each window is scanned once per search (``_scan_window``).  The
-exponent field is regular, so both exponent estimates end in Newton
+holds.  Each window is scanned once per search (``_scan_window``), and
+the first window of each seed once per sweep cell: it depends on the seed
+alone, so ``location_coarse`` builds its rows once for all the paths
+seeded there and hands ``_search`` each path's result.  The exponent
+field is regular, so both exponent estimates end in Newton
 scoring on its exact score and Hessian (``_kappa_newton``): ``kappa_mle``
 from the argmax of the 9-node exponent axis, ``joint_mle`` from its
 search's point at the location found.
@@ -154,6 +157,52 @@ def _interpolation(m: int) -> np.ndarray:
     return matrix
 
 
+def _fill(buffer, rows, points, nodes) -> np.ndarray:
+    """The matrix ``rows(points[:, None], nodes)``, one point at a time, at the front of ``buffer``.
+
+    ``buffer`` is flat and the matrix a C-contiguous view of it, with the
+    bits of the broadcast call and none of its temporaries of the
+    matrix's size.
+    """
+    matrix = buffer[:points.size * nodes.size].reshape(points.size, nodes.size)
+    for j, point in enumerate(points):
+        matrix[j] = rows(point, nodes)
+    return matrix
+
+
+def _window_rows(rows, thetas, nodes, i0, i1, buffer=None):
+    """Path-free half of ``_window_loglik``: the window's near and far drift rows.
+
+    The near rows are at ``thetas`` on the nodes ``i0:i1``, the far rows at
+    the ``CHEB`` Chebyshev points of the window on all other nodes.  Each
+    matrix is one broadcast ``rows`` call, or with a flat ``buffer`` of at
+    least ``(max(thetas.size, CHEB) + 1) * nodes.size`` entries
+    ``_fill``-ed into it, the far rows after the near and the far nodes at
+    its end.  The broadcast far rows are built first, so that the
+    temporaries of their call, the largest, meet no near rows.
+    """
+    c = 0.5 * (thetas[0] + thetas[-1])
+    w = 0.5 * (thetas[-1] - thetas[0])
+    far_points, far_parts = c + w * _CHEB_X, (nodes[:i0], nodes[i1:])
+    if buffer is None:
+        far = rows(far_points[:, None], np.concatenate(far_parts))
+        return rows(thetas[:, None], nodes[i0:i1]), far
+    far_nodes = np.concatenate(far_parts, out=buffer[buffer.size - nodes.size + i1 - i0:])
+    near = _fill(buffer, rows, thetas, nodes[i0:i1])
+    return near, _fill(buffer[near.size:], rows, far_points, far_nodes)
+
+
+def _window_products(near, far, i0, i1, increments, dt, eps) -> np.ndarray:
+    """Per-path half of ``_window_loglik``: the field of one path's ``increments``.
+
+    One ``ito_loglik`` product on the near slice and one on the far
+    increments, interpolated to the window by ``_interpolation``.
+    """
+    far_dx = np.concatenate((increments[:i0], increments[i1:]))
+    return (ito_loglik(near, increments[i0:i1], dt, eps)
+            + _interpolation(near.shape[0]) @ ito_loglik(far, far_dx, dt, eps))
+
+
 def _window_loglik(path, rows, thetas, nodes, i0, i1) -> np.ndarray:
     """Field at the window ``thetas``, an ``np.linspace``, summing the nodes ``i0:i1`` directly.
 
@@ -182,25 +231,27 @@ def _window_loglik(path, rows, thetas, nodes, i0, i1) -> np.ndarray:
       CHEB!`` < 7e-16 of their value at every candidate, so the field is
       within 7e-16 of the summed terms ``(sum |S dX| + dt/2 sum S**2) /
       eps**2`` before rounding.
+
+    The rows depend on the window alone (``_window_rows``) and the products
+    on the path (``_window_products``), so the paths of a sweep cell can
+    share one window's rows.
     """
-    dx, dt, eps = path.increments, path.grid.dt, path.epsilon
+    near, far = _window_rows(rows, thetas, nodes, i0, i1)
+    return _window_products(near, far, i0, i1, path.increments, path.grid.dt, path.epsilon)
+
+
+def _location_slice(t, thetas) -> tuple[int, int]:
+    """The nodes ``i0:i1`` within ``FAR`` half-widths of the centre of the window ``thetas``."""
     c = 0.5 * (thetas[0] + thetas[-1])
     w = 0.5 * (thetas[-1] - thetas[0])
-    near = ito_loglik(rows(thetas[:, None], nodes[i0:i1]), dx[i0:i1], dt, eps)
-    far_nodes = np.concatenate((nodes[:i0], nodes[i1:]))
-    far_dx = np.concatenate((dx[:i0], dx[i1:]))
-    far = ito_loglik(rows((c + w * _CHEB_X)[:, None], far_nodes), far_dx, dt, eps)
-    return near + _interpolation(thetas.size) @ far
+    return (int(np.searchsorted(t, c - FAR * w, side="left")),
+            int(np.searchsorted(t, c + FAR * w, side="right")))
 
 
 def _location_window(path, rows, thetas) -> np.ndarray:
     """Field at the location window ``thetas``; ``rows(theta_column, t)`` gives drifts."""
     t = path.grid.left_nodes
-    c = 0.5 * (thetas[0] + thetas[-1])
-    w = 0.5 * (thetas[-1] - thetas[0])
-    i0 = int(np.searchsorted(t, c - FAR * w, side="left"))
-    i1 = int(np.searchsorted(t, c + FAR * w, side="right"))
-    return _window_loglik(path, rows, thetas, t, i0, i1)
+    return _window_loglik(path, rows, thetas, t, *_location_slice(t, thetas))
 
 
 def _exponent_window(path, a: float, rho: float, kappas) -> np.ndarray:
@@ -257,9 +308,13 @@ def _scan_window(memo: dict, eval_fn, bounds, center: float, step: float, *fixed
     key = (center, step, *fixed)
     if key not in memo:
         grid = _window(bounds, center, step, SPAN)
-        values = np.asarray(eval_fn(grid), dtype=float)
-        memo[key] = float(grid[np.argmax(values)]), float(values.max())
+        memo[key] = _peak(grid, np.asarray(eval_fn(grid), dtype=float))
     return memo[key]
+
+
+def _peak(grid, values) -> tuple[float, float]:
+    """``(argmax, value)`` of a window's field, ties to the first point."""
+    return float(grid[np.argmax(values)]), float(values.max())
 
 
 def _seeds(nodes, values, close) -> list[tuple]:
@@ -279,7 +334,7 @@ def _seeds(nodes, values, close) -> list[tuple]:
     return kept
 
 
-def _search(coarse, bounds, fields, close, targets):
+def _search(coarse, bounds, fields, close, targets, first=()):
     """Refine each of the ``_seeds`` of ``coarse = (*axes, values)``; keep the best.
 
     ``fields[k](point, grid)`` is the field along axis ``k`` through
@@ -289,6 +344,10 @@ def _search(coarse, bounds, fields, close, targets):
     every axis in turn (rho, kappa, rho, kappa jointly: a large move along
     one axis shifts the other's optimum), with one memo per axis.  At most
     12 levels run; when none does, the value is the field at the seed.
+    ``first[s]``, when given, is the ``(argmax, value)`` of the first
+    axis-0 window of the ``s``-th seed, scanned already (``location_coarse``
+    scans the location seeds of a whole sweep cell); it enters the memo
+    under that window's ``_scan_window`` key.
 
     Returns ``(point, value, levels, steps, boundary)``, ties to the smallest
     point: ``levels`` counts the coarse scan, ``steps`` are the final steps,
@@ -296,8 +355,12 @@ def _search(coarse, bounds, fields, close, targets):
     """
     *axes, values = coarse
     memos = [{} for _ in axes]
+    seeds = _seeds(axes, values, close)
+    step = (axes[0][1] - axes[0][0]) / SHRINK
+    for seed, (argmax, value) in zip(seeds, first):
+        memos[0][(seed[0], step, *seed[1:])] = float(argmax), float(value)
     best = None
-    for seed in _seeds(axes, values, close):
+    for seed in seeds:
         point, value = list(seed), -math.inf
         steps = [axis[1] - axis[0] for axis in axes]
         levels = 1
@@ -338,30 +401,73 @@ def coarse_grid(bounds: tuple[float, float], rate: float) -> np.ndarray:
 SCAN_BLOCK = 64
 
 
-def _scan(row, count, grid, increments, eps) -> np.ndarray:
+def _scan(row, count, grid, increments, eps, buffer=None) -> np.ndarray:
     """Field of the candidate drifts ``row(j, t)``, ``j < count``, over ``increments``.
 
     ``increments`` is one path ``(n,)`` or a ``(paths, n)`` matrix, whose
     field gets a trailing path axis.  The rows are filled one at a time
-    into near-equal blocks of at most ``SCAN_BLOCK``, one ``ito_loglik``
-    product per block: a one-row tail, a matrix-vector product, would
-    round differently.
+    (``_fill``) into near-equal blocks of at most ``SCAN_BLOCK``, one
+    ``ito_loglik`` product per block: a one-row tail, a matrix-vector
+    product, would round differently.  The blocks go into ``buffer``,
+    flat and of at least ``min(count, SCAN_BLOCK) * n`` entries, or a new
+    one of that size.
     """
     t = grid.left_nodes
     field = np.empty((count, *increments.shape[:-1]))
-    rows = np.empty((min(count, SCAN_BLOCK), t.size))
+    if buffer is None:
+        buffer = np.empty(min(count, SCAN_BLOCK) * t.size)
     for block in np.array_split(np.arange(count), -(-count // SCAN_BLOCK)):
-        for i, j in enumerate(block):
-            rows[i] = row(j, t)
-        field[block] = ito_loglik(rows[:block.size], increments, grid.dt, eps)
+        field[block] = ito_loglik(_fill(buffer, row, block, t), increments, grid.dt, eps)
     return field
 
 
+def _location_rules(thetas, rate):
+    """Seed separation rule and target step of a location search from the coarse ``thetas``."""
+    step = thetas[1] - thetas[0]
+    return (lambda p, q: abs(p[0] - q[0]) < 2.0 * step), rate / 50.0
+
+
 def location_coarse(signal, rate, grid, increments, eps):
-    """``(thetas, field)`` over ``coarse_grid(signal.theta_bounds, rate)``, by ``_scan``."""
+    """``(thetas, field, first)``: the coarse scan and its seeds' first windows.
+
+    ``field`` is the field over ``coarse_grid(signal.theta_bounds, rate)``,
+    by ``_scan``.  ``first[s]`` is the ``(argmax, value)`` of the first
+    refinement window of the ``s``-th of the ``_seeds`` that ``mle`` and
+    ``pseudo_mle`` refine, as their ``_scan_window`` would give it, with the
+    path as the last axis like the field's; NaN past a path's last seed.
+    ``first`` has no seed when the coarse step is already at its target.
+
+    The window of a seed depends on the seed alone, and the paths of a
+    sweep cell share few seeds, so each distinct seed's window rows are
+    built once and applied to each path seeded there by its own
+    ``_window_products``.  The rows are filled into the buffer of the
+    scan's blocks (``_window_rows``), so the first windows hold no more
+    memory than the scan: one window's rows and far nodes take at most
+    ``2*SPAN + 2`` entries per node.
+    """
     thetas = coarse_grid(signal.theta_bounds, rate)
-    return thetas, _scan(lambda j, t: signal.value(thetas[j], t),
-                         thetas.size, grid, increments, eps)
+    buffer = np.empty(max(min(thetas.size, SCAN_BLOCK), 2 * SPAN + 2) * grid.n)
+    field = _scan(lambda j, t: signal.value(thetas[j], t), thetas.size, grid, increments, eps,
+                  buffer)
+    close, target = _location_rules(thetas, rate)
+    coarse_step = thetas[1] - thetas[0]
+    paths = increments.shape[:-1]
+    first = np.full((STARTS, 2, *paths), np.nan)
+    if coarse_step <= target:  # no level refines
+        return thetas, field, first[:0]
+    seeded: dict = {}  # seed -> (rank, path) of each path seeded there
+    for p in np.ndindex(paths):
+        for s, (center,) in enumerate(_seeds((thetas,), field[(..., *p)], close)):
+            seeded.setdefault(center, []).append((s, p))
+    t = grid.left_nodes
+    for center, uses in seeded.items():
+        window = _window(signal.theta_bounds, center, coarse_step / SHRINK, SPAN)
+        i0, i1 = _location_slice(t, window)
+        near, far = _window_rows(signal.value, window, t, i0, i1, buffer)
+        for s, p in uses:
+            values = _window_products(near, far, i0, i1, increments[p], grid.dt, eps)
+            first[(s, slice(None), *p)] = _peak(window, values)
+    return thetas, field, first
 
 
 def _kappa_axis(kappa_bounds) -> np.ndarray:
@@ -468,12 +574,12 @@ def _location_mle(path, signal, rate, estimator, coarse=None):
     _check_horizon(path, signal)
     if coarse is None:
         coarse = location_coarse(signal, rate, path.grid, path.increments, path.epsilon)
-    coarse_step = coarse[0][1] - coarse[0][0]
+    thetas, values, first = coarse
+    close, target = _location_rules(thetas, rate)
     (theta,), _, levels, (step,), boundary = _search(
-        coarse, (signal.theta_bounds,),
-        (lambda point, thetas: _location_window(path, signal.value, thetas),),
-        lambda p, q: abs(p[0] - q[0]) < 2.0 * coarse_step,
-        lambda point: (rate / 50.0,),
+        (thetas, values), (signal.theta_bounds,),
+        (lambda point, grid: _location_window(path, signal.value, grid),),
+        close, lambda point: (target,), first,
     )
     return EstimationResult(
         estimator=estimator,

@@ -59,6 +59,23 @@ _NUISANCE_CHOICES = {
 }
 
 
+#: The location families of the window and scan tests, with each nuisance.
+_LOCATION_CASES = [
+    (family, nuisance)
+    for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
+] + [("multi_cusp", "none")]
+
+
+def _location_signal(family, nuisance, bounds):
+    """A signal of one of ``_LOCATION_CASES`` on ``bounds``."""
+    extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
+    if family == "cusp":
+        return CuspSignal(1.3, 0.25, 1.0, bounds, **extra)
+    if family == "two_sided_cusp":
+        return TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, bounds, **extra)
+    return MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, bounds)
+
+
 def _zero_noise_path(theta=0.5, eps=0.01, grid=GRID, signal=SIG):
     return simulate_path(signal, theta, eps, grid, zero_noise=True)
 
@@ -153,12 +170,15 @@ class TestExponentRows:
 
 
 def _scan_blocks(monkeypatch) -> list:
-    """Copies of the row blocks the coarse scans hand to ``ito_loglik``, in order."""
+    """Copies of the row blocks the coarse scans hand to ``ito_loglik`` with
+    their ``(paths, n)`` matrix, in order; a location scan's first windows
+    take one path at a time."""
     blocks = []
 
-    def record(rows, *args):
-        blocks.append(rows.copy())
-        return ito_loglik(rows, *args)
+    def record(rows, increments, *args):
+        if increments.ndim == 2:
+            blocks.append(rows.copy())
+        return ito_loglik(rows, increments, *args)
 
     monkeypatch.setattr(estimators, "ito_loglik", record)
     return blocks
@@ -201,7 +221,7 @@ class TestCoarseScans:
         if scan == "location":
             sig = CuspSignal(a=a, kappa=kappa, T=1.0, theta_bounds=(0.3, 0.7))
             rate = location_rate(eps, sig.hurst)
-            run = lambda dx: location_coarse(sig, rate, grid, dx, eps)
+            run = lambda dx: location_coarse(sig, rate, grid, dx, eps)[:2]
             node = lambda axes, idx: (axes[0][idx[0]], kappa)
         elif scan == "kappa":
             run = lambda dx: kappa_coarse(a, rho, (0.1, 0.4), grid, dx, eps)
@@ -223,26 +243,17 @@ class TestCoarseScans:
                 want = _direct_ito_sum(drift, increments[i], grid.dt, eps)
                 assert field[idx + (i,)] == pytest.approx(want, rel=1e-9, abs=1e-9 / eps**2)
 
-    @pytest.mark.parametrize("family,nuisance", [
-        (family, nuisance)
-        for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
-    ] + [("multi_cusp", "none")])
+    @pytest.mark.parametrize("family,nuisance", _LOCATION_CASES)
     def test_location_blocks_have_the_bits_of_broadcast_rows(
         self, family, nuisance, monkeypatch
     ):
         # the rows are filled one theta at a time; the blocks handed to
         # ito_loglik must be the broadcast drift matrix, bit for bit
-        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
-        if family == "cusp":
-            signal = CuspSignal(1.3, 0.25, 1.0, BOUNDS, **extra)
-        elif family == "two_sided_cusp":
-            signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, BOUNDS, **extra)
-        else:
-            signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, BOUNDS)
+        signal = _location_signal(family, nuisance, BOUNDS)
         eps, rate = 0.005, location_rate(0.005, signal.hurst)
         increments = np.random.default_rng(9).normal(0.0, 0.03, size=(3, GRID.n))
         blocks = _scan_blocks(monkeypatch)
-        thetas, _ = location_coarse(signal, rate, GRID, increments, eps)
+        thetas, *_ = location_coarse(signal, rate, GRID, increments, eps)
         assert len(blocks) > 1
         _assert_blocks_tile(blocks, signal.value(thetas[:, None], GRID.left_nodes[None, :]))
 
@@ -268,20 +279,49 @@ class TestCoarseScans:
         if scan == "location":
             grid, eps, paths = TimeGrid(1.0, 10_000), 0.005, 40
             rate = location_rate(eps, SIG.hurst)
-            run = lambda g, dx: location_coarse(SIG, rate, g, dx, eps)
+            run = lambda g, dx: location_coarse(SIG, rate, g, dx, eps)[1]
         else:
             grid, eps, paths = TimeGrid(1.0, 4000), 0.01, 100
-            run = lambda g, dx: joint_coarse(1.0, BOUNDS, (0.05, 0.45), g, dx, eps)
+            run = lambda g, dx: joint_coarse(1.0, BOUNDS, (0.05, 0.45), g, dx, eps)[-1]
         increments = np.random.default_rng(4).normal(0.0, eps * 0.01, size=(paths, grid.n))
         run(TimeGrid(1.0, 100), increments[:, :100])
         tracemalloc.start()
         try:
-            *_, field = run(grid, increments)
+            field = run(grid, increments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert field.shape[-1] == paths
         assert peak < 1.25 * _block_bytes(grid) + field.nbytes
+
+    def test_first_windows_stay_within_the_scan_peak(self):
+        # The first windows are filled into the buffer of the scan's blocks:
+        # on the location-bayes cell (eps 0.005, n 1e4, 40 paths) the scan
+        # alone and location_coarse both peak at 5.09-5.10 MiB under
+        # tracemalloc. The bound allows less than one vector over the
+        # nodes (78 KiB) above the scan's peak.
+        grid, eps, paths = TimeGrid(1.0, 10_000), 0.005, 40
+        rate = location_rate(eps, SIG.hurst)
+        noise = np.random.default_rng(4).normal(0.0, eps * grid.dt**0.5, size=(paths, grid.n))
+        increments = SIG.value(0.5, grid.left_nodes) * grid.dt + noise
+        thetas = coarse_grid(BOUNDS, rate)
+        runs = {
+            "scan": lambda: estimators._scan(lambda j, t: SIG.value(thetas[j], t),
+                                             thetas.size, grid, increments, eps),
+            "location_coarse": lambda: location_coarse(SIG, rate, grid, increments, eps),
+        }
+        location_coarse(SIG, rate, grid, increments[:1], eps)  # the cached interpolation matrix
+        peaks = {}
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                out = run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out[2].shape == (estimators.STARTS, 2, paths)
+        assert peaks["location_coarse"] <= peaks["scan"] + 64 * 1024
+        assert peaks["location_coarse"] < 5.25 * 2**20
 
     def test_mle_memory_is_bounded_at_small_eps(self):
         # eps 1e-3 puts 1501 nodes on the coarse grid: as one drift matrix
@@ -482,9 +522,9 @@ class TestMle:
                  for rep in (6, 7, 8)]
         rate = location_rate(0.02, SIG.hurst)
         increments = np.stack([path.increments for path in paths])
-        thetas, field = location_coarse(SIG, rate, GRID, increments, 0.02)
+        thetas, field, first = location_coarse(SIG, rate, GRID, increments, 0.02)
         for i, path in enumerate(paths):
-            shortcut = mle(path, SIG, coarse=(thetas, field[:, i]))
+            shortcut = mle(path, SIG, coarse=(thetas, field[:, i], first[..., i]))
             assert shortcut.estimate == mle(path, SIG).estimate
 
     def test_coarse_step_at_target_returns_coarse_argmax(self):
@@ -688,10 +728,7 @@ class TestFineLattice:
     """The Bayes fine field from one kernel vector equals ``ito_loglik`` over
     drift rows evaluated directly at the same thetas."""
 
-    @pytest.mark.parametrize("family,nuisance", [
-        (family, nuisance)
-        for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
-    ] + [("multi_cusp", "none")])
+    @pytest.mark.parametrize("family,nuisance", _LOCATION_CASES)
     @pytest.mark.parametrize("branch", ["q", "p", "narrow"])
     @given(
         n=st.integers(500, 2000),
@@ -706,13 +743,7 @@ class TestFineLattice:
         self, family, nuisance, branch, n, eps, lo, width, ratio, seed
     ):
         bounds = (0.2, 0.8)
-        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
-        if family == "cusp":
-            signal = CuspSignal(1.3, 0.25, 1.0, bounds, **extra)
-        elif family == "two_sided_cusp":
-            signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, bounds, **extra)
-        else:
-            signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, bounds)
+        signal = _location_signal(family, nuisance, bounds)
         grid = TimeGrid(1.0, n)
         dt = grid.dt
         rng = replication_rng(seed, 0)
@@ -800,10 +831,7 @@ class TestWindowFastPaths:
     field, which is a small difference of them at large eps.
     """
 
-    @pytest.mark.parametrize("family,nuisance", [
-        (family, nuisance)
-        for family in ("cusp", "two_sided_cusp") for nuisance in _NUISANCE_CHOICES
-    ] + [("multi_cusp", "none")])
+    @pytest.mark.parametrize("family,nuisance", _LOCATION_CASES)
     @pytest.mark.parametrize("window", ["inside", "clipped", "wider", "narrow", "one"])
     @given(
         n=st.integers(300, 10_000),
@@ -821,13 +849,7 @@ class TestWindowFastPaths:
         self, family, nuisance, window, n, eps, center, step, on_node, seed
     ):
         bounds = (0.2, 0.8)
-        extra = {} if nuisance == "none" else {"nuisance": _NUISANCE_CHOICES[nuisance]}
-        if family == "cusp":
-            signal = CuspSignal(1.3, 0.25, 1.0, bounds, **extra)
-        elif family == "two_sided_cusp":
-            signal = TwoSidedCuspSignal(0.8, 1.6, 0.3, 1.0, bounds, **extra)
-        else:
-            signal = MultiCuspSignal(((1.0, 0.2), (0.6, 0.4)), 1.0, bounds)
+        signal = _location_signal(family, nuisance, bounds)
         grid = TimeGrid(1.0, n)
         noise = np.random.default_rng(seed).normal(0.0, eps * grid.dt**0.5, n)
         path = ObservationPath(grid, signal.value(0.5, grid.left_nodes) * grid.dt + noise, eps)
@@ -916,11 +938,19 @@ class TestWindowFastPaths:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * terms.max() / 0.01**2)
 
 
+def _without_first_windows(*args, _coarse=estimators.location_coarse):
+    """``estimators.location_coarse`` with no first window: the search scans them itself."""
+    thetas, field, first = _coarse(*args)
+    return thetas, field, first[:0]
+
+
 class TestSearchDecisions:
     """The searches decide alike on the fast window fields and on direct
     rows: the same searches, run once more with the location and exponent
     windows replaced by ``ito_loglik`` over directly evaluated rows (the
-    signal's, and ``cusp_term``'s), reach the same points.
+    signal's, and ``cusp_term``'s), reach the same points.  The direct run
+    takes no first windows from ``location_coarse``, so its searches scan
+    them through the direct rows too.
 
     The points compared are those of the nested search, each coordinate
     with its rate (50 target steps), before ``joint_mle``'s Newton steps.
@@ -930,20 +960,22 @@ class TestSearchDecisions:
 
     @staticmethod
     def _decisions(patch, path, real_path):
-        found = []
+        """The points of the three searches, and the first windows each was given."""
+        found, given = [], []
         search = estimators._search
 
-        def spy(coarse, bounds, fields, close, targets):
-            result = search(coarse, bounds, fields, close, targets)
+        def spy(coarse, bounds, fields, close, targets, first=()):
+            result = search(coarse, bounds, fields, close, targets, first)
             point = result[0]
             found.extend((p, 50.0 * g) for p, g in zip(point, targets(point)))
+            given.append(len(first))
             return result
 
         patch.setattr(estimators, "_search", spy)
         mle(path, SIG)
         pseudo_mle(real_path, SIG)
         joint_mle(path, 1.0, BOUNDS)
-        return found
+        return found, given
 
     @pytest.mark.parametrize("eps", [0.01, 0.005])
     def test_decisions_match_direct_rows(self, monkeypatch, eps):
@@ -953,11 +985,14 @@ class TestSearchDecisions:
             real_path = simulate_path(self.REAL, None, eps, grid,
                                       rng=replication_rng(18, rep))
             with monkeypatch.context() as patch:
-                fast = self._decisions(patch, path, real_path)
+                fast, fast_given = self._decisions(patch, path, real_path)
             with monkeypatch.context() as patch:
                 patch.setattr(estimators, "_location_window", _direct_location_window)
                 patch.setattr(estimators, "_exponent_window", _direct_exponent_window)
-                direct = self._decisions(patch, path, real_path)
+                patch.setattr(estimators, "location_coarse", _without_first_windows)
+                direct, direct_given = self._decisions(patch, path, real_path)
+            assert fast_given == [estimators.STARTS, estimators.STARTS, 0]
+            assert direct_given == [0, 0, 0]
             assert len(fast) == len(direct) == 4
             for name, (got, rate), (want, _) in zip(
                 ("mle", "pseudo_mle", "joint_rho", "joint_kappa"), fast, direct
@@ -1013,6 +1048,50 @@ class TestWindowMemo:
         monkeypatch.setattr(estimators, "_window_loglik", counting_window)
         mle(path, SIG)
         assert counts["evaluated"] < counts["requested"]
+
+
+class TestFirstWindows:
+    """``location_coarse`` scans the first window of every seed of its
+    paths, bit for bit as each path's own search would (``_scan_window``
+    through ``_location_window``), so ``mle`` and ``pseudo_mle`` return the
+    same results with and without them."""
+
+    #: Bounds and eps of each coarse grid: a bench-like one; five nodes,
+    #: where ``_seeds`` keeps two points for a path whose best node is next
+    #: to the middle one; and a coarse step at its target, with no window.
+    GRIDS = {"default": (BOUNDS, 0.01), "five nodes": ((0.45, 0.55), 0.05),
+             "at target": ((0.4999, 0.5001), 0.05)}
+
+    @pytest.mark.parametrize("family,nuisance", _LOCATION_CASES)
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_first_windows_match_the_search(self, family, nuisance, case):
+        bounds, eps = self.GRIDS[case]
+        signal = _location_signal(family, nuisance, bounds)
+        paths = 8
+        noise = np.random.default_rng(5).normal(0.0, eps * GRID.dt**0.5, size=(paths, GRID.n))
+        increments = signal.value(0.475, GRID.left_nodes) * GRID.dt + noise
+        for estimator, rate in ((mle, location_rate(eps, signal.hurst)),
+                                (pseudo_mle, misspec_rate(eps, signal.kappa_eff))):
+            thetas, field, first = location_coarse(signal, rate, GRID, increments, eps)
+            close, _ = estimators._location_rules(thetas, rate)
+            step = (thetas[1] - thetas[0]) / estimators.SHRINK
+            kept = []
+            for i in range(paths):
+                path = ObservationPath(GRID, increments[i], eps)
+                seeds = estimators._seeds((thetas,), field[:, i], close)
+                kept.append(len(seeds))
+                for s, (center,) in enumerate(seeds[:len(first)]):
+                    want = estimators._scan_window(
+                        {}, lambda g: estimators._location_window(path, signal.value, g),
+                        bounds, center, step)
+                    assert tuple(first[s, :, i]) == want, (estimator, i, s)
+                assert np.isnan(first[len(seeds):, :, i]).all()
+                coarse = (thetas, field[:, i])
+                assert (estimator(path, signal, coarse=(*coarse, first[..., i]))
+                        == estimator(path, signal, coarse=(*coarse, first[:0, :, i])))
+            assert first.shape == (0 if case == "at target" else estimators.STARTS, 2, paths)
+            if case == "five nodes":
+                assert thetas.size == 5 and min(kept) < estimators.STARTS
 
 
 class TestPseudoMle:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import math
 import threading
 import time
@@ -368,6 +369,45 @@ class TestSweepRowsMatchStandAloneCalls:
             assert row["target"] == truth
             assert row["normalized_error"] == pytest.approx(
                 (row["estimate"] - truth) / rate, rel=1e-12, abs=1e-12)
+
+
+class TestFirstWindowsPerCell:
+    def test_each_seed_window_is_built_once_per_cell(self, monkeypatch):
+        # the paths of a cell share few seeds: location_coarse builds the
+        # rows of each distinct seed's first window once, and no path's
+        # search builds them again
+        built, scans = [], []
+        window_rows, coarse = estimators._window_rows, experiments.location_coarse
+
+        def record_rows(rows, thetas, *args):
+            built.append((float(thetas[0]), float(thetas[-1]), thetas.size))
+            return window_rows(rows, thetas, *args)
+
+        def record_scan(signal, rate, *args):
+            scans.append((signal, rate, coarse(signal, rate, *args)))
+            return scans[-1][-1]
+
+        monkeypatch.setattr(estimators, "_window_rows", record_rows)
+        monkeypatch.setattr(experiments, "location_coarse", record_scan)
+        run_experiment(_tiny("cusp-bayes", epsilons=(0.01,), replications=40, n_steps=2000))
+        ((signal, rate, (thetas, field, _)),) = scans
+        close, _ = estimators._location_rules(thetas, rate)
+        seeds = [center for i in range(field.shape[-1])
+                 for (center,) in estimators._seeds((thetas,), field[:, i], close)]
+        step = (thetas[1] - thetas[0]) / estimators.SHRINK
+        windows = [estimators._window(signal.theta_bounds, center, step, estimators.SPAN)
+                   for center in set(seeds)]
+        keys = {(float(w[0]), float(w[-1]), w.size) for w in windows}
+        assert len(keys) < len(seeds)
+        assert sorted(b for b in built if b in keys) == sorted(keys)
+
+    def test_verbose_log_times_each_scan(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="cusplab")
+        run_experiment(_tiny("cusp-bayes", epsilons=(0.05, 0.02)))
+        lines = [r.getMessage() for r in caplog.records
+                 if "coarse scan (with any first windows) took" in r.getMessage()]
+        assert [line.split(":")[0] for line in lines] == [
+            "cusp-bayes at epsilon=0.05", "cusp-bayes at epsilon=0.02"]
 
 
 class TestRunExperimentScenarios:
